@@ -20,8 +20,6 @@ observed step against the appropriate factor.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import IntervalError
 
 __all__ = [
@@ -69,8 +67,9 @@ def locate_interval(spectrum, value):
         raise IntervalError(
             f"value {value!r} outside the open spectral range [{lam[0]!r}, {lam[-1]!r})"
         )
-    i = int(np.searchsorted(lam, value, side="right")) - 1
-    return max(i, 0)
+    # Values a roundoff below lambda_1 count as lambda_1, whose interval
+    # starts at its last copy when lambda_1 is repeated.
+    return int(lam.searchsorted(max(value, lam[0]), side="right")) - 1
 
 
 def delta(spectrum, i, xi):
@@ -114,9 +113,13 @@ def kappa(spectrum, i):
 
 
 def _kappa_lenient(spectrum, i):
-    """kappa with the topmost interval mapped to its limit value 0."""
+    """kappa with the topmost interval mapped to its limit value 0.
+
+    The topmost interval is the one whose upper end is ``lambda_n`` by
+    value, so a repeated largest eigenvalue also maps to the limit.
+    """
     lam = spectrum.lambdas
-    if i + 1 == len(lam) - 1:
+    if lam[i + 1] == lam[-1]:
         return 0.0
     return kappa(spectrum, i)
 
@@ -238,7 +241,7 @@ def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None
     lam = spectrum.lambdas
     lam_i, lam_i1 = float(lam[i]), float(lam[i + 1])
     q = lam_i / lam_i1
-    k = _kappa_lenient(spectrum, i)
+    k = _kappa_lenient(spectrum, i) if kv in ("invit2", "psd") else None
     sig = _sigma_from_kappa(kv, k, q, gamma)
     sig_sq = sig * sig
 

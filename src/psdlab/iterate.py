@@ -6,6 +6,14 @@ steepest-descent kinds Rayleigh-Ritz the two-dimensional span of ``x``
 and the search direction, which performs the optimal line search
 implicitly.  INVIT(1) and INVIT(2) are the same iterations with the
 exact inverse ``T = A^-1`` (quality ``gamma = 0``).
+
+One step kernel serves every kind.  Handed a :class:`DiagonalForm` it
+works in the coordinates ``A = I``, ``B = diag(mus)``, where a step is
+O(n) vector work plus the application of ``T`` and a closed-form 2x2
+Ritz problem (:func:`psdlab.pencil.ritz_2x2`); handed a
+:class:`SymmetricPencil` it applies ``A`` and ``B`` as dense matrices.
+The general :func:`psdlab.pencil.rayleigh_ritz` is the kernel's
+reference, not part of it.
 """
 
 import enum
@@ -16,13 +24,8 @@ import numpy as np
 
 from . import bounds
 from .errors import DegenerateSubspaceError, NumericFailure
-from .pencil import (
-    RayleighValue,
-    diagonalize,
-    rayleigh,
-    rayleigh_ritz,
-)
-from .precond import Preconditioner, synthetic_gamma_preconditioner
+from .pencil import DiagonalForm, RayleighValue, diagonalize, ritz_2x2
+from .precond import Preconditioner
 
 __all__ = [
     "SolverKind",
@@ -43,6 +46,11 @@ _EIGENVECTOR_TOL = 1e-13
 # A search direction shorter than this relative to ||x|| cannot span a
 # second dimension in floating point.
 _DEGENERATE_DIRECTION_TOL = 1e-14
+
+# Rank test of the two-vector basis [x, T r], as in
+# psdlab.pencil.orthonormalize: the part of T r orthogonal to x must keep
+# this fraction of its length.
+_RANK_TOL = 1e-10
 
 
 class SolverKind(enum.Enum):
@@ -74,32 +82,135 @@ class StepResult:
     converged: bool = False
 
 
+# Vector products use ndarray.dot: the same BLAS result as ``@``, at about
+# half the call overhead on vectors of the sizes the solvers run.
+def _norm(v):
+    return math.sqrt(v.dot(v))
+
+
 def _unit(x):
-    return x / np.linalg.norm(x)
+    return x / _norm(x)
 
 
-def _apply(precond, r):
+def _identity(v):
+    return v
+
+
+def _as_operator(precond):
+    """The map ``r -> T r`` of a preconditioner in any accepted form.
+
+    ``None`` means ``T = I``; a :class:`Preconditioner` is applied
+    through its ``apply``; a callable is taken as the map itself (for
+    example ``pencil.solve_a``); anything else is read as a matrix.
+    """
     if precond is None:
-        return r
+        return _identity
     if isinstance(precond, Preconditioner):
-        return precond.apply(r)
-    return np.asarray(precond, dtype=float) @ r
+        return precond.apply
+    if callable(precond):
+        return precond
+    return np.asarray(precond, dtype=float).dot
+
+
+def _rayleigh_value(x, ax, bx):
+    num = float(x.dot(ax))
+    if num == 0.0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    den = float(x.dot(bx))
+    return RayleighValue(rho=num / den, mu=den / num)
 
 
 def _converged_result(x, value):
     return StepResult(x=_unit(x), rho=value, theta_opt=None, converged=True)
 
 
-def pinvit1_step(pencil, precond, x):
-    """One fixed-step update ``x' = x - T (Ax - rho(x) Bx)``, normalized."""
+def _step(pencil, precond, x, line_search):
+    """The step kernel behind every solver kind.
+
+    Fixed step: ``x' = x - T r`` with ``r = Ax - rho(x) Bx``, normalized.
+    Line search: the Ritz vector of the smaller Ritz value (in the
+    ``lambda`` convention) of ``span{x, T r}``, with the basis
+    orthonormalized by two Gram-Schmidt passes and the projected 2x2
+    pencil solved by :func:`ritz_2x2`.  The checks, tolerances and sign
+    conventions are those of :func:`psdlab.pencil.rayleigh_ritz` on the
+    basis ``[x, T r]``.
+    """
+    if isinstance(pencil, DiagonalForm):  # the pencil (I, diag(mus)); None is A = I
+        apply_a, apply_b = None, pencil.mus.__mul__
+    else:
+        apply_a, apply_b = pencil.a.dot, pencil.b.dot
+    apply_t = _as_operator(precond)
     x = np.asarray(x, dtype=float)
-    value = rayleigh(pencil, x)
-    ax = pencil.a @ x
-    r = ax - value.rho * (pencil.b @ x)
-    if np.linalg.norm(r) < _EIGENVECTOR_TOL * np.linalg.norm(ax):
+    ax = x if apply_a is None else apply_a(x)
+    bx = apply_b(x)
+    value = _rayleigh_value(x, ax, bx)
+    r = ax - value.rho * bx
+    if _norm(r) < _EIGENVECTOR_TOL * _norm(ax):
         return _converged_result(x, value)
-    x_next = _unit(x - _apply(precond, r))
-    return StepResult(x=x_next, rho=rayleigh(pencil, x_next), theta_opt=1.0)
+    d = apply_t(r)
+    if not line_search:
+        x_next = _unit(x - d)
+        ax_next = x_next if apply_a is None else apply_a(x_next)
+        rho = _rayleigh_value(x_next, ax_next, apply_b(x_next))
+        return StepResult(x=x_next, rho=rho, theta_opt=1.0)
+
+    x_norm = _norm(x)
+    d_norm = _norm(d)
+    if d_norm < _DEGENERATE_DIRECTION_TOL * x_norm:
+        return _converged_result(x, value)
+    # Orthonormal basis [q1, q2] = [x, d] R^-1 with R = [[x_norm, r12], [0, w_norm]].
+    q1 = x / x_norm
+    h = float(q1.dot(d))
+    w = d - h * q1
+    h2 = float(q1.dot(w))
+    w = w - h2 * q1
+    r12 = h + h2
+    w_norm = _norm(w)
+    if w_norm < _RANK_TOL * d_norm:
+        # T r parallel to x: stationary for the line search.
+        return _converged_result(x, value)
+    q2 = w / w_norm
+    # The projected pencil on [q1, q2].  As q1 = x / x_norm, b11 = mu(x) a11.
+    if apply_a is None:
+        # The second Gram-Schmidt pass leaves [q1, q2] orthonormal to
+        # working precision, so the projected A is the identity.
+        a11, a12, a22 = 1.0, 0.0, 1.0
+    else:
+        a11 = float(x.dot(ax)) / (x_norm * x_norm)
+        a12 = float(q2.dot(ax)) / x_norm
+        a22 = float(q2.dot(apply_a(q2)))
+    try:
+        (_, mu), ((_, z1), (_, z2)) = ritz_2x2(
+            a11, a12, a22,
+            value.mu * a11, float(q2.dot(bx)) / x_norm, float(q2.dot(apply_b(q2))),
+        )
+    except DegenerateSubspaceError:
+        return _converged_result(x, value)
+    # Larger mu, i.e. smaller lambda.  Its coordinates in [x, d] scaled to
+    # max-norm 1 and signed so that the first non-negligible one is positive.
+    c_d = z2 / w_norm
+    c_x = (z1 - r12 * c_d) / x_norm
+    scale = max(abs(c_x), abs(c_d))
+    c_x /= scale
+    c_d /= scale
+    # [q1, q2] is orthonormal, so the Ritz vector's length is |(z1, z2)|.
+    f = 1.0 / math.hypot(z1, z2)
+    if (c_x if abs(c_x) > 1e-14 else c_d) < 0.0:
+        f = -f
+    vec = (f * z1) * q1 + (f * z2) * q2
+    theta = math.inf if abs(c_x) < 1e-14 else -c_d / c_x
+    return StepResult(x=vec, rho=RayleighValue.from_rho(1.0 / mu), theta_opt=theta)
+
+
+def pinvit1_step(pencil, precond, x):
+    """One fixed-step update ``x' = x - T (Ax - rho(x) Bx)``, normalized.
+
+    ``pencil`` is a :class:`SymmetricPencil` or, for the diagonalized
+    coordinates, a :class:`DiagonalForm`; ``precond`` is ``None``
+    (``T = I``), a :class:`Preconditioner`, a callable ``r -> T r`` or a
+    matrix.
+    """
+    return _step(pencil, precond, x, line_search=False)
 
 
 def psd_step(pencil, precond, x):
@@ -109,64 +220,20 @@ def psd_step(pencil, precond, x):
     smaller Ritz value (in the ``lambda`` convention); the implicit step
     length is recovered from the Ritz vector's coordinates in the
     ``[x, Tr]`` basis and reported as ``theta_opt`` (``inf`` when the
-    ``x`` coordinate vanishes).
+    ``x`` coordinate vanishes).  Accepts the same ``pencil`` and
+    ``precond`` forms as :func:`pinvit1_step`.
     """
-    x = np.asarray(x, dtype=float)
-    value = rayleigh(pencil, x)
-    ax = pencil.a @ x
-    r = ax - value.rho * (pencil.b @ x)
-    if np.linalg.norm(r) < _EIGENVECTOR_TOL * np.linalg.norm(ax):
-        return _converged_result(x, value)
-    d = _apply(precond, r)
-    if np.linalg.norm(d) < _DEGENERATE_DIRECTION_TOL * np.linalg.norm(x):
-        return _converged_result(x, value)
-    try:
-        pairs = rayleigh_ritz(pencil, [x, d])
-    except DegenerateSubspaceError:
-        # T r parallel to x: stationary for the line search.
-        return _converged_result(x, value)
-    best = pairs[0]  # smallest lambda-form Ritz value
-    c_x, c_d = best.basis_coefficients
-    if abs(c_x) < 1e-14 * max(abs(c_x), abs(c_d)):
-        theta = math.inf
-    else:
-        theta = -c_d / c_x
-    return StepResult(
-        x=best.vector,
-        rho=RayleighValue.from_rho(best.value),
-        theta_opt=theta,
-    )
+    return _step(pencil, precond, x, line_search=True)
 
 
 def invit1_step(pencil, x):
     """Fixed-step update with the exact inverse: ``x' = rho(x) A^-1 B x``."""
-    x = np.asarray(x, dtype=float)
-    value = rayleigh(pencil, x)
-    ax = pencil.a @ x
-    r = ax - value.rho * (pencil.b @ x)
-    if np.linalg.norm(r) < _EIGENVECTOR_TOL * np.linalg.norm(ax):
-        return _converged_result(x, value)
-    x_next = _unit(x - pencil.solve_a(r))
-    return StepResult(x=x_next, rho=rayleigh(pencil, x_next), theta_opt=1.0)
+    return pinvit1_step(pencil, pencil.solve_a, x)
 
 
 def invit2_step(pencil, x):
     """Steepest descent with the exact inverse (optimal line search)."""
-    x = np.asarray(x, dtype=float)
-    value = rayleigh(pencil, x)
-    ax = pencil.a @ x
-    r = ax - value.rho * (pencil.b @ x)
-    if np.linalg.norm(r) < _EIGENVECTOR_TOL * np.linalg.norm(ax):
-        return _converged_result(x, value)
-    d = pencil.solve_a(r)
-    try:
-        pairs = rayleigh_ritz(pencil, [x, d])
-    except DegenerateSubspaceError:
-        return _converged_result(x, value)
-    best = pairs[0]
-    c_x, c_d = best.basis_coefficients
-    theta = math.inf if abs(c_x) < 1e-14 * max(abs(c_x), abs(c_d)) else -c_d / c_x
-    return StepResult(x=best.vector, rho=RayleighValue.from_rho(best.value), theta_opt=theta)
+    return psd_step(pencil, pencil.solve_a, x)
 
 
 @dataclass(frozen=True)
@@ -232,20 +299,38 @@ def _mu_delta(mus, z, i):
     ``mus[i]``) or beyond.
     """
     w = z * z
-    p = float((mus[i] - mus) @ w)
-    q = float((mus - mus[i + 1]) @ w)
+    p = float((mus[i] - mus).dot(w))
+    q = float((mus - mus[i + 1]).dot(w))
     return p / q
 
 
-def _delta_or_none(spectrum, mus, z, rho):
+def _locate(spectrum, mus, z, rho, known=None):
+    """Interval index and raw :func:`_mu_delta` of an iterate, or ``None``.
+
+    ``None`` when ``rho`` is at or above ``lambda_n``.  Values at or
+    below ``lambda_1`` use the bottom interval.  ``known`` is an
+    ``(index, raw delta)`` pair already computed for this iterate and
+    is returned as is when its index is the located one.
+    """
     lam = spectrum.lambdas
     if rho >= lam[-1]:
         return None
+    i = bounds.locate_interval(spectrum, max(rho, lam[0]))
+    if known is not None and known[0] == i:
+        return known
+    return i, _mu_delta(mus, z, i)
+
+
+def _record_delta(spectrum, rho, located):
+    """The record's ``delta``: lambda-form, clipped at zero, ``None`` above ``lambda_n``."""
+    if located is None:
+        return None
+    lam = spectrum.lambdas
     if rho <= lam[0]:
         return 0.0
-    i = bounds.locate_interval(spectrum, rho)
+    i, raw = located
     # lambda-form delta differs from the reciprocal form by lam_i/lam_{i+1}
-    return max(0.0, _mu_delta(mus, z, i) * lam[i] / lam[i + 1])
+    return max(0.0, raw * lam[i] / lam[i + 1])
 
 
 def _certification_gamma(kind, quality):
@@ -294,17 +379,17 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         raise ValueError("x0 must be nonzero")
     form = diagonalize(pencil)
     spectrum = form.spectrum()
-    mu_pencil = form.diagonal_pencil()
 
     if kind in (SolverKind.INVIT1, SolverKind.INVIT2):
         # Exact inverse preconditioning is the identity in these coordinates.
-        t = synthetic_gamma_preconditioner(form, 0.0, seed=0, mode="identity")
-        quality = t.quality
+        t = None
+        quality = None
     else:
         if precond is None:
             raise ValueError(f"{kind.value} needs a preconditioner")
         t = precond.in_coords("diagonal", form)
         quality = t.quality
+    apply_t = _as_operator(t)
     cert_gamma, cert_note = _certification_gamma(kind, quality)
     certifying = certify and cert_gamma is not None
 
@@ -316,15 +401,18 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
 
     mus = form.mus
     z = _unit(form.to_diagonal(x0))
-    value = rayleigh(mu_pencil, z)
-    res_norm = float(np.linalg.norm(z - value.rho * (mu_pencil.b @ z)))
+    value = _rayleigh_value(z, z, mus * z)
+    res_norm = _norm(z - value.rho * (mus * z))
+    # (interval index, raw delta) of the current iterate: the record's
+    # delta and the "before" side of the next step's certification.
+    located = _locate(spectrum, mus, z, value.rho)
     records = [
         IterationRecord(
             step_index=0,
             x=form.from_diagonal(z),
             rho=value,
             residual_norm=res_norm,
-            delta=_delta_or_none(spectrum, mus, z, value.rho),
+            delta=_record_delta(spectrum, value.rho, located),
         )
     ]
     status = "max_steps"
@@ -333,9 +421,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         max_steps = 0
 
     for step_index in range(1, max_steps + 1):
-        step = pinvit1_step(mu_pencil, t, z) if fixed_step else psd_step(mu_pencil, t, z)
+        step = pinvit1_step(form, apply_t, z) if fixed_step else psd_step(form, apply_t, z)
         rho_prev = value
-        z_prev = z
         z, value = step.x, step.rho
         if not math.isfinite(value.rho):
             raise NumericFailure(
@@ -348,14 +435,17 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
                 f"{rho_prev.rho!r} to {value.rho!r}"
             )
         bound = None
-        if certifying and not step.converged and rho_prev.rho < spectrum.lambdas[-1]:
-            i = bounds.locate_interval(spectrum, rho_prev.rho)
+        after = None
+        if certifying and not step.converged and located is not None:
+            i, delta_before = located
+            after = (i, _mu_delta(mus, z, i))
             bound = bounds.certify_step(
                 spectrum, cert_gamma, rho_prev, value, kind=cert_kind,
-                deltas=(_mu_delta(mus, z_prev, i), _mu_delta(mus, z, i)),
+                deltas=(delta_before, after[1]),
             )
-        res_norm = float(np.linalg.norm(z - value.rho * (mu_pencil.b @ z)))
-        delta_now = _delta_or_none(spectrum, mus, z, value.rho)
+        res_norm = _norm(z - value.rho * (mus * z))
+        located = _locate(spectrum, mus, z, value.rho, known=after)
+        delta_now = _record_delta(spectrum, value.rho, located)
         records.append(
             IterationRecord(
                 step_index=step_index,

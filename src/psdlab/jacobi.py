@@ -6,6 +6,8 @@ is backward stable and keeps the package free of LAPACK-specific
 behavior.  The public signature mirrors ``numpy.linalg.eigh``.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericFailure
@@ -40,7 +42,8 @@ def jacobi_eigh(m):
     if n == 1:
         return a[0, :1].copy(), np.eye(1)
     if n == 2:
-        return _eigh_2x2(a[0, 0], a[1, 1], a[0, 1])
+        w, v = eigh_2x2(float(a[0, 0]), float(a[1, 1]), float(a[0, 1]))
+        return np.array(w), np.array(v)
     v = np.eye(n)
 
     norm_f = np.linalg.norm(a, "fro")
@@ -94,21 +97,25 @@ def jacobi_eigh(m):
     return w[order], v[:, order]
 
 
-def _eigh_2x2(a11, a22, a12):
-    """The two-dimensional case: a single Jacobi rotation, in closed form."""
+def eigh_2x2(a11, a22, a12):
+    """The two-dimensional case: a single Jacobi rotation, in closed form.
+
+    Scalar in, scalar out: returns ``((w1, w2), ((v11, v12), (v21, v22)))``
+    with ``w1 <= w2`` and column ``k`` of ``v`` the eigenvector of ``w[k]``.
+    """
     if a12 == 0.0:
         if a11 <= a22:
-            return np.array([a11, a22]), np.eye(2)
-        return np.array([a22, a11]), np.array([[0.0, 1.0], [1.0, 0.0]])
+            return (a11, a22), ((1.0, 0.0), (0.0, 1.0))
+        return (a22, a11), ((0.0, 1.0), (1.0, 0.0))
     tau = (a22 - a11) / (2.0 * a12)
     if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
     else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
+        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
     w1 = a11 - t * a12
     w2 = a22 + t * a12
     if w1 <= w2:
-        return np.array([w1, w2]), np.array([[c, s], [-s, c]])
-    return np.array([w2, w1]), np.array([[s, c], [c, -s]])
+        return (w1, w2), ((c, s), (-s, c))
+    return (w2, w1), ((s, c), (c, -s))

@@ -9,13 +9,14 @@ in decreasing order, and all solver-internal math happens in those
 coordinates.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateSubspaceError
-from .jacobi import jacobi_eigh
+from .jacobi import eigh_2x2, jacobi_eigh
 
 __all__ = [
     "SymmetricPencil",
@@ -27,6 +28,7 @@ __all__ = [
     "residual",
     "diagonalize",
     "rayleigh_ritz",
+    "ritz_2x2",
     "orthonormalize",
     "generate_problem",
 ]
@@ -220,10 +222,10 @@ class DiagonalForm:
         return self.mus.size
 
     def to_diagonal(self, x):
-        return self.basis @ np.asarray(x, dtype=float)
+        return self.basis.dot(np.asarray(x, dtype=float))
 
     def from_diagonal(self, z):
-        return self.inverse_basis @ np.asarray(z, dtype=float)
+        return self.inverse_basis.dot(np.asarray(z, dtype=float))
 
     def transform_operator(self, t):
         """Conjugate an operator given in pencil coordinates into diagonal ones."""
@@ -240,7 +242,14 @@ class DiagonalForm:
         return self._spectrum
 
     def diagonal_pencil(self):
-        """The transformed pencil ``(I, diag(mus))`` as a :class:`SymmetricPencil`."""
+        """The transformed pencil ``(I, diag(mus))`` as a dense :class:`SymmetricPencil`.
+
+        Built on first use.  :func:`psdlab.iterate.run` does not need it: the
+        step kernel applies ``A = I`` and ``B = diag(mus)`` to vectors when
+        handed the :class:`DiagonalForm` itself.  The dense pencil serves
+        callers that want the general matrix path, such as reference
+        computations in tests.
+        """
         if self._pencil is None:
             self._pencil = SymmetricPencil(np.eye(self.n), np.diag(self.mus))
         return self._pencil
@@ -318,9 +327,15 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
 
     The basis is orthonormalized (Euclidean), the projected pencil is
     reduced through its small Cholesky factor, and the resulting dense
-    symmetric eigenproblem is solved by Jacobi rotations.  Pairs are
-    returned sorted by ascending ``lambda`` (equivalently descending
-    ``mu``), each with unit-norm vector and caller-basis coefficients.
+    symmetric eigenproblem is solved by Jacobi rotations (two basis
+    vectors: by :func:`ritz_2x2`).  Pairs are returned sorted by
+    ascending ``lambda`` (equivalently descending ``mu``), each with
+    unit-norm vector and caller-basis coefficients.
+
+    This is the general reference path for any number of basis vectors,
+    kept as the oracle of the solvers' O(n) step kernel in
+    :mod:`psdlab.iterate`, which does the same two-dimensional
+    projection without forming matrices.
     """
     if form not in ("lambda", "mu"):
         raise ValueError(f"unknown Ritz value form {form!r}")
@@ -356,45 +371,63 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     return pairs
 
 
+def ritz_2x2(a11, a12, a22, b11, b12, b22):
+    """Reciprocal-form eigenpairs of a 2x2 projected pencil, in closed form.
+
+    Solves ``Pb z = mu Pa z`` for the symmetric ``Pa = [[a11, a12], [a12,
+    a22]]`` (positive definite) and ``Pb`` alike, in Python-float scalar
+    math: reduce through the Cholesky factor of ``Pa``, rotate the
+    reduced matrix with one Jacobi rotation, map back.  Returns
+    ``((mu1, mu2), ((z11, z12), (z21, z22)))`` with ``mu1 <= mu2``,
+    column ``k`` of ``z`` the ``Pa``-normalized eigenvector of ``mu[k]``.
+    Raises :class:`DegenerateSubspaceError` when ``Pa`` is numerically
+    singular.  The single 2x2 Ritz routine behind both the solver step
+    kernel and :func:`rayleigh_ritz`.
+    """
+    if a11 <= 0.0:
+        raise DegenerateSubspaceError(
+            "projected A block is numerically singular", rank=1
+        )
+    l11 = math.sqrt(a11)
+    l21 = a12 / l11
+    disc = a22 - l21 * l21
+    if disc <= 0.0:
+        raise DegenerateSubspaceError(
+            "projected A block is numerically singular", rank=1
+        )
+    l22 = math.sqrt(disc)
+    inv11 = 1.0 / l11
+    inv21 = -l21 / (l11 * l22)
+    inv22 = 1.0 / l22
+    t11 = inv11 * b11
+    t12 = inv11 * b12
+    t21 = inv21 * b11 + inv22 * b12
+    t22 = inv21 * b12 + inv22 * b22
+    m11 = t11 * inv11
+    m12 = t11 * inv21 + t12 * inv22
+    m22 = t21 * inv21 + t22 * inv22
+    mu_vals, ((y11, y12), (y21, y22)) = eigh_2x2(m11, m22, m12)
+    z = (
+        (inv11 * y11 + inv21 * y21, inv11 * y12 + inv21 * y22),
+        (inv22 * y21, inv22 * y22),
+    )
+    return mu_vals, z
+
+
 def _projected_mu_eig(pa, pb, k):
     """Reciprocal-form eigenpairs of the projected pencil ``(pb, pa)``.
 
     Reduce through the Cholesky factor of ``pa``, solve the symmetric
     problem by Jacobi rotations, and map eigenvectors back to the
-    orthonormalized basis.  The two-dimensional case (the line-search
-    hot path) is carried out in scalar closed form.
+    orthonormalized basis.  The two-dimensional case goes through
+    :func:`ritz_2x2`.
     """
     if k == 2:
-        a11, a21, a22 = pa[0, 0], pa[1, 0], pa[1, 1]
-        if a11 <= 0.0:
-            raise DegenerateSubspaceError(
-                "projected A block is numerically singular", rank=1
-            )
-        l11 = np.sqrt(a11)
-        l21 = a21 / l11
-        disc = a22 - l21 * l21
-        if disc <= 0.0:
-            raise DegenerateSubspaceError(
-                "projected A block is numerically singular", rank=1
-            )
-        l22 = np.sqrt(disc)
-        inv11 = 1.0 / l11
-        inv21 = -l21 / (l11 * l22)
-        inv22 = 1.0 / l22
-        b11, b12, b22 = pb[0, 0], pb[0, 1], pb[1, 1]
-        t11 = inv11 * b11
-        t12 = inv11 * b12
-        t21 = inv21 * b11 + inv22 * b12
-        t22 = inv21 * b12 + inv22 * b22
-        m11 = t11 * inv11
-        m12 = t11 * inv21 + t12 * inv22
-        m22 = t21 * inv21 + t22 * inv22
-        mu_vals, y = jacobi_eigh(np.array([[m11, m12], [m12, m22]]))
-        z = np.array([
-            [inv11 * y[0, 0] + inv21 * y[1, 0], inv11 * y[0, 1] + inv21 * y[1, 1]],
-            [inv22 * y[1, 0], inv22 * y[1, 1]],
-        ])
-        return mu_vals, z
+        mu_vals, z = ritz_2x2(
+            float(pa[0, 0]), float(pa[1, 0]), float(pa[1, 1]),
+            float(pb[0, 0]), float(pb[0, 1]), float(pb[1, 1]),
+        )
+        return np.array(mu_vals), np.array(z)
     try:
         l = np.linalg.cholesky(pa)
     except np.linalg.LinAlgError as exc:  # cannot happen for s.p.d. A and full rank

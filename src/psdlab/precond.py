@@ -96,7 +96,7 @@ class Preconditioner:
         return self.matrix.shape[0]
 
     def apply(self, r):
-        return self.matrix @ np.asarray(r, dtype=float)
+        return self.matrix.dot(np.asarray(r, dtype=float))
 
     def scaled(self, factor):
         """The preconditioner ``factor * T`` with consistently scaled quality."""

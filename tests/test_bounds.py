@@ -209,6 +209,28 @@ class TestCertifyStep:
         assert check.interval_index == 1
         assert check.sigma_squared == pytest.approx(0.25, rel=1e-12)
 
+    def test_repeated_top_eigenvalue_uses_degenerate_kappa(self):
+        # lambda_{i+1} == lambda_n by value, although i + 1 != n - 1
+        spec = Spectrum(lambdas=np.array([1.0, 2.0, 4.0, 4.0]))
+        check = certify_step(spec, 0.5, 3.0, 2.2, kind="psd")
+        assert check.interval_index == 1
+        assert check.sigma_squared == pytest.approx(0.25, rel=1e-12)
+
+    def test_fixed_step_kinds_need_no_kappa(self):
+        spec = Spectrum(lambdas=np.array([1.0, 2.0, 3.0, 3.0]))
+        check = certify_step(spec, 0.5, 2.5, 2.2, kind="pinvit1")
+        assert check.sigma_squared == pytest.approx((0.5 + 0.5 * 2.0 / 3.0) ** 2)
+        check = certify_step(spec, 0.0, 2.5, 2.2, kind="invit1")
+        assert check.sigma_squared == pytest.approx((2.0 / 3.0) ** 2)
+
+    def test_repeated_bottom_eigenvalue_below_roundoff(self):
+        # a value a roundoff below a repeated lambda_1 brackets at its last copy
+        spec = Spectrum(lambdas=np.array([1.0, 1.0, 2.0, 3.0]))
+        assert locate_interval(spec, 1.0 - 1e-15) == 1
+        check = certify_step(spec, 0.3, 1.0 - 1e-15, 1.0 - 1e-15, kind="psd")
+        assert check.interval_index == 1
+        assert check.verdict == PASSED_LAMBDA_I
+
     def test_pinvit1_kind(self, spec124):
         check = certify_step(spec124, 0.5, 1.5, 1.3, kind="pinvit1")
         assert check.sigma_squared == pytest.approx(0.75**2, rel=1e-12)

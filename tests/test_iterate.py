@@ -281,3 +281,28 @@ class TestRun:
         result = run(pencil, t, x0, SolverKind.PINVIT1, max_steps=3)
         assert result.status == "max_steps"
         assert result.final.step_index == 3
+
+
+class TestRepeatedEigenvalues:
+    # A repeated eigenvalue at the bottom, in the middle and at the top of
+    # the spectrum; the last start is the one that used to raise "kappa
+    # needs strict gaps" for every kind.
+    @pytest.mark.parametrize("lambdas", [
+        (1.0, 1.0, 2.0, 3.0),
+        (1.0, 2.0, 2.0, 3.0),
+        (1.0, 2.0, 3.0, 3.0),
+        (1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0),
+    ])
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_run_reaches_a_verdict(self, lambdas, kind):
+        pencil = diag_pencil(lambdas)
+        n = len(lambdas)
+        x0 = np.full(n, 1e-3)
+        x0[-2:] = 1.0
+        t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=1)
+        result = run(pencil, t, x0, kind)
+        assert result.status == "converged"
+        assert result.certified
+        assert result.final.rho.rho == pytest.approx(1.0, rel=1e-12)
+        assert not result.violations()
+        assert sum(rec.bound is not None for rec in result.records) >= 1
