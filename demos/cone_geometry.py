@@ -16,10 +16,10 @@ from psdlab import (
     cross_section,
     extremal_directions,
     householder_reduce,
+    ritz_gap,
     ritz_on_segment,
     worst_direction,
 )
-from psdlab.conelab import _theta2_batch
 
 MUS = np.array([1.0, 0.5, 0.25])
 X = np.array([1.0, 0.8, 0.6])
@@ -53,7 +53,7 @@ def main():
           "(an endpoint, as the geometry demands)")
 
     d_star = worst_direction(cone)
-    closed = float(_theta2_batch(MUS, X, d_star[None, :])[0])
+    closed = float(MUS[0] - ritz_gap(MUS, X, d_star[None, :])[0])
     brute, _ = brute_force_cone_min(cone, 100_000)
     print(f"closed-form worst value : {closed:.15f}")
     print(f"brute force (1e5 samples): {brute:.15f}")

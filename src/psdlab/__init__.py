@@ -29,6 +29,7 @@ from .conelab import (
     ellipse_quantities,
     extremal_directions,
     householder_reduce,
+    ritz_gap,
     ritz_on_segment,
     t_star,
     three_d_concentration_check,

@@ -72,6 +72,11 @@ def locate_interval(spectrum, value):
     return int(lam.searchsorted(max(value, lam[0]), side="right")) - 1
 
 
+def _check_index(lam, i):
+    if not 0 <= i <= len(lam) - 2:
+        raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
+
+
 def delta(spectrum, i, xi):
     """Interval-relative error ``(xi - lambda_i) / (lambda_{i+1} - xi)``.
 
@@ -79,8 +84,7 @@ def delta(spectrum, i, xi):
     ``lambda_{i+1}`` from the left.
     """
     lam = spectrum.lambdas
-    if not 0 <= i <= len(lam) - 2:
-        raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
+    _check_index(lam, i)
     xi = float(xi)
     if not lam[i] <= xi < lam[i + 1]:
         raise IntervalError(
@@ -92,36 +96,32 @@ def delta(spectrum, i, xi):
 def kappa(spectrum, i):
     """Spectral ratio controlling the steepest-descent factors.
 
-    Defined for interior intervals only: the topmost interval
-    (``i + 1`` pointing at ``lambda_n``) makes the ratio degenerate and
-    raises, as do vanishing gaps.
+    Defined for interior intervals only: the topmost interval (the one
+    whose upper end ``lambda_{i+1}`` equals ``lambda_n`` by value) makes
+    the ratio degenerate and raises, as do vanishing gaps.  The factors
+    themselves use the limit ``kappa = 0`` there.
     """
     lam = spectrum.lambdas
-    n = len(lam)
-    if not 0 <= i <= n - 2:
-        raise IntervalError(f"interval index {i} out of range for n={n}")
-    if i + 1 == n - 1:
+    _check_index(lam, i)
+    if lam[i + 1] == lam[-1]:
         raise ValueError(
-            "kappa is undefined on the topmost interval (i+1 = n); "
+            "kappa is undefined on the topmost interval (lambda_{i+1} = lambda_n); "
             "the steepest-descent factor degenerates there"
         )
-    if not lam[i] < lam[i + 1] < lam[-1]:
-        raise ValueError(
-            "kappa needs strict gaps lambda_i < lambda_{i+1} < lambda_n"
-        )
-    return float(lam[i] * (lam[-1] - lam[i + 1]) / (lam[i + 1] * (lam[-1] - lam[i])))
+    return _kappa_lenient(lam, i)
 
 
-def _kappa_lenient(spectrum, i):
-    """kappa with the topmost interval mapped to its limit value 0.
+def _kappa_lenient(lam, i):
+    """kappa on interval ``i`` with the topmost interval mapped to its limit 0.
 
     The topmost interval is the one whose upper end is ``lambda_n`` by
     value, so a repeated largest eigenvalue also maps to the limit.
     """
-    lam = spectrum.lambdas
     if lam[i + 1] == lam[-1]:
         return 0.0
-    return kappa(spectrum, i)
+    if not lam[i] < lam[i + 1]:
+        raise ValueError("kappa needs strict gaps lambda_i < lambda_{i+1} < lambda_n")
+    return float(lam[i] * (lam[-1] - lam[i + 1]) / (lam[i + 1] * (lam[-1] - lam[i])))
 
 
 def _sigma_from_kappa(kind_value, k, q, gamma):
@@ -145,19 +145,17 @@ def sigma(kind, spectrum, i, gamma=0.0):
 
     ``gamma`` is ignored (treated as 0) for the non-preconditioned
     kinds.  ``gamma = 1`` is admitted as the boundary value of the pure
-    formula even though no admissible preconditioner attains it.
+    formula even though no admissible preconditioner attains it.  On the
+    topmost interval the steepest-descent kinds take the limit
+    ``kappa = 0``, as :func:`certify_step` does.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     kv = _kind_value(kind)
     lam = spectrum.lambdas
-    if not 0 <= i <= len(lam) - 2:
-        raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
+    _check_index(lam, i)
     q = float(lam[i] / lam[i + 1])
-    if kv in ("invit2", "psd"):
-        k = kappa(spectrum, i)
-    else:
-        k = None
+    k = _kappa_lenient(lam, i) if kv in ("invit2", "psd") else None
     if kv in ("invit1", "invit2"):
         gamma = 0.0
     return float(_sigma_from_kappa(kv, k, q, gamma))
@@ -177,9 +175,13 @@ class BoundFactors:
 
 
 def factors(spectrum, i, gamma=0.0):
-    """Bundle :func:`kappa` and the four :func:`sigma` values for interval ``i``."""
-    k = kappa(spectrum, i)
+    """Bundle ``kappa`` and the four :func:`sigma` values for interval ``i``.
+
+    On the topmost interval ``kappa`` is its limit 0, as in :func:`sigma`.
+    """
     lam = spectrum.lambdas
+    _check_index(lam, i)
+    k = _kappa_lenient(lam, i)
     q = float(lam[i] / lam[i + 1])
     return BoundFactors(
         interval_index=i,
@@ -241,7 +243,7 @@ def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None
     lam = spectrum.lambdas
     lam_i, lam_i1 = float(lam[i]), float(lam[i + 1])
     q = lam_i / lam_i1
-    k = _kappa_lenient(spectrum, i) if kv in ("invit2", "psd") else None
+    k = _kappa_lenient(lam, i) if kv in ("invit2", "psd") else None
     sig = _sigma_from_kappa(kv, k, q, gamma)
     sig_sq = sig * sig
 

@@ -380,8 +380,11 @@ def cmd_sharpness(config):
     if gamma is None:
         raise ValueError("--gamma is mandatory for sharpness")
     deltas = [float(tok) for tok in config.deltas.split(",") if tok]
-    kappa = (mus[1] - mus[2]) / (mus[0] - mus[2])
-    sigma = (kappa + gamma * (2.0 - kappa)) / ((2.0 - kappa) + gamma * kappa)
+    if not deltas:
+        raise ValueError("--deltas needs at least one value")
+    # kappa and sigma depend on mus and gamma alone; this also validates mus.
+    base = WorstCaseSetup(mus=mus, gamma=gamma, delta=1.0, t=1.0)
+    kappa, sigma = base.kappa, base.sigma
     sigma_sq = sigma * sigma
     rows = []
     for delta in deltas:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
+from .bounds import _sigma_from_kappa
 from .errors import StationaryPointError
-from .pencil import SymmetricPencil, rayleigh_ritz
+from .pencil import ritz_2x2
 
 __all__ = [
     "ConeSpec",
@@ -35,6 +36,7 @@ __all__ = [
     "cross_section",
     "extremal_directions",
     "worst_direction",
+    "ritz_gap",
     "ritz_on_segment",
     "brute_force_cone_min",
     "worst_case_instance",
@@ -157,36 +159,50 @@ def worst_direction(cone):
     )
 
 
-def _theta2_batch(mus, x, directions):
-    """Larger reciprocal-form Ritz value of span{x, d} for each row d.
+def ritz_gap(mus, x, directions):
+    """Distance ``mus[0] - theta`` for each row ``d`` of ``directions``.
 
-    Vectorized two-by-two Rayleigh-Ritz in an orthonormalized basis;
-    rows (numerically) parallel to ``x`` yield ``mu(x)`` itself.
+    ``theta`` is the larger reciprocal-form Ritz value of ``span{x, d}``
+    for the pencil ``(I, diag(mus))``; ``mus`` and ``x`` are arrays and
+    ``mus[0]`` must be the largest entry of ``mus``.  ``d`` is orthogonalized against ``x`` by
+    two Gram-Schmidt passes, and the projected 2x2 problem is solved
+    relative to ``mus[0]``: with ``S = diag(mus[0] - mus)`` (nonnegative),
+    ``p``, ``q`` and ``c`` the entries of ``S`` on the orthonormal pair,
+    the gap is the smaller eigenvalue
+    ``(p q - c^2) / ((p + q)/2 + sqrt(((q - p)/2)^2 + c^2))`` of
+    ``[[p, c], [c, q]]``, which keeps its relative accuracy as ``theta``
+    approaches ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).
+    Rows (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``.
+    The vectorized, value-only twin of :func:`psdlab.pencil.ritz_2x2`.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    xh = x / np.linalg.norm(x)
-    bxh = mus * xh
-    mu_x = float(xh @ bxh)
-    proj = d @ xh
-    w = d - np.outer(proj, xh)
-    w_norm = np.linalg.norm(w, axis=1)
-    scale = np.linalg.norm(d, axis=1)
-    degenerate = w_norm <= 1e-15 * np.maximum(scale, 1e-300)
-    w_safe = np.where(degenerate[:, None], xh, w / np.where(degenerate, 1.0, w_norm)[:, None])
-    b12 = w_safe @ bxh
-    b22 = np.einsum("ij,j,ij->i", w_safe, mus, w_safe)
-    half_gap = 0.5 * (mu_x - b22)
-    theta = 0.5 * (mu_x + b22) + np.sqrt(half_gap * half_gap + b12 * b12)
-    return np.where(degenerate, mu_x, theta)
+    s = mus[0] - mus
+    xh = x / math.sqrt(x.dot(x))
+    sxh = s * xh
+    p = float(xh.dot(sxh))
+    if p == 0.0:  # x lies in the eigenspace of mus[0], so theta = mus[0]
+        return np.zeros(d.shape[0])
+    w = d - (d @ xh)[:, None] * xh
+    w -= (w @ xh)[:, None] * xh
+    ww = w * w
+    w_sq = ww.sum(axis=1)
+    degenerate = w_sq <= 1e-30 * (d * d).sum(axis=1)
+    w_sq = np.where(degenerate, 1.0, w_sq)
+    # The entries of S on the unit vector w / |w|.
+    q = (ww @ s) / w_sq
+    c = (w @ sxh) / np.sqrt(w_sq)
+    half_gap = 0.5 * (q - p)
+    gap = (p * q - c * c) / (0.5 * (p + q) + np.sqrt(half_gap * half_gap + c * c))
+    return np.where(degenerate, p, gap)
 
 
 def ritz_on_segment(cone, t):
     """Larger reciprocal-form Ritz value along the extremal segment.
 
     ``d(t) = t d1 + (1 - t) d2`` for ``t`` in ``[0, 1]`` (scalar or
-    array).  The value is computed twice, by the explicit 2x2 formula
-    in the orthonormal basis and by the general Rayleigh-Ritz path, and
-    the two must agree to 1e-12 relative.
+    array), by :func:`ritz_gap`, checked row by row against
+    :func:`psdlab.pencil.ritz_2x2` on the projected pencil of
+    ``[x, d - mu(x) x]``: the two must agree to 1e-12 relative.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -195,35 +211,20 @@ def ritz_on_segment(cone, t):
         raise ValueError("segment parameter t must lie in [0, 1]")
     d1, d2 = extremal_directions(cone)
     d = np.outer(t_arr, d1) + np.outer(1.0 - t_arr, d2)
+    mus, x = cone.mus, cone.x
+    values = mus[0] - ritz_gap(mus, x, d)
 
-    # Explicit route: directions from the vertex are orthogonal to x.
-    x = cone.x
-    x_norm = np.linalg.norm(x)
-    u = d - cone.mu_x * x
-    u_norm = np.linalg.norm(u, axis=1)
-    if np.any(u_norm == 0.0):
-        raise ValueError("degenerate segment direction")
-    ubar = u / u_norm[:, None]
-    bxh = cone.mus * (x / x_norm)
-    c = ubar @ bxh
-    mu_d = np.einsum("ij,j,ij->i", ubar, cone.mus, ubar)
-    half_gap = 0.5 * (cone.mu_x - mu_d)
-    explicit = 0.5 * (cone.mu_x + mu_d) + np.sqrt(half_gap * half_gap + c * c)
-
-    # General route through the same machinery the solvers use.
-    if scalar:
-        pencil = SymmetricPencil(np.eye(3), np.diag(cone.mus))
-        general = np.array(
-            [rayleigh_ritz(pencil, [x, row], form="mu")[0].value for row in d]
+    bx = mus * x
+    a11, b11 = float(x @ x), float(x @ bx)
+    for u, value in zip(d - cone.mu_x * x, values):
+        (_, general), _ = ritz_2x2(
+            a11, float(x @ u), float(u @ u), b11, float(u @ bx), float(u @ (mus * u)),
         )
-    else:
-        general = _theta2_batch(cone.mus, x, d)
-
-    if np.any(np.abs(general - explicit) > 1e-12 * np.abs(explicit)):
-        raise RuntimeError(
-            "explicit and general Ritz values disagree beyond 1e-12 relative"
-        )
-    return float(explicit[0]) if scalar else explicit
+        if abs(general - value) > 1e-12 * abs(value):
+            raise RuntimeError(
+                "ritz_gap and the general 2x2 Ritz values disagree beyond 1e-12 relative"
+            )
+    return float(values[0]) if scalar else values
 
 
 def brute_force_cone_min(cone, n_samples, radial_fractions=(0.25, 0.5, 0.75, 1.0)):
@@ -237,7 +238,7 @@ def brute_force_cone_min(cone, n_samples, radial_fractions=(0.25, 0.5, 0.75, 1.0
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     if cone.gamma == 0.0:
-        value = float(_theta2_batch(cone.mus, cone.x, cone.center[None, :])[0])
+        value = cone.mus[0] - float(ritz_gap(cone.mus, cone.x, cone.center)[0])
         return value, cone.center.copy()
     cs = cross_section(cone)
     angles = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
@@ -247,7 +248,7 @@ def brute_force_cone_min(cone, n_samples, radial_fractions=(0.25, 0.5, 0.75, 1.0
     best_direction = None
     for frac in radial_fractions:
         d = cs.center + (cs.radius * frac) * circle
-        values = _theta2_batch(cone.mus, cone.x, d)
+        values = cone.mus[0] - ritz_gap(cone.mus, cone.x, d)
         idx = int(np.argmin(values))
         if values[idx] < best_value:
             best_value = float(values[idx])
@@ -313,8 +314,7 @@ class WorstCaseSetup:
         self.beta0 = self.b * self.t / root
         self.x = np.array([1.0, self.alpha0, self.beta0])
         self.kappa = (mu_k - mu_l) / (mu_j - mu_l)
-        self.sigma = ((self.kappa + self.gamma * (2.0 - self.kappa))
-                      / ((2.0 - self.kappa) + self.gamma * self.kappa))
+        self.sigma = _sigma_from_kappa("psd", self.kappa, None, self.gamma)
 
     @property
     def Gamma(self):
@@ -345,9 +345,9 @@ def worst_case_instance(setup):
 
     The interval-relative errors before and after the implicit line
     search are evaluated through shifted quantities (distances to
-    ``mu_j`` accumulated from exactly representable products), so the
-    measured contraction ratio stays accurate down to ``delta`` near
-    1e-8 where the naive evaluation would cancel catastrophically.
+    ``mu_j`` from nonnegative terms, after the step by :func:`ritz_gap`),
+    so the measured contraction ratio stays accurate down to ``delta``
+    near 1e-8 where the naive evaluation would cancel catastrophically.
     ``predicted_ratio`` is the squared sharp factor.
     """
     mu_j, mu_k, mu_l = setup.mus
@@ -371,15 +371,7 @@ def worst_case_instance(setup):
 
     # Unit search direction sqrt(1-g^2) r-hat + g v-hat, orthogonal to x.
     dbar = s * r / r_norm + g * np.cross(x, r) / (x_norm * r_norm)
-    dbar = dbar / np.linalg.norm(dbar)
-    # Shifted 2x2 Rayleigh-Ritz: everything relative to mu_j.
-    pd = (mu_j - mu_k) * dbar[1] * dbar[1] + (mu_j - mu_l) * dbar[2] * dbar[2]
-    xh = x / x_norm
-    c = (mu_k - mu_j) * dbar[1] * xh[1] + (mu_l - mu_j) * dbar[2] * xh[2]
-    mean = 0.5 * (p + pd)
-    half_gap = 0.5 * (pd - p)
-    root = math.sqrt(half_gap * half_gap + c * c)
-    gap_after = (p * pd - c * c) / (mean + root)  # mu_j - theta_2 > 0
+    gap_after = float(ritz_gap(setup.mus, x, dbar)[0])  # mu_j - theta_2 > 0
     theta2 = mu_j - gap_after
 
     delta_before = p / ((mu_j - mu_k) - p)
@@ -599,7 +591,7 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     center = mu_x * x + (1.0 - gamma * gamma) * r
     radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
     d = center + radius * (samples @ basis.T)
-    values = _theta2_batch(mus, x, d)
+    values = mus[0] - ritz_gap(mus, x, d)
     idx = int(np.argmin(values))
     best_y = samples[idx]
     best_val = float(values[idx])
@@ -611,7 +603,7 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
         if norm > 1.0:
             y = y / norm
         point = center + radius * (basis @ y)
-        return float(_theta2_batch(mus, x, point[None, :])[0])
+        return mus[0] - float(ritz_gap(mus, x, point)[0])
 
     res = scipy.optimize.minimize(
         objective, best_y, method="Nelder-Mead",

@@ -60,16 +60,10 @@ def jacobi_eigh(m):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if abs(apq) <= skip_tol:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                _, c, s = _rotation(float(a[p, p]), float(a[q, q]), apq)
 
                 ap = a[:, p].copy()
                 aq = a[:, q].copy()
@@ -97,6 +91,17 @@ def jacobi_eigh(m):
     return w[order], v[:, order]
 
 
+def _rotation(app, aqq, apq):
+    """Tangent, cosine and sine of the Jacobi rotation annihilating ``apq != 0``."""
+    tau = (aqq - app) / (2.0 * apq)
+    if tau >= 0.0:
+        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    return t, c, t * c
+
+
 def eigh_2x2(a11, a22, a12):
     """The two-dimensional case: a single Jacobi rotation, in closed form.
 
@@ -107,13 +112,7 @@ def eigh_2x2(a11, a22, a12):
         if a11 <= a22:
             return (a11, a22), ((1.0, 0.0), (0.0, 1.0))
         return (a22, a11), ((0.0, 1.0), (1.0, 0.0))
-    tau = (a22 - a11) / (2.0 * a12)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+    t, c, s = _rotation(a11, a22, a12)
     w1 = a11 - t * a12
     w2 = a22 + t * a12
     if w1 <= w2:

@@ -91,6 +91,12 @@ class TestKappa:
         with pytest.raises(ValueError, match="strict gaps"):
             kappa(s, 0)
 
+    def test_repeated_top_interval_rejected(self):
+        # lambda_{i+1} == lambda_n by value, although i + 1 != n - 1
+        s = Spectrum(lambdas=np.array([1.0, 2.0, 3.0, 3.0]))
+        with pytest.raises(ValueError, match="topmost"):
+            kappa(s, 1)
+
 
 class TestSigma:
     def test_psd_gamma_zero(self, spec124):
@@ -113,6 +119,20 @@ class TestSigma:
     def test_gamma_zero_reductions(self, spec124):
         assert sigma(SolverKind.PSD, spec124, 0, 0.0) == sigma(SolverKind.INVIT2, spec124, 0)
         assert sigma(SolverKind.PINVIT1, spec124, 0, 0.0) == sigma(SolverKind.INVIT1, spec124, 0)
+
+    @pytest.mark.parametrize("lambdas, i", [([1.0, 2.0, 4.0], 1), ([1.0, 2.0, 3.0, 3.0], 1)])
+    def test_top_interval_matches_certify_step(self, lambdas, i):
+        # the public factor is the one certify_step uses: the limit kappa = 0
+        s = Spectrum(lambdas=np.array(lambdas))
+        rho = 0.5 * (s.lambdas[i] + s.lambdas[i + 1])
+        check = certify_step(s, 0.3, rho, rho, kind="psd")
+        assert check.interval_index == i
+        assert sigma(SolverKind.PSD, s, i, 0.3) == pytest.approx(0.3, rel=1e-15)
+        assert sigma(SolverKind.PSD, s, i, 0.3) ** 2 == check.sigma_squared
+        f = factors(s, i, 0.3)
+        assert f.kappa == 0.0
+        assert f.sigma_psd ** 2 == check.sigma_squared
+        assert f.sigma_invit2 == 0.0
 
 
 class TestFactorMonotonicityAndHierarchy:

@@ -231,6 +231,16 @@ class TestSharpnessCommand:
         header = out.read_text().splitlines()[0]
         assert header == "delta,t,measured_ratio,sigma_sq,gap"
 
+    @pytest.mark.parametrize("args", [
+        ["--mus", "0.1,0.5,1"], ["--mus", "1,1,0.5"], ["--mus", "1,0.5,0.1", "--deltas", ","],
+    ])
+    def test_bad_input_exits_with_message(self, args, capsys):
+        code = main(["sharpness", "--gamma", "0.5", *args])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("psdlab: error: ")
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):

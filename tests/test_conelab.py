@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from psdlab import (
     ConeSpec,
+    DegenerateSubspaceError,
     StationaryPointError,
+    SymmetricPencil,
     WorstCaseSetup,
     axis_ratio_closed_form,
     brute_force_cone_min,
@@ -15,12 +19,14 @@ from psdlab import (
     ellipse_quantities,
     extremal_directions,
     householder_reduce,
+    rayleigh_ritz,
+    ritz_gap,
     ritz_on_segment,
     t_star,
     worst_case_instance,
     worst_direction,
 )
-from psdlab.conelab import _intercepts, _theta2_batch
+from psdlab.conelab import _intercepts
 
 MUS = np.array([1.0, 0.5, 0.25])
 
@@ -152,10 +158,87 @@ class TestWorstDirection:
         for _ in range(10):
             cone = random_bracketed_cone(rng)
             d = worst_direction(cone)
-            closed = float(_theta2_batch(cone.mus, cone.x, d[None, :])[0])
+            closed = float(cone.mus[0] - ritz_gap(cone.mus, cone.x, d[None, :])[0])
             brute, _ = brute_force_cone_min(cone, 10_000)
             assert brute == pytest.approx(closed, abs=1e-8)
             assert brute >= closed - 1e-12  # closed form is the true minimum
+
+
+@st.composite
+def ritz_gap_cases(draw):
+    """mus, x and rows: general rows, rows parallel to x, x near e_1."""
+    n = draw(st.integers(3, 6))
+    mus = np.sort(np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))))[::-1]
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+        x = np.eye(n)[0] + eps * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    else:
+        x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        if not np.linalg.norm(x) > 1e-3:
+            x[0] = 1.0
+    rows, parallel = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            rows.append(draw(st.floats(-3.0, 3.0)) * x)
+            parallel.append(True)
+        else:
+            rows.append(np.array(draw(st.lists(unit, min_size=n, max_size=n))))
+            parallel.append(False)
+    return mus, x, np.array(rows), parallel
+
+
+class TestRitzGap:
+    @given(case=ritz_gap_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_rayleigh_ritz(self, case):
+        # span{x, d} on the dense pencil; a row parallel to x spans {x} alone
+        mus, x, rows, parallel = case
+        pencil = SymmetricPencil(np.eye(mus.size), np.diag(mus))
+        values = mus[0] - ritz_gap(mus, x, rows)
+        for row, is_parallel, value in zip(rows, parallel, values):
+            basis = [x] if is_parallel else [x, row]
+            try:
+                expected = rayleigh_ritz(pencil, basis, form="mu")[0].value
+            except DegenerateSubspaceError:
+                reject()  # a drawn row numerically parallel to x
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_top_eigenvector_gives_zero_gap(self):
+        mus = np.array([2.0, 2.0, 1.0])
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.2, 0.1]])
+        np.testing.assert_array_equal(ritz_gap(mus, np.array([0.6, 0.8, 0.0]), rows), 0.0)
+
+    # measured_ratio of worst_case_instance at t = t_star for delta = 1e-2,
+    # 1e-4, 1e-6, 1e-8 from a shifted evaluation.  An unshifted 2x2 form
+    # loses about eps / delta relative accuracy and fails this.
+    PINNED = {
+        ((1.0, 0.5, 0.1), 0.0): (0.08151385586592454, 0.08163146310098089,
+                                 0.0816326411614233, 0.0816326529422264),
+        ((1.0, 0.5, 0.1), 0.2): (0.2104174932469734, 0.2110960966721357,
+                                 0.21110292590027768, 0.21110299419691314),
+        ((1.0, 0.5, 0.1), 0.5): (0.47135804978799994, 0.47264319022149714,
+                                 0.4726561193943816, 0.47265624869394296),
+        ((1.0, 0.5, 0.1), 0.8): (0.7800229455307396, 0.7809532378400312,
+                                 0.7809625880794279, 0.7809626815865808),
+        ((2.0, 1.0, 0.25), 0.0): (0.07427304630470942, 0.07437909235486347,
+                                  0.07438015455973745, 0.07438016518196078),
+        ((2.0, 1.0, 0.25), 0.2): (0.20027174693949934, 0.20094440998347673,
+                                  0.20095118012398563, 0.2009512478297768),
+        ((2.0, 1.0, 0.25), 0.5): (0.46106781290795307, 0.4623865980473543,
+                                  0.46239986597240806, 0.462399998659723),
+        ((2.0, 1.0, 0.25), 0.8): (0.7744670577626229, 0.775441213504437,
+                                  0.7754510037986656, 0.7754511017065092),
+    }
+
+    @pytest.mark.parametrize("mus, gamma", list(PINNED))
+    def test_worst_case_ratio_pinned(self, mus, gamma):
+        pinned_ratios = self.PINNED[mus, gamma]
+        mus = np.array(mus)
+        t = t_star((mus[1] - mus[2]) / (mus[0] - mus[2]), gamma)
+        for delta, pinned in zip((1e-2, 1e-4, 1e-6, 1e-8), pinned_ratios):
+            setup = WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t)
+            assert worst_case_instance(setup).measured_ratio == pytest.approx(pinned, rel=1e-10)
 
 
 class TestRitzOnSegment:
@@ -165,8 +248,8 @@ class TestRitzOnSegment:
         d1, d2 = extremal_directions(cone)
         t0 = ritz_on_segment(cone, 0.0)
         t1 = ritz_on_segment(cone, 1.0)
-        assert t0 == pytest.approx(float(_theta2_batch(cone.mus, cone.x, d2[None])[0]), rel=1e-13)
-        assert t1 == pytest.approx(float(_theta2_batch(cone.mus, cone.x, d1[None])[0]), rel=1e-13)
+        assert t0 == pytest.approx(float(cone.mus[0] - ritz_gap(cone.mus, cone.x, d2[None])[0]), rel=1e-13)
+        assert t1 == pytest.approx(float(cone.mus[0] - ritz_gap(cone.mus, cone.x, d1[None])[0]), rel=1e-13)
 
     def test_grid_minimum_at_endpoints(self):
         rng = np.random.default_rng(7)
@@ -215,7 +298,7 @@ class TestBruteForce:
         value, direction = brute_force_cone_min(cone, 1000)
         np.testing.assert_allclose(direction, cone.center, atol=1e-15)
         assert value == pytest.approx(
-            float(_theta2_batch(cone.mus, cone.x, cone.center[None])[0]), rel=1e-14
+            float(cone.mus[0] - ritz_gap(cone.mus, cone.x, cone.center[None])[0]), rel=1e-14
         )
 
     def test_sample_count_convergence(self):
