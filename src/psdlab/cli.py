@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds
 from .errors import MatrixMarketError, NumericFailure
 from .iterate import SolverKind, run
-from .pencil import generate_problem, rayleigh
+from .pencil import diagonalize, generate_problem
 from .precond import (
     exact_inverse_preconditioner,
     identity_preconditioner,
@@ -31,7 +31,6 @@ from .precond import (
     rescale,
     synthetic_gamma_preconditioner,
 )
-from .pencil import diagonalize
 from .conelab import WorstCaseSetup, t_star, worst_case_instance
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "cmd_solve", "cmd_certify",
@@ -103,26 +102,18 @@ class ExperimentConfig:
                 value = value.strip()
                 if key not in field_types:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, value)
+                values[key] = _coerce(field_types[key], value)
         return cls(**values)
 
     def echo(self):
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-_BOOL_KEYS = {"rescale"}
-_INT_KEYS = {"seed", "max_steps", "trials", "n", "t_grid"}
-_FLOAT_KEYS = {"h", "gamma", "precond_scale", "residual_tol", "delta_tol"}
-
-
-def _coerce(key, value):
-    if key in _BOOL_KEYS:
+def _coerce(kind, value):
+    """Parse a config-file value as the ``ExperimentConfig`` field type ``kind``."""
+    if kind is bool:
         return value.lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+    return kind(value)
 
 
 @dataclass

@@ -1,9 +1,11 @@
-"""Cyclic Jacobi eigensolver for small dense symmetric matrices.
+"""Jacobi rotations: the closed-form 2x2 eigensolver and a cyclic reference.
 
-All projected eigenproblems in this package are tiny (a handful of basis
-vectors) or at most desk scale (a few hundred rows), where cyclic Jacobi
-is backward stable and keeps the package free of LAPACK-specific
-behavior.  The public signature mirrors ``numpy.linalg.eigh``.
+:func:`eigh_2x2` is the one 2x2 symmetric eigensolver behind the Ritz
+step (:func:`psdlab.pencil.ritz_2x2`).  The n x n reductions in
+:mod:`psdlab.pencil` and :mod:`psdlab.precond` use LAPACK;
+:func:`jacobi_eigh`, a cyclic-Jacobi solver that shares no code with
+LAPACK, is kept as their test oracle.  Its signature mirrors
+``numpy.linalg.eigh``.
 """
 
 import math

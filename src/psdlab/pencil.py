@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateSubspaceError
-from .jacobi import eigh_2x2, jacobi_eigh
+from .jacobi import eigh_2x2
 
 __all__ = [
     "SymmetricPencil",
@@ -232,10 +232,6 @@ class DiagonalForm:
         m = self.basis @ np.asarray(t, dtype=float) @ self.basis.T
         return (m + m.T) / 2.0
 
-    def untransform_operator(self, t):
-        m = self.inverse_basis @ np.asarray(t, dtype=float) @ self.inverse_basis.T
-        return (m + m.T) / 2.0
-
     def spectrum(self):
         if self._spectrum is None:
             self._spectrum = Spectrum(lambdas=1.0 / self.mus)
@@ -259,8 +255,10 @@ def diagonalize(pencil):
     """Compute (and cache on the pencil) its :class:`DiagonalForm`.
 
     The congruence is the Cholesky factorization ``A = C C^T`` followed by
-    an orthogonal diagonalization of ``C^-1 B C^-T``; the reciprocal
-    eigenvalues come out in decreasing order.
+    an orthogonal diagonalization of ``C^-1 B C^-T`` by LAPACK
+    (``scipy.linalg.eigh``); the reciprocal eigenvalues come out in
+    decreasing order.  Within a repeated eigenvalue the basis is whatever
+    LAPACK returns: only the eigenspace is determined.
     """
     if pencil._diag_form is not None:
         return pencil._diag_form
@@ -268,7 +266,7 @@ def diagonalize(pencil):
     tmp = scipy.linalg.solve_triangular(c, pencil.b, lower=True)
     bt = scipy.linalg.solve_triangular(c, tmp.T, lower=True)
     bt = (bt + bt.T) / 2.0
-    mus, q = jacobi_eigh(bt)
+    mus, q = scipy.linalg.eigh(bt)
     mus = mus[::-1]
     q = q[:, ::-1]
     # z = Q^T C^T x diagonalizes; x = C^-T Q z maps back.
@@ -325,10 +323,9 @@ def orthonormalize(vectors, tol=1e-10):
 def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     """Ritz pairs of the pencil over the span of ``basis_vectors``.
 
-    The basis is orthonormalized (Euclidean), the projected pencil is
-    reduced through its small Cholesky factor, and the resulting dense
-    symmetric eigenproblem is solved by Jacobi rotations (two basis
-    vectors: by :func:`ritz_2x2`).  Pairs are returned sorted by
+    The basis is orthonormalized (Euclidean) and the projected pencil is
+    solved by LAPACK (two basis vectors: by the closed-form
+    :func:`ritz_2x2`).  Pairs are returned sorted by
     ascending ``lambda`` (equivalently descending ``mu``), each with
     unit-norm vector and caller-basis coefficients.
 
@@ -352,11 +349,7 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
         coeff_orth = z[:, idx]
         vec = q @ coeff_orth
         vec = vec / np.linalg.norm(vec)
-        if k == 2:
-            raw1 = coeff_orth[1] / r[1, 1]
-            raw = np.array([(coeff_orth[0] - r[0, 1] * raw1) / r[0, 0], raw1])
-        else:
-            raw = scipy.linalg.solve_triangular(r, coeff_orth, lower=False)
+        raw = scipy.linalg.solve_triangular(r, coeff_orth, lower=False)
         scale = np.max(np.abs(raw))
         raw = raw / scale
         nonzero = np.nonzero(np.abs(raw) > 1e-14)[0]
@@ -417,10 +410,10 @@ def ritz_2x2(a11, a12, a22, b11, b12, b22):
 def _projected_mu_eig(pa, pb, k):
     """Reciprocal-form eigenpairs of the projected pencil ``(pb, pa)``.
 
-    Reduce through the Cholesky factor of ``pa``, solve the symmetric
-    problem by Jacobi rotations, and map eigenvectors back to the
+    Returns ``mu`` ascending and the ``pa``-normalized eigenvectors in the
     orthonormalized basis.  The two-dimensional case goes through
-    :func:`ritz_2x2`.
+    :func:`ritz_2x2`, every larger one through LAPACK's generalized
+    symmetric-definite solver.
     """
     if k == 2:
         mu_vals, z = ritz_2x2(
@@ -429,17 +422,11 @@ def _projected_mu_eig(pa, pb, k):
         )
         return np.array(mu_vals), np.array(z)
     try:
-        l = np.linalg.cholesky(pa)
+        return scipy.linalg.eigh(pb, pa)
     except np.linalg.LinAlgError as exc:  # cannot happen for s.p.d. A and full rank
         raise DegenerateSubspaceError(
             "projected A block is numerically singular", rank=k - 1
         ) from exc
-    tmp = scipy.linalg.solve_triangular(l, pb, lower=True)
-    m = scipy.linalg.solve_triangular(l, tmp.T, lower=True)
-    m = (m + m.T) / 2.0
-    mu_vals, y = jacobi_eigh(m)  # ascending in mu
-    z = scipy.linalg.solve_triangular(l.T, y, lower=False)
-    return mu_vals, z
 
 
 # -- test problem generation -------------------------------------------------

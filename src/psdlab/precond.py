@@ -14,8 +14,7 @@ because its line search absorbs the scaling.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .jacobi import jacobi_eigh
+import scipy.linalg
 
 __all__ = [
     "PrecondQuality",
@@ -116,15 +115,12 @@ class Preconditioner:
         )
 
     def in_coords(self, coords, diag_form):
-        """Conjugate the operator into the requested coordinates."""
+        """Conjugate the operator into diagonal coordinates, the one direction in use."""
         if coords == self.coords:
             return self
-        if coords == "diagonal":
-            m = diag_form.transform_operator(self.matrix)
-        elif coords == "pencil":
-            m = diag_form.untransform_operator(self.matrix)
-        else:
-            raise ValueError(f"unknown coordinate tag {coords!r}")
+        if coords != "diagonal":
+            raise ValueError(f"cannot conjugate into {coords!r} coordinates")
+        m = diag_form.transform_operator(self.matrix)
         return Preconditioner(matrix=m, quality=self.quality, coords=coords)
 
 
@@ -240,9 +236,9 @@ def estimate_quality(pencil, precond):
     """Tight spectral-equivalence constants of ``(A, T)``.
 
     ``gamma1`` and ``gamma2`` are the extreme eigenvalues of ``T A``,
-    computed densely (the eigenvalues of the symmetric ``C^T T C`` with
-    ``A = C C^T``); exactness matters more than scalability at desk
-    scale.
+    computed densely by LAPACK (the eigenvalues of the symmetric
+    ``C^T T C`` with ``A = C C^T``); exactness matters more than
+    scalability at desk scale.
     """
     m = precond.matrix
     if precond.coords == "diagonal":
@@ -251,7 +247,7 @@ def estimate_quality(pencil, precond):
         c = pencil._chol_a
         g = c.T @ m @ c
         g = (g + g.T) / 2.0
-    w, _ = jacobi_eigh(g)
+    w = scipy.linalg.eigh(g, eigvals_only=True)
     gamma1, gamma2 = float(w[0]), float(w[-1])
     if gamma1 <= 0:
         raise ValueError("preconditioner is not positive definite against A")

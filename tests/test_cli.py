@@ -242,6 +242,21 @@ class TestSharpnessCommand:
         assert "Traceback" not in err
 
 
+class TestSolveReproducible:
+    def test_repeated_solve_gives_identical_json(self):
+        # Repeated eigenvalues of laplacian2d leave the eigenbasis to LAPACK,
+        # and the synthetic preconditioner is drawn in that basis.
+        config = ExperimentConfig(command="solve", problem="laplacian2d:16",
+                                  solver="psd", gamma=0.5, seed=7, format="json")
+        first = cmd_solve(config).to_json()
+        assert cmd_solve(config).to_json() == first
+        summary = json.loads(first)["summary"]
+        assert summary["status"] == "converged"
+        assert summary["violations"] == 0
+        exact = 8.0 * np.sin(np.pi / 34.0) ** 2
+        assert summary["final_rho"] == pytest.approx(exact, rel=1e-10)
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         config = ExperimentConfig(
@@ -252,6 +267,11 @@ class TestConfigFile:
         config.to_file(path)
         loaded = ExperimentConfig.from_file(path)
         assert loaded == config
+        # A hand-written file: each value is parsed as its field's type.
+        path.write_text("trials=12\nresidual_tol=1e-8\nrescale=yes\n")
+        loaded = ExperimentConfig.from_file(path)
+        assert (loaded.trials, loaded.residual_tol, loaded.rescale) == (12, 1e-8, True)
+        assert type(loaded.trials) is int and type(loaded.residual_tol) is float
 
     def test_flags_override_config(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -12,6 +12,7 @@ from psdlab import (
     Spectrum,
     diagonalize,
     generate_problem,
+    jacobi_eigh,
     orthonormalize,
     rayleigh,
     rayleigh_ritz,
@@ -155,6 +156,59 @@ class TestDiagonalize:
             lam_ref = np.sort(scipy.linalg.eigh(p.a, p.b, eigvals_only=True))
             np.testing.assert_allclose(
                 diagonalize(p).spectrum().lambdas, lam_ref, rtol=1e-10
+            )
+
+
+def _jacobi_oracle(pencil):
+    """Reciprocal eigenvalues (decreasing) and A-orthonormal eigenvectors of a
+    pencil, from the same Cholesky reduction as :func:`diagonalize` but solved
+    by the cyclic-Jacobi reference instead of LAPACK."""
+    c = np.linalg.cholesky(pencil.a)
+    tmp = scipy.linalg.solve_triangular(c, pencil.b, lower=True)
+    bt = scipy.linalg.solve_triangular(c, tmp.T, lower=True)
+    mus, q = jacobi_eigh((bt + bt.T) / 2.0)
+    return mus[::-1], scipy.linalg.solve_triangular(c.T, q[:, ::-1], lower=False)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    cases = [
+        ("diagonal", generate_problem("diagonal", lambdas=[3.0, 1.0, 2.0, 7.0, 5.0])),
+        ("diagonal_ab", SymmetricPencil(np.diag([1.0, 4.0, 2.0, 8.0]),
+                                        np.diag([2.0, 1.0, 3.0, 0.5]))),
+        ("laplacian1d", generate_problem("laplacian1d", n=20)),
+        ("laplacian1d_fem", generate_problem("laplacian1d", n=20, mass="fem")),
+        ("laplacian2d_6", generate_problem("laplacian2d", nx=6)),
+    ]
+    cases += [(f"random_{n}", random_pencil(rng, n)) for n in (3, 8, 12)]
+    return [pytest.param(pencil, id=name) for name, pencil in cases]
+
+
+class TestDiagonalizeMatchesJacobiOracle:
+    """LAPACK ``diagonalize`` against the independent cyclic-Jacobi oracle.
+
+    Vectors inside a repeated eigenvalue (``laplacian2d`` has many) are
+    arbitrary, so each cluster is compared through its spectral projector
+    ``X_S X_S^T``, which does not depend on the basis chosen within it.
+    The projector tolerance follows first-order perturbation theory:
+    ``eps * ||X||^2 / gap`` with a factor of about 45 to spare.
+    """
+
+    @pytest.mark.parametrize("pencil", _oracle_cases())
+    def test_spectrum_and_projectors(self, pencil):
+        form = diagonalize(pencil)
+        mus_ref, x_ref = _jacobi_oracle(pencil)
+        np.testing.assert_allclose(form.mus, mus_ref, rtol=1e-12, atol=0.0)
+
+        top = mus_ref[0]
+        breaks = np.nonzero(-np.diff(mus_ref) > 1e-8 * top)[0] + 1
+        x_norm_sq = np.linalg.norm(x_ref, 2) ** 2
+        for cluster in np.split(np.arange(mus_ref.size), breaks):
+            others = np.setdiff1d(np.arange(mus_ref.size), cluster)
+            gap = np.min(np.abs(mus_ref[others][:, None] - mus_ref[cluster])) / top
+            x, x0 = form.inverse_basis[:, cluster], x_ref[:, cluster]
+            np.testing.assert_allclose(
+                x @ x.T, x0 @ x0.T, rtol=0.0, atol=1e-14 * x_norm_sq / gap,
             )
 
 
