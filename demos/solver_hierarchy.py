@@ -44,7 +44,7 @@ def main():
           f"{'max ratio/sigma^2':>18} verdicts")
     for kind in (SolverKind.INVIT1, SolverKind.PINVIT1, SolverKind.INVIT2,
                  SolverKind.PSD):
-        precond = None if kind in (SolverKind.INVIT1, SolverKind.INVIT2) else t
+        precond = None if kind.exact_inverse else t
         result = run(pencil, precond, x0, kind, max_steps=2000, delta_tol=1e-12)
         checked = [r.bound for r in result.records if r.bound is not None]
         ratios = [b.ratio / b.sigma_squared for b in checked if b.ratio is not None]

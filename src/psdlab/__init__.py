@@ -11,6 +11,7 @@ attains the PSD factor.
 from .bounds import (
     BoundCheck,
     BoundFactors,
+    SolverKind,
     certify_step,
     delta,
     factors,
@@ -46,7 +47,6 @@ from .errors import (
 from .iterate import (
     IterationRecord,
     RunResult,
-    SolverKind,
     StepResult,
     invit1_step,
     invit2_step,

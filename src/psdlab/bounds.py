@@ -13,10 +13,13 @@ by at least ``sigma**2`` per step (or jumps below ``lambda_i``), where
     PSD:        (kappa + gamma * (2 - kappa)) / ((2 - kappa) + gamma * kappa)
 
 with ``kappa = lambda_i (lambda_n - lambda_{i+1}) /
-(lambda_{i+1} (lambda_n - lambda_i))``.  :func:`certify_step` checks one
+(lambda_{i+1} (lambda_n - lambda_i))``.  The exact-inverse kinds are
+the ``gamma = 0`` values of the other two formulas, which is how
+:class:`SolverKind` classifies them.  :func:`certify_step` checks one
 observed step against the appropriate factor.
 """
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,7 @@ __all__ = [
     "HOLDS",
     "PASSED_LAMBDA_I",
     "VIOLATED",
+    "SolverKind",
     "BoundFactors",
     "BoundCheck",
     "locate_interval",
@@ -50,6 +54,37 @@ _PASS_TOL = 1e-10
 
 # Monotonicity slack: rho may not increase beyond this relative amount.
 _MONOTONE_TOL = 1e-12
+
+
+class SolverKind(enum.Enum):
+    """The four solvers as two iterations, each with two preconditioners.
+
+    ``line_search`` marks the steepest-descent kinds (Rayleigh-Ritz on
+    ``span{x, T r}``) against the fixed-step ones; ``exact_inverse``
+    marks the kinds that take ``T = A^-1``, i.e. quality ``gamma = 0``.
+    These two attributes are the only classification of a kind.
+    """
+
+    INVIT1 = "invit1", False, True
+    PINVIT1 = "pinvit1", False, False
+    INVIT2 = "invit2", True, True
+    PSD = "psd", True, False
+
+    def __new__(cls, value, line_search, exact_inverse):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.line_search = line_search
+        member.exact_inverse = exact_inverse
+        return member
+
+    @classmethod
+    def parse(cls, name):
+        if isinstance(name, cls):
+            return name
+        try:
+            return cls(str(name).lower())
+        except ValueError:
+            raise ValueError(f"unknown solver kind {name!r}") from None
 
 
 def _value_of(x):
@@ -124,20 +159,19 @@ def _kappa_lenient(lam, i):
     return float(lam[i] * (lam[-1] - lam[i + 1]) / (lam[i + 1] * (lam[-1] - lam[i])))
 
 
-def _sigma_from_kappa(kind_value, k, q, gamma):
-    if kind_value == "invit1":
-        return q
-    if kind_value == "pinvit1":
-        return gamma + (1.0 - gamma) * q
-    if kind_value == "invit2":
-        return k / (2.0 - k)
-    if kind_value == "psd":
+def _factor(kind, q, k, gamma):
+    """Sharp factor of ``kind`` from the interval's two ratios.
+
+    ``q = lambda_i / lambda_{i+1}`` enters the fixed-step formula and
+    ``k = kappa`` the line-search one; the other may be ``None``.  The
+    exact-inverse kinds are their preconditioned counterparts at
+    ``gamma = 0``.
+    """
+    if kind.exact_inverse:
+        gamma = 0.0
+    if kind.line_search:
         return (k + gamma * (2.0 - k)) / ((2.0 - k) + gamma * k)
-    raise ValueError(f"unknown solver kind {kind_value!r}")
-
-
-def _kind_value(kind):
-    return getattr(kind, "value", str(kind)).lower()
+    return gamma + (1.0 - gamma) * q
 
 
 def sigma(kind, spectrum, i, gamma=0.0):
@@ -151,14 +185,11 @@ def sigma(kind, spectrum, i, gamma=0.0):
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    kv = _kind_value(kind)
+    kind = SolverKind.parse(kind)
     lam = spectrum.lambdas
     _check_index(lam, i)
-    q = float(lam[i] / lam[i + 1])
-    k = _kappa_lenient(lam, i) if kv in ("invit2", "psd") else None
-    if kv in ("invit1", "invit2"):
-        gamma = 0.0
-    return float(_sigma_from_kappa(kv, k, q, gamma))
+    k = _kappa_lenient(lam, i) if kind.line_search else None
+    return float(_factor(kind, float(lam[i] / lam[i + 1]), k, gamma))
 
 
 @dataclass(frozen=True)
@@ -187,10 +218,10 @@ def factors(spectrum, i, gamma=0.0):
         interval_index=i,
         gamma=float(gamma),
         kappa=k,
-        sigma_invit1=_sigma_from_kappa("invit1", k, q, 0.0),
-        sigma_pinvit1=_sigma_from_kappa("pinvit1", k, q, gamma),
-        sigma_invit2=_sigma_from_kappa("invit2", k, q, 0.0),
-        sigma_psd=_sigma_from_kappa("psd", k, q, gamma),
+        sigma_invit1=_factor(SolverKind.INVIT1, q, k, gamma),
+        sigma_pinvit1=_factor(SolverKind.PINVIT1, q, k, gamma),
+        sigma_invit2=_factor(SolverKind.INVIT2, q, k, gamma),
+        sigma_psd=_factor(SolverKind.PSD, q, k, gamma),
     )
 
 
@@ -223,76 +254,71 @@ def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None
     ``passed_lambda_i`` branch (the step jumped at or below
     ``lambda_i``), a ratio comparison against ``sigma**2``
     (``holds`` / ``violated``), or ``violated`` with a note when
-    monotonicity failed.
+    monotonicity failed.  ``kind`` is a :class:`SolverKind` or its name.
 
-    ``deltas`` may carry the pair of interval-relative errors computed
-    by the caller on a route free of cancellation (the solver driver
-    evaluates them from per-eigenvalue distances in its diagonalized
-    coordinates); values at or below zero mean the step passed
-    ``lambda_i``.  Without it the deltas come from the ``rho`` values
-    directly, whose resolution degrades once ``rho - lambda_i``
-    approaches roundoff.
+    ``deltas`` may carry the pair of reciprocal-form errors
+    ``(mu_i - mu) / (mu - mu_{i+1})`` computed by the caller on a route
+    free of cancellation (the solver driver evaluates them from
+    per-eigenvalue distances in its diagonalized coordinates); values at
+    or below zero mean the step passed ``lambda_i``.  Their ratio is the
+    contraction ratio, and the check stores them in the lambda form,
+    ``lambda_i / lambda_{i+1}`` times the reciprocal form.  Without it
+    the deltas come from the ``rho`` values directly, whose resolution
+    degrades once ``rho - lambda_i`` approaches roundoff.
     """
-    kv = _kind_value(kind)
+    kind = SolverKind.parse(kind)
     rb = _value_of(rho_before)
     ra = _value_of(rho_after)
-    gamma = float(gamma)
-    if kv in ("invit1", "invit2"):
-        gamma = 0.0
+    gamma = 0.0 if kind.exact_inverse else float(gamma)
     i = locate_interval(spectrum, rb)
     lam = spectrum.lambdas
     lam_i, lam_i1 = float(lam[i]), float(lam[i + 1])
-    q = lam_i / lam_i1
-    k = _kappa_lenient(lam, i) if kv in ("invit2", "psd") else None
-    sig = _sigma_from_kappa(kv, k, q, gamma)
+    k = _kappa_lenient(lam, i) if kind.line_search else None
+    sig = _factor(kind, lam_i / lam_i1, k, gamma)
     sig_sq = sig * sig
 
     if not math.isfinite(ra):
+        note = f"rho after step is not finite: {ra!r}"
+    elif ra > rb * (1.0 + _MONOTONE_TOL):
+        note = f"monotonicity violated: rho rose from {rb!r} to {ra!r}"
+    else:
+        note = ""
+    if note:
         return BoundCheck(
-            kind=kv, gamma=gamma, interval_index=i, delta_before=None,
+            kind=kind.value, gamma=gamma, interval_index=i, delta_before=None,
             delta_after=None, ratio=None, sigma_squared=sig_sq, slack=None,
-            verdict=VIOLATED, note=f"rho after step is not finite: {ra!r}",
-        )
-    if ra > rb * (1.0 + _MONOTONE_TOL):
-        return BoundCheck(
-            kind=kv, gamma=gamma, interval_index=i, delta_before=None,
-            delta_after=None, ratio=None, sigma_squared=sig_sq, slack=None,
-            verdict=VIOLATED,
-            note=f"monotonicity violated: rho rose from {rb!r} to {ra!r}",
+            verdict=VIOLATED, note=note,
         )
 
     if deltas is not None:
         d_before, d_after = (float(d) for d in deltas)
+        passed = d_after <= 0.0
     else:
         d_before = (rb - lam_i) / (lam_i1 - rb)
         d_after = None
-    if (d_after is not None and d_after <= 0.0) or (
-        d_after is None and ra <= lam_i * (1.0 + _PASS_TOL)
-    ):
-        return BoundCheck(
-            kind=kv, gamma=gamma, interval_index=i, delta_before=d_before,
-            delta_after=None, ratio=None, sigma_squared=sig_sq, slack=None,
-            verdict=PASSED_LAMBDA_I, note="",
-        )
-    if d_before <= 0.0:
+        passed = ra <= lam_i * (1.0 + _PASS_TOL)
+    ratio = slack = None
+    if passed:
+        verdict, d_after = PASSED_LAMBDA_I, None
+    elif d_before <= 0.0:
         # started at lambda_i exactly; monotonicity already pinned ra there
-        return BoundCheck(
-            kind=kv, gamma=gamma, interval_index=i, delta_before=d_before,
-            delta_after=d_after, ratio=None, sigma_squared=sig_sq, slack=None,
-            verdict=PASSED_LAMBDA_I, note="",
-        )
-    if d_after is None:
-        # ra > lambda_i strictly; monotonicity gives ra <= rb < lambda_{i+1},
-        # so the delta is well defined here.
-        d_after = (ra - lam_i) / (lam_i1 - ra)
-    ratio = d_after / d_before
-    slack = sig_sq - ratio
-    verdict = HOLDS if ratio <= sig_sq * (1.0 + RATIO_TOL) else VIOLATED
-    note = "" if verdict == HOLDS else (
-        f"ratio {ratio!r} exceeds sigma^2 {sig_sq!r} beyond tolerance"
-    )
+        verdict = PASSED_LAMBDA_I
+    else:
+        if d_after is None:
+            # ra > lambda_i strictly; monotonicity gives ra <= rb < lambda_{i+1},
+            # so the delta is well defined here.
+            d_after = (ra - lam_i) / (lam_i1 - ra)
+        ratio = d_after / d_before
+        slack = sig_sq - ratio
+        verdict = HOLDS if ratio <= sig_sq * (1.0 + RATIO_TOL) else VIOLATED
+        if verdict == VIOLATED:
+            note = f"ratio {ratio!r} exceeds sigma^2 {sig_sq!r} beyond tolerance"
+    if deltas is not None:
+        d_before = d_before * lam_i / lam_i1
+        if d_after is not None:
+            d_after = d_after * lam_i / lam_i1
     return BoundCheck(
-        kind=kv, gamma=gamma, interval_index=i, delta_before=d_before,
+        kind=kind.value, gamma=gamma, interval_index=i, delta_before=d_before,
         delta_after=d_after, ratio=ratio, sigma_squared=sig_sq, slack=slack,
         verdict=verdict, note=note,
     )

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import bounds
 from .errors import MatrixMarketError, NumericFailure
-from .iterate import SolverKind, run
+from .bounds import SolverKind
+from .iterate import run
 from .pencil import diagonalize, generate_problem
 from .precond import (
     exact_inverse_preconditioner,
@@ -193,7 +194,7 @@ def _parse_problem(config):
 
 
 def _build_preconditioner(config, pencil, kind):
-    if kind in (SolverKind.INVIT1, SolverKind.INVIT2):
+    if kind.exact_inverse:
         return None
     name = config.precond.lower()
     if name == "synthetic":
@@ -316,8 +317,7 @@ def cmd_certify(config):
             t = t.scaled(config.precond_scale)
         for kind in solvers:
             result = run(
-                pencil, None if kind in (SolverKind.INVIT1, SolverKind.INVIT2) else t,
-                x0, kind,
+                pencil, None if kind.exact_inverse else t, x0, kind,
                 max_steps=config.max_steps,
                 residual_tol=config.residual_tol,
                 delta_tol=config.delta_tol,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .bounds import _sigma_from_kappa
+from .bounds import SolverKind, _factor
 from .errors import StationaryPointError
 from .pencil import ritz_2x2
 
@@ -227,13 +227,13 @@ def ritz_on_segment(cone, t):
     return float(values[0]) if scalar else values
 
 
-def brute_force_cone_min(cone, n_samples, radial_fractions=(0.25, 0.5, 0.75, 1.0)):
+def brute_force_cone_min(cone, n_samples):
     """Smallest larger Ritz value over a dense sampling of the cone.
 
     Samples the full boundary circle of the cross-section disc plus
-    interior rings (the oracle must not assume the extrema sit on the
-    x-orthogonal segment, nor on the boundary).  Returns the minimum
-    and the direction attaining it.
+    interior rings at 1/4, 1/2 and 3/4 of its radius (the oracle must
+    not assume the extrema sit on the x-orthogonal segment, nor on the
+    boundary).  Returns the minimum and the direction attaining it.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -246,7 +246,7 @@ def brute_force_cone_min(cone, n_samples, radial_fractions=(0.25, 0.5, 0.75, 1.0
     circle = np.outer(np.cos(angles), cs.v) + np.outer(np.sin(angles), xh)
     best_value = np.inf
     best_direction = None
-    for frac in radial_fractions:
+    for frac in (0.25, 0.5, 0.75, 1.0):
         d = cs.center + (cs.radius * frac) * circle
         values = cone.mus[0] - ritz_gap(cone.mus, cone.x, d)
         idx = int(np.argmin(values))
@@ -314,7 +314,7 @@ class WorstCaseSetup:
         self.beta0 = self.b * self.t / root
         self.x = np.array([1.0, self.alpha0, self.beta0])
         self.kappa = (mu_k - mu_l) / (mu_j - mu_l)
-        self.sigma = _sigma_from_kappa("psd", self.kappa, None, self.gamma)
+        self.sigma = _factor(SolverKind.PSD, None, self.kappa, self.gamma)
 
     @property
     def Gamma(self):
@@ -486,6 +486,9 @@ def householder_reduce(x):
 
 # -- empirical check of the 3-D concentration of the worst case --------------
 
+# A coordinate of the unit optimizer counts as significant above this size.
+_SIGNIFICANCE = 1e-6
+
 
 @dataclass
 class ConcentrationReport:
@@ -493,7 +496,7 @@ class ConcentrationReport:
 
     ``best_value`` is the poorest larger Ritz value found over the
     level set; ``significant`` the indices of coordinates of the
-    optimizer above the significance threshold.  ``reference_value`` is
+    optimizer above ``_SIGNIFICANCE`` in magnitude.  ``reference_value`` is
     the closed-form worst value over the predicted invariant triple
     (``reference_triple``) at the same level; ``triple_values`` holds
     that value for every admissible triple.
@@ -506,7 +509,6 @@ class ConcentrationReport:
     best_value: float
     best_x: np.ndarray
     significant: tuple
-    significance: float
     reference_triple: tuple
     reference_value: float
     triple_values: dict
@@ -525,7 +527,7 @@ class ConcentrationReport:
             f"gamma={self.gamma!r} ({self.n_outer} restarts, seed {self.seed})",
             f"  best value found : {self.best_value!r}",
             f"  optimizer        : {np.array2string(self.best_x, precision=3, suppress_small=True)}",
-            f"  significant coords (>{self.significance:g} rel.): "
+            f"  significant coords (>{_SIGNIFICANCE:g} rel.): "
             f"{self.n_significant} -> indices {list(self.significant)}",
             f"  predicted triple {self.reference_triple} closed-form value: "
             f"{self.reference_value!r}",
@@ -615,8 +617,7 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     return best_val, d[idx]
 
 
-def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None,
-                                significance=1e-6):
+def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None):
     """Empirical check that the two-level worst case lives in 3 coordinates.
 
     Runs ``n_outer`` seeded Nelder-Mead descents over the level set
@@ -726,7 +727,7 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None,
 
     best_x = x_of(masked(best_params))
     best_value = min(best_value, refined(best_params))
-    significant = tuple(int(i) for i in np.nonzero(np.abs(best_x) > significance)[0])
+    significant = tuple(int(i) for i in np.nonzero(np.abs(best_x) > _SIGNIFICANCE)[0])
 
     i = int(np.nonzero(mus > mu0)[0][-1])  # mu0 in (mus[i+1], mus[i])
     triple_values = {}
@@ -749,7 +750,6 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None,
         best_value=float(best_value),
         best_x=best_x,
         significant=significant,
-        significance=float(significance),
         reference_triple=reference_triple,
         reference_value=float(reference_value),
         triple_values=triple_values,

@@ -16,15 +16,15 @@ The general :func:`psdlab.pencil.rayleigh_ritz` is the kernel's
 reference, not part of it.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
+from .bounds import SolverKind
 from .errors import DegenerateSubspaceError, NumericFailure
-from .pencil import DiagonalForm, RayleighValue, diagonalize, ritz_2x2
+from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, diagonalize, ritz_2x2
 from .precond import Preconditioner
 
 __all__ = [
@@ -46,25 +46,6 @@ _EIGENVECTOR_TOL = 1e-13
 # A search direction shorter than this relative to ||x|| cannot span a
 # second dimension in floating point.
 _DEGENERATE_DIRECTION_TOL = 1e-14
-
-# Rank test of the two-vector basis [x, T r], as in
-# psdlab.pencil.orthonormalize: the part of T r orthogonal to x must keep
-# this fraction of its length.
-_RANK_TOL = 1e-10
-
-
-class SolverKind(enum.Enum):
-    INVIT1 = "invit1"
-    PINVIT1 = "pinvit1"
-    INVIT2 = "invit2"
-    PSD = "psd"
-
-    @classmethod
-    def parse(cls, name):
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise ValueError(f"unknown solver kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -166,7 +147,7 @@ def _step(pencil, precond, x, line_search):
     w = w - h2 * q1
     r12 = h + h2
     w_norm = _norm(w)
-    if w_norm < _RANK_TOL * d_norm:
+    if w_norm < _RANK_TOL * d_norm:  # the rank test of pencil.orthonormalize
         # T r parallel to x: stationary for the line search.
         return _converged_result(x, value)
     q2 = w / w_norm
@@ -240,19 +221,16 @@ def invit2_step(pencil, x):
 class IterationRecord:
     """One row of a solver run.
 
-    ``x`` is reported in the pencil's original coordinates but
-    normalized in the transformed ones; ``residual_norm`` is the
-    transformed-coordinate residual of the unit iterate, so the
-    stopping test ``residual_norm < residual_tol`` is relative to
-    ``||Ax||``.  ``delta`` is the interval-relative error of ``rho``
-    against the pencil's spectrum (``None`` outside the spectral
+    ``residual_norm`` is the diagonal-coordinate residual of the unit
+    iterate, so the stopping test ``residual_norm < residual_tol`` is
+    relative to ``||Ax||``.  ``delta`` is the interval-relative error of
+    ``rho`` against the pencil's spectrum (``None`` outside the spectral
     range), and ``bound`` the certification verdict for the step that
-    produced this record (``None`` for the initial record or when
-    certification is off).
+    produced this record (``None`` for the initial record or when the
+    run is not certified).
     """
 
     step_index: int
-    x: np.ndarray
     rho: RayleighValue
     residual_norm: float
     delta: float = None
@@ -265,14 +243,17 @@ class RunResult:
     """Records of one run plus its termination status.
 
     ``status`` is one of ``"converged"`` (residual or delta tolerance
-    met, or a stationary point was reached) and ``"max_steps"``.
-    ``certified`` tells whether per-step bound checks ran;
-    ``certify_note`` explains when they were skipped.
+    met, or a stationary point was reached) and ``"max_steps"``.  ``x``
+    is the final iterate in the pencil's original coordinates (unit
+    length in the diagonalized ones).  ``certified`` tells whether
+    per-step bound checks ran; ``certify_note`` explains when they were
+    skipped.
     """
 
     records: list
     status: str
     kind: SolverKind
+    x: np.ndarray
     certified: bool
     certify_gamma: float = None
     certify_note: str = ""
@@ -342,19 +323,14 @@ def _certification_gamma(kind, quality):
     the run is not certifiable and the check is skipped rather than
     reported as a violation.
     """
-    if kind in (SolverKind.INVIT1, SolverKind.INVIT2):
+    if kind.exact_inverse:
         return 0.0, ""
-    if quality is None:
-        return None, "preconditioner quality unknown"
-    if kind == SolverKind.PSD:
-        gamma = quality.scaled_gamma()
-        if gamma is None:
-            return None, "preconditioner quality unknown"
-        return gamma, ""
-    gamma = quality.as_is_gamma()
+    gamma = None
+    if quality is not None:
+        gamma = quality.scaled_gamma() if kind.line_search else quality.as_is_gamma()
     if gamma is None:
         return None, "preconditioner quality unknown"
-    if gamma >= 1.0:
+    if not kind.line_search and gamma >= 1.0:
         return None, (
             f"fixed-step quality mismatch: as-handed gamma {gamma:.6g} >= 1 "
             "(rescale the preconditioner)"
@@ -363,24 +339,25 @@ def _certification_gamma(kind, quality):
 
 
 def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
-        delta_tol=None, certify=True):
+        delta_tol=None):
     """Drive a solver to convergence, recording and certifying every step.
 
     All internal math happens in the diagonalized coordinates of the
-    pencil; reported iterates are mapped back.  The run stops when the
-    (relative) residual falls below ``residual_tol``, when ``delta``
-    falls below ``delta_tol`` (if given), at a stationary point, or
-    after ``max_steps`` steps.  The Rayleigh quotient is asserted to be
-    nonincreasing; a genuine increase raises :class:`NumericFailure`.
+    pencil; only the final iterate is mapped back, as ``RunResult.x``.
+    The run stops when the (relative) residual falls below
+    ``residual_tol``, when ``delta`` falls below ``delta_tol`` (if
+    given), at a stationary point, or after ``max_steps`` steps.  The
+    Rayleigh quotient is asserted to be nonincreasing; a genuine
+    increase raises :class:`NumericFailure`.
     """
-    kind = SolverKind.parse(kind) if not isinstance(kind, SolverKind) else kind
+    kind = SolverKind.parse(kind)
     x0 = np.asarray(x0, dtype=float)
     if not np.any(x0):
         raise ValueError("x0 must be nonzero")
     form = diagonalize(pencil)
     spectrum = form.spectrum()
 
-    if kind in (SolverKind.INVIT1, SolverKind.INVIT2):
+    if kind.exact_inverse:
         # Exact inverse preconditioning is the identity in these coordinates.
         t = None
         quality = None
@@ -391,13 +368,10 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         quality = t.quality
     apply_t = _as_operator(t)
     cert_gamma, cert_note = _certification_gamma(kind, quality)
-    certifying = certify and cert_gamma is not None
-
-    fixed_step = kind in (SolverKind.INVIT1, SolverKind.PINVIT1)
-    cert_kind = "pinvit1" if fixed_step else "psd"
+    certifying = cert_gamma is not None
     # The line-search kinds decrease rho structurally; the fixed-step kinds
     # only under an admissible (two-sided) preconditioner quality.
-    monotone_guaranteed = not fixed_step or cert_gamma is not None
+    monotone_guaranteed = kind.line_search or certifying
 
     mus = form.mus
     z = _unit(form.to_diagonal(x0))
@@ -409,7 +383,6 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     records = [
         IterationRecord(
             step_index=0,
-            x=form.from_diagonal(z),
             rho=value,
             residual_norm=res_norm,
             delta=_record_delta(spectrum, value.rho, located),
@@ -421,7 +394,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         max_steps = 0
 
     for step_index in range(1, max_steps + 1):
-        step = pinvit1_step(form, apply_t, z) if fixed_step else psd_step(form, apply_t, z)
+        step = psd_step(form, apply_t, z) if kind.line_search else pinvit1_step(form, apply_t, z)
         rho_prev = value
         z, value = step.x, step.rho
         if not math.isfinite(value.rho):
@@ -429,7 +402,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
                 f"step {step_index} produced a non-finite Rayleigh quotient "
                 f"({value.rho!r}); aborting"
             )
-        if monotone_guaranteed and value.rho > rho_prev.rho * (1.0 + 1e-12):
+        if monotone_guaranteed and value.rho > rho_prev.rho * (1.0 + bounds._MONOTONE_TOL):
             raise NumericFailure(
                 f"step {step_index} increased the Rayleigh quotient from "
                 f"{rho_prev.rho!r} to {value.rho!r}"
@@ -440,7 +413,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             i, delta_before = located
             after = (i, _mu_delta(mus, z, i))
             bound = bounds.certify_step(
-                spectrum, cert_gamma, rho_prev, value, kind=cert_kind,
+                spectrum, cert_gamma, rho_prev, value, kind=kind,
                 deltas=(delta_before, after[1]),
             )
         res_norm = _norm(z - value.rho * (mus * z))
@@ -449,7 +422,6 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         records.append(
             IterationRecord(
                 step_index=step_index,
-                x=form.from_diagonal(z),
                 rho=value,
                 residual_norm=res_norm,
                 delta=delta_now,
@@ -468,6 +440,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         records=records,
         status=status,
         kind=kind,
+        x=form.from_diagonal(z),
         certified=certifying,
         certify_gamma=cert_gamma,
         certify_note=cert_note,

@@ -33,6 +33,11 @@ __all__ = [
     "generate_problem",
 ]
 
+# Rank test of a Gram-Schmidt basis: a vector whose part orthogonal to the
+# vectors before it is shorter than this fraction of its length is
+# linearly dependent on them.
+_RANK_TOL = 1e-10
+
 
 def _as_dense(m):
     if hasattr(m, "toarray"):  # scipy.sparse at desk scale: densify
@@ -99,12 +104,12 @@ class SymmetricPencil:
 class Spectrum:
     """Generalized eigenvalues of a pencil and their reciprocals.
 
-    ``lambdas`` is nondecreasing, ``mus = 1/lambdas`` nonincreasing; the
-    index pairing ``mus[i] * lambdas[i] == 1`` is preserved.
+    ``lambdas`` is nondecreasing; ``mus = 1/lambdas`` is derived from it,
+    nonincreasing and paired with ``lambdas`` by index.
     """
 
     lambdas: np.ndarray
-    mus: np.ndarray = None
+    mus: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lam = np.array(self.lambdas, dtype=float)
@@ -114,13 +119,7 @@ class Spectrum:
             raise ValueError("all eigenvalues must be positive")
         if np.any(np.diff(lam) < 0):
             raise ValueError("lambdas must be nondecreasing")
-        mus = self.mus
-        if mus is None:
-            mus = 1.0 / lam
-        else:
-            mus = np.array(mus, dtype=float)
-            if mus.shape != lam.shape or np.any(np.abs(mus * lam - 1.0) > 1e-12):
-                raise ValueError("mus must be the elementwise reciprocals of lambdas")
+        mus = 1.0 / lam
         lam.flags.writeable = False
         mus.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
@@ -140,10 +139,6 @@ class RayleighValue:
     @classmethod
     def from_rho(cls, rho):
         return cls(rho=float(rho), mu=1.0 / float(rho))
-
-    @classmethod
-    def from_mu(cls, mu):
-        return cls(rho=1.0 / float(mu), mu=float(mu))
 
 
 @dataclass(frozen=True)
@@ -277,11 +272,11 @@ def diagonalize(pencil):
     return form
 
 
-def orthonormalize(vectors, tol=1e-10):
+def orthonormalize(vectors):
     """Euclidean orthonormalization by modified Gram-Schmidt.
 
     One reorthogonalization pass is applied to every column.  A column
-    whose post-orthogonalization norm falls below ``tol`` times its
+    whose post-orthogonalization norm falls below ``1e-10`` times its
     original norm is declared linearly dependent and raises
     :class:`DegenerateSubspaceError` carrying the detected rank.
 
@@ -305,7 +300,7 @@ def orthonormalize(vectors, tol=1e-10):
                 r[i, j] += h
                 w = w - h * q[:, i]
         post = np.linalg.norm(w)
-        if post < tol * pre:
+        if post < _RANK_TOL * pre:
             dependent.append(j)
             continue
         r[j, j] = post

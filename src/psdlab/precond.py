@@ -169,17 +169,18 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed, mode="random", x=None
         Quality parameter in ``[0, 1)``.
     seed : int
         Mandatory seed for the random orthogonal factor.
-    mode : {"random", "identity", "worst_aligned"}
+    mode : {"random", "worst_aligned"}
         ``random``: ``E = Q diag(eta) Q^T`` with seeded orthogonal ``Q``
-        and ``max |eta| = gamma``.  ``identity``: ``T = I``.
-        ``worst_aligned``: ``E`` is chosen so that the fixed step from
-        ``x`` lands exactly on ``target`` (a point of the iterate ball,
-        e.g. a cone-boundary direction from :mod:`psdlab.conelab`).
+        and ``max |eta| = gamma``.  ``worst_aligned``: ``E`` is chosen
+        so that the fixed step from ``x`` lands exactly on ``target`` (a
+        point of the iterate ball, e.g. a cone-boundary direction from
+        :mod:`psdlab.conelab`).  ``gamma = 0`` gives ``T = I`` in either
+        mode.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     n = diag_form.n
-    if mode == "identity" or gamma == 0.0:
+    if gamma == 0.0:
         e = np.zeros((n, n))
     elif mode == "random":
         rng = np.random.default_rng(seed)
@@ -255,14 +256,14 @@ def estimate_quality(pencil, precond):
     return PrecondQuality(gamma=gamma, gamma1=gamma1, gamma2=gamma2)
 
 
-def rescale(precond, quality=None):
+def rescale(precond):
     """Optimally rescaled preconditioner ``(2 / (g1 + g2)) T``.
 
     The result satisfies the two-sided quality bound with
     ``gamma = (g2 - g1) / (g1 + g2)`` and is a fixed point of this
     function.
     """
-    q = quality if quality is not None else precond.quality
+    q = precond.quality
     if q.gamma1 is None:
         raise ValueError("rescaling needs the equivalence constants gamma1, gamma2")
     factor = 2.0 / (q.gamma1 + q.gamma2)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from psdlab import (
+    PrecondQuality,
+    Preconditioner,
     SolverKind,
     Spectrum,
     SymmetricPencil,
@@ -271,9 +273,27 @@ class TestRun:
         lam1 = diagonalize(pencil).spectrum().lambdas[0]
         assert result.final.rho.rho == pytest.approx(lam1, rel=1e-10)
         # reported iterate reproduces the reported Rayleigh quotient
-        assert rayleigh(pencil, result.final.x).rho == pytest.approx(
+        assert rayleigh(pencil, result.x).rho == pytest.approx(
             result.final.rho.rho, rel=1e-12
         )
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_bound_deltas_are_record_deltas(self, kind):
+        # The check computes its ratio from reciprocal-form deltas but
+        # stores the lambda form the records use.
+        pencil = diag_pencil([1.0, 2.0, 4.0, 8.0])
+        t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=1)
+        result = run(pencil, t, np.array([1.0, 1e-2, 1e-2, 1e-2]), kind)
+        # Records clip delta to 0 once rho rounds to lambda_1; skip those.
+        pairs = [
+            (prev, rec) for prev, rec in zip(result.records, result.records[1:])
+            if rec.bound is not None and rec.bound.verdict == bounds.HOLDS
+            and prev.delta > 0.0 and rec.delta > 0.0
+        ]
+        assert len(pairs) >= 5
+        for prev, rec in pairs:
+            assert rec.bound.delta_after == pytest.approx(rec.delta, rel=1e-12)
+            assert rec.bound.delta_before == pytest.approx(prev.delta, rel=1e-12)
 
     def test_max_steps_status(self):
         rng = np.random.default_rng(14)
@@ -306,3 +326,32 @@ class TestRepeatedEigenvalues:
         assert result.final.rho.rho == pytest.approx(1.0, rel=1e-12)
         assert not result.violations()
         assert sum(rec.bound is not None for rec in result.records) >= 1
+
+
+class TestUncertifiedRuns:
+    # The synthetic preconditioner's matrix with its quality metadata
+    # replaced: nothing known, or only the scaled-form gamma.
+    @staticmethod
+    def _run(kind, quality):
+        pencil = generate_problem("laplacian1d", n=12)
+        t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=2)
+        t = Preconditioner(matrix=t.matrix, quality=quality, coords=t.coords)
+        rng = np.random.default_rng(11)
+        return run(pencil, t, rng.standard_normal(12), kind, max_steps=50)
+
+    @pytest.mark.parametrize("kind", [SolverKind.PSD, SolverKind.PINVIT1])
+    def test_unknown_quality_skips_certification(self, kind):
+        result = self._run(kind, PrecondQuality())
+        assert not result.certified
+        assert result.certify_gamma is None
+        assert result.certify_note == "preconditioner quality unknown"
+        assert all(rec.bound is None for rec in result.records)
+
+    @pytest.mark.parametrize("kind", [SolverKind.PSD, SolverKind.PINVIT1])
+    def test_gamma_only_quality_certifies(self, kind):
+        result = self._run(kind, PrecondQuality(gamma=0.3))
+        assert result.certified
+        assert result.certify_gamma == 0.3
+        assert result.certify_note == ""
+        assert any(rec.bound is not None for rec in result.records)
+        assert not result.violations()

@@ -1,9 +1,10 @@
-"""The benchmark tracer's targets exist in psdlab.
+"""The benchmark tracer's targets exist in psdlab and see every step.
 
 ``perfbench/tracing.py`` wraps functions by name; a renamed or deleted
-target would only surface when the benchmark runs.  This loads the
-tracer's table by path and resolves every entry without patching or
-running anything.
+target, or a driver that stops calling through the traced names, would
+only surface when the benchmark runs.  This loads the tracer by path,
+resolves every entry of its table, and runs it around a tiny certify
+sweep.
 """
 
 import importlib
@@ -12,16 +13,22 @@ from pathlib import Path
 
 import pytest
 
+from psdlab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced_targets():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [pytest.param(target, id=name) for name, target in module.TRACED]
+    return module
+
+
+def _traced_targets():
+    return [pytest.param(target, id=name) for name, target in _load_tracing().TRACED]
 
 
 @pytest.mark.parametrize("target", _traced_targets())
@@ -33,3 +40,21 @@ def test_traced_target_resolves(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{target} is not callable"
+
+
+def test_tracer_counts_every_step_and_check():
+    recorder = _load_tracing().Recorder()
+    config = cli.ExperimentConfig(command="certify", trials=6, n=8,
+                                  solvers="psd,pinvit1,invit1,invit2", seed=5)
+    first = recorder.install()
+    try:
+        report = cli.cmd_certify(config)
+    finally:
+        recorder.uninstall()
+    m = recorder.pass_metrics(first, wall_s=1.0)
+    steps = m["iterate.steps"]
+    assert steps > 0
+    assert m["iterate.psd_step.calls"] + m["iterate.pinvit1_step.calls"] == steps
+    verdicts = sum(m[f"bounds.verdict.{v}"] for v in ("holds", "passed_lambda_i", "violated"))
+    assert m["bounds.certify_step.calls"] == verdicts
+    assert m["bounds.certify_step.calls"] == sum(row["checked_steps"] for row in report.records)
