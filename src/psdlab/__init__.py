@@ -54,7 +54,6 @@ from .iterate import (
     psd_step,
     run,
 )
-from .jacobi import jacobi_eigh
 from .pencil import (
     DiagonalForm,
     RayleighValue,

@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .bounds import SolverKind, _factor
 from .errors import StationaryPointError
-from .pencil import ritz_2x2
 
 __all__ = [
     "ConeSpec",
@@ -173,7 +173,8 @@ def ritz_gap(mus, x, directions):
     ``[[p, c], [c, q]]``, which keeps its relative accuracy as ``theta``
     approaches ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).
     Rows (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``.
-    The vectorized, value-only twin of :func:`psdlab.pencil.ritz_2x2`.
+    Vectorized over rows and value-only; :func:`ritz_on_segment` checks
+    it against LAPACK's generalized symmetric-definite solver.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     s = mus[0] - mus
@@ -200,8 +201,8 @@ def ritz_on_segment(cone, t):
     """Larger reciprocal-form Ritz value along the extremal segment.
 
     ``d(t) = t d1 + (1 - t) d2`` for ``t`` in ``[0, 1]`` (scalar or
-    array), by :func:`ritz_gap`, checked row by row against
-    :func:`psdlab.pencil.ritz_2x2` on the projected pencil of
+    array), by :func:`ritz_gap`, checked row by row against LAPACK
+    (``scipy.linalg.eigh``) on the projected pencil of
     ``[x, d - mu(x) x]``: the two must agree to 1e-12 relative.
     """
     t_arr = np.asarray(t, dtype=float)
@@ -217,9 +218,10 @@ def ritz_on_segment(cone, t):
     bx = mus * x
     a11, b11 = float(x @ x), float(x @ bx)
     for u, value in zip(d - cone.mu_x * x, values):
-        (_, general), _ = ritz_2x2(
-            a11, float(x @ u), float(u @ u), b11, float(u @ bx), float(u @ (mus * u)),
-        )
+        a12, b12 = float(x @ u), float(u @ bx)
+        pa = np.array([[a11, a12], [a12, float(u @ u)]])
+        pb = np.array([[b11, b12], [b12, float(u @ (mus * u))]])
+        general = scipy.linalg.eigh(pb, pa, eigvals_only=True)[1]
         if abs(general - value) > 1e-12 * abs(value):
             raise RuntimeError(
                 "ritz_gap and the general 2x2 Ritz values disagree beyond 1e-12 relative"

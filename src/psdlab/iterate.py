@@ -7,13 +7,13 @@ and the search direction, which performs the optimal line search
 implicitly.  INVIT(1) and INVIT(2) are the same iterations with the
 exact inverse ``T = A^-1`` (quality ``gamma = 0``).
 
-One step kernel serves every kind.  Handed a :class:`DiagonalForm` it
-works in the coordinates ``A = I``, ``B = diag(mus)``, where a step is
-O(n) vector work plus the application of ``T`` and a closed-form 2x2
-Ritz problem (:func:`psdlab.pencil.ritz_2x2`); handed a
-:class:`SymmetricPencil` it applies ``A`` and ``B`` as dense matrices.
-The general :func:`psdlab.pencil.rayleigh_ritz` is the kernel's
-reference, not part of it.
+One step kernel serves every kind, in the coordinates of a
+:class:`DiagonalForm`: ``A = I``, ``B = diag(mus)``.  There a step is
+O(n) vector work, the application of ``T``, and a closed-form 2x2
+symmetric eigenproblem (:func:`psdlab.jacobi.eigh_2x2`).  A dense
+:class:`SymmetricPencil` is stepped by :func:`run`, which maps it into
+those coordinates once; :func:`psdlab.pencil.rayleigh_ritz` on its
+matrices is the kernel's test oracle and shares no code with it.
 """
 
 import math
@@ -23,8 +23,9 @@ import numpy as np
 
 from . import bounds
 from .bounds import SolverKind
-from .errors import DegenerateSubspaceError, NumericFailure
-from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, diagonalize, ritz_2x2
+from .errors import NumericFailure
+from .jacobi import eigh_2x2
+from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, diagonalize
 from .precond import Preconditioner
 
 __all__ = [
@@ -80,21 +81,27 @@ def _identity(v):
 def _as_operator(precond):
     """The map ``r -> T r`` of a preconditioner in any accepted form.
 
-    ``None`` means ``T = I``; a :class:`Preconditioner` is applied
-    through its ``apply``; a callable is taken as the map itself (for
-    example ``pencil.solve_a``); anything else is read as a matrix.
+    ``None`` means ``T = I``; a :class:`Preconditioner` must act in
+    diagonal coordinates and is applied through its ``apply``; a
+    callable is taken as the map itself; anything else is read as a
+    matrix.
     """
     if precond is None:
         return _identity
     if isinstance(precond, Preconditioner):
+        if precond.coords != "diagonal":
+            raise ValueError(
+                f"the preconditioner acts in {precond.coords!r} coordinates; "
+                "conjugate it with in_coords('diagonal', form) first"
+            )
         return precond.apply
     if callable(precond):
         return precond
     return np.asarray(precond, dtype=float).dot
 
 
-def _rayleigh_value(x, ax, bx):
-    num = float(x.dot(ax))
+def _rayleigh_value(x, bx):
+    num = float(x.dot(x))
     if num == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
     den = float(x.dot(bx))
@@ -105,34 +112,36 @@ def _converged_result(x, value):
     return StepResult(x=_unit(x), rho=value, theta_opt=None, converged=True)
 
 
-def _step(pencil, precond, x, line_search):
-    """The step kernel behind every solver kind.
+def _step(form, precond, x, line_search):
+    """The step kernel behind every solver kind, for ``A = I``, ``B = diag(mus)``.
 
-    Fixed step: ``x' = x - T r`` with ``r = Ax - rho(x) Bx``, normalized.
+    Fixed step: ``x' = x - T r`` with ``r = x - rho(x) Bx``, normalized.
     Line search: the Ritz vector of the smaller Ritz value (in the
-    ``lambda`` convention) of ``span{x, T r}``, with the basis
-    orthonormalized by two Gram-Schmidt passes and the projected 2x2
-    pencil solved by :func:`ritz_2x2`.  The checks, tolerances and sign
+    ``lambda`` convention) of ``span{x, T r}``.  The basis is
+    orthonormalized by two Gram-Schmidt passes, which leaves the
+    projected ``A`` the identity to working precision, so the projected
+    problem is the symmetric 2x2 eigenproblem of the projected ``B``,
+    solved by :func:`eigh_2x2`.  The checks, tolerances and sign
     conventions are those of :func:`psdlab.pencil.rayleigh_ritz` on the
     basis ``[x, T r]``.
     """
-    if isinstance(pencil, DiagonalForm):  # the pencil (I, diag(mus)); None is A = I
-        apply_a, apply_b = None, pencil.mus.__mul__
-    else:
-        apply_a, apply_b = pencil.a.dot, pencil.b.dot
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(
+            f"solver steps take a DiagonalForm, not {type(form).__name__}; "
+            "map a pencil with diagonalize() first, or step it through run()"
+        )
     apply_t = _as_operator(precond)
+    mus = form.mus
     x = np.asarray(x, dtype=float)
-    ax = x if apply_a is None else apply_a(x)
-    bx = apply_b(x)
-    value = _rayleigh_value(x, ax, bx)
-    r = ax - value.rho * bx
-    if _norm(r) < _EIGENVECTOR_TOL * _norm(ax):
+    bx = mus * x
+    value = _rayleigh_value(x, bx)
+    r = x - value.rho * bx
+    if _norm(r) < _EIGENVECTOR_TOL * _norm(x):
         return _converged_result(x, value)
     d = apply_t(r)
     if not line_search:
         x_next = _unit(x - d)
-        ax_next = x_next if apply_a is None else apply_a(x_next)
-        rho = _rayleigh_value(x_next, ax_next, apply_b(x_next))
+        rho = _rayleigh_value(x_next, mus * x_next)
         return StepResult(x=x_next, rho=rho, theta_opt=1.0)
 
     x_norm = _norm(x)
@@ -151,22 +160,10 @@ def _step(pencil, precond, x, line_search):
         # T r parallel to x: stationary for the line search.
         return _converged_result(x, value)
     q2 = w / w_norm
-    # The projected pencil on [q1, q2].  As q1 = x / x_norm, b11 = mu(x) a11.
-    if apply_a is None:
-        # The second Gram-Schmidt pass leaves [q1, q2] orthonormal to
-        # working precision, so the projected A is the identity.
-        a11, a12, a22 = 1.0, 0.0, 1.0
-    else:
-        a11 = float(x.dot(ax)) / (x_norm * x_norm)
-        a12 = float(q2.dot(ax)) / x_norm
-        a22 = float(q2.dot(apply_a(q2)))
-    try:
-        (_, mu), ((_, z1), (_, z2)) = ritz_2x2(
-            a11, a12, a22,
-            value.mu * a11, float(q2.dot(bx)) / x_norm, float(q2.dot(apply_b(q2))),
-        )
-    except DegenerateSubspaceError:
-        return _converged_result(x, value)
+    # The projected B on [q1, q2]; as q1 = x / x_norm, its q1 entry is mu(x).
+    (_, mu), ((_, z1), (_, z2)) = eigh_2x2(
+        value.mu, float(q2.dot(mus * q2)), float(q2.dot(bx)) / x_norm
+    )
     # Larger mu, i.e. smaller lambda.  Its coordinates in [x, d] scaled to
     # max-norm 1 and signed so that the first non-negligible one is positive.
     c_d = z2 / w_norm
@@ -183,38 +180,41 @@ def _step(pencil, precond, x, line_search):
     return StepResult(x=vec, rho=RayleighValue.from_rho(1.0 / mu), theta_opt=theta)
 
 
-def pinvit1_step(pencil, precond, x):
-    """One fixed-step update ``x' = x - T (Ax - rho(x) Bx)``, normalized.
+def pinvit1_step(form, precond, x):
+    """One fixed-step update ``x' = x - T (x - rho(x) Bx)``, normalized.
 
-    ``pencil`` is a :class:`SymmetricPencil` or, for the diagonalized
-    coordinates, a :class:`DiagonalForm`; ``precond`` is ``None``
-    (``T = I``), a :class:`Preconditioner`, a callable ``r -> T r`` or a
-    matrix.
+    ``form`` is the :class:`DiagonalForm` of a pencil and ``x`` a vector in
+    its coordinates (``A = I``, ``B = diag(form.mus)``); ``precond`` is
+    ``None`` (``T = I``), a :class:`Preconditioner` in diagonal
+    coordinates, a callable ``r -> T r`` or a matrix.  A
+    :class:`SymmetricPencil` raises :class:`TypeError` (step it through
+    :func:`run`), a preconditioner in pencil coordinates
+    :class:`ValueError`.
     """
-    return _step(pencil, precond, x, line_search=False)
+    return _step(form, precond, x, line_search=False)
 
 
-def psd_step(pencil, precond, x):
+def psd_step(form, precond, x):
     """One preconditioned steepest descent step.
 
     Rayleigh-Ritz on ``span{x, T r}`` returns the Ritz vector of the
     smaller Ritz value (in the ``lambda`` convention); the implicit step
     length is recovered from the Ritz vector's coordinates in the
     ``[x, Tr]`` basis and reported as ``theta_opt`` (``inf`` when the
-    ``x`` coordinate vanishes).  Accepts the same ``pencil`` and
-    ``precond`` forms as :func:`pinvit1_step`.
+    ``x`` coordinate vanishes).  Takes the same ``form``, ``precond`` and
+    ``x`` as :func:`pinvit1_step`.
     """
-    return _step(pencil, precond, x, line_search=True)
+    return _step(form, precond, x, line_search=True)
 
 
-def invit1_step(pencil, x):
-    """Fixed-step update with the exact inverse: ``x' = rho(x) A^-1 B x``."""
-    return pinvit1_step(pencil, pencil.solve_a, x)
+def invit1_step(form, x):
+    """Fixed-step update with the exact inverse, ``T = A^-1 = I`` in ``form``'s coordinates."""
+    return pinvit1_step(form, None, x)
 
 
-def invit2_step(pencil, x):
-    """Steepest descent with the exact inverse (optimal line search)."""
-    return psd_step(pencil, pencil.solve_a, x)
+def invit2_step(form, x):
+    """Steepest descent with the exact inverse (optimal line search), ``T = I``."""
+    return psd_step(form, None, x)
 
 
 @dataclass(frozen=True)
@@ -302,13 +302,15 @@ def _locate(spectrum, mus, z, rho, known=None):
     return i, _mu_delta(mus, z, i)
 
 
-def _record_delta(spectrum, rho, located):
-    """The record's ``delta``: lambda-form, clipped at zero, ``None`` above ``lambda_n``."""
+def _record_delta(spectrum, located):
+    """The record's ``delta``: lambda-form, clipped at zero, ``None`` above ``lambda_n``.
+
+    The cancellation-free value that certification stores, so it stays
+    positive after ``rho`` has rounded to ``lambda_1``.
+    """
     if located is None:
         return None
     lam = spectrum.lambdas
-    if rho <= lam[0]:
-        return 0.0
     i, raw = located
     # lambda-form delta differs from the reciprocal form by lam_i/lam_{i+1}
     return max(0.0, raw * lam[i] / lam[i + 1])
@@ -375,7 +377,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
 
     mus = form.mus
     z = _unit(form.to_diagonal(x0))
-    value = _rayleigh_value(z, z, mus * z)
+    value = _rayleigh_value(z, mus * z)
     res_norm = _norm(z - value.rho * (mus * z))
     # (interval index, raw delta) of the current iterate: the record's
     # delta and the "before" side of the next step's certification.
@@ -385,7 +387,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             step_index=0,
             rho=value,
             residual_norm=res_norm,
-            delta=_record_delta(spectrum, value.rho, located),
+            delta=_record_delta(spectrum, located),
         )
     ]
     status = "max_steps"
@@ -418,7 +420,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             )
         res_norm = _norm(z - value.rho * (mus * z))
         located = _locate(spectrum, mus, z, value.rho, known=after)
-        delta_now = _record_delta(spectrum, value.rho, located)
+        delta_now = _record_delta(spectrum, located)
         records.append(
             IterationRecord(
                 step_index=step_index,

@@ -1,10 +1,11 @@
 """Jacobi rotations: the closed-form 2x2 eigensolver and a cyclic reference.
 
-:func:`eigh_2x2` is the one 2x2 symmetric eigensolver behind the Ritz
-step (:func:`psdlab.pencil.ritz_2x2`).  The n x n reductions in
-:mod:`psdlab.pencil` and :mod:`psdlab.precond` use LAPACK;
-:func:`jacobi_eigh`, a cyclic-Jacobi solver that shares no code with
-LAPACK, is kept as their test oracle.  Its signature mirrors
+:func:`eigh_2x2` solves the projected 2x2 problem of every line-search
+step in the kernel of :mod:`psdlab.iterate`, where the projected ``A``
+is the identity.  The n x n reductions in :mod:`psdlab.pencil` and
+:mod:`psdlab.precond` use LAPACK; :func:`jacobi_eigh`, a cyclic-Jacobi
+solver that shares no code with LAPACK, is kept as their test oracle
+and is not exported from :mod:`psdlab`.  Its signature mirrors
 ``numpy.linalg.eigh``.
 """
 

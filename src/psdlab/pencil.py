@@ -9,14 +9,12 @@ in decreasing order, and all solver-internal math happens in those
 coordinates.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateSubspaceError
-from .jacobi import eigh_2x2
 
 __all__ = [
     "SymmetricPencil",
@@ -28,7 +26,6 @@ __all__ = [
     "residual",
     "diagonalize",
     "rayleigh_ritz",
-    "ritz_2x2",
     "orthonormalize",
     "generate_problem",
 ]
@@ -210,7 +207,6 @@ class DiagonalForm:
     basis: np.ndarray
     inverse_basis: np.ndarray
     _spectrum: Spectrum = field(default=None, repr=False)
-    _pencil: SymmetricPencil = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -231,19 +227,6 @@ class DiagonalForm:
         if self._spectrum is None:
             self._spectrum = Spectrum(lambdas=1.0 / self.mus)
         return self._spectrum
-
-    def diagonal_pencil(self):
-        """The transformed pencil ``(I, diag(mus))`` as a dense :class:`SymmetricPencil`.
-
-        Built on first use.  :func:`psdlab.iterate.run` does not need it: the
-        step kernel applies ``A = I`` and ``B = diag(mus)`` to vectors when
-        handed the :class:`DiagonalForm` itself.  The dense pencil serves
-        callers that want the general matrix path, such as reference
-        computations in tests.
-        """
-        if self._pencil is None:
-            self._pencil = SymmetricPencil(np.eye(self.n), np.diag(self.mus))
-        return self._pencil
 
 
 def diagonalize(pencil):
@@ -319,15 +302,14 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     """Ritz pairs of the pencil over the span of ``basis_vectors``.
 
     The basis is orthonormalized (Euclidean) and the projected pencil is
-    solved by LAPACK (two basis vectors: by the closed-form
-    :func:`ritz_2x2`).  Pairs are returned sorted by
-    ascending ``lambda`` (equivalently descending ``mu``), each with
-    unit-norm vector and caller-basis coefficients.
+    solved by LAPACK for any number of basis vectors.  Pairs are returned
+    sorted by ascending ``lambda`` (equivalently descending ``mu``), each
+    with unit-norm vector and caller-basis coefficients.
 
-    This is the general reference path for any number of basis vectors,
-    kept as the oracle of the solvers' O(n) step kernel in
-    :mod:`psdlab.iterate`, which does the same two-dimensional
-    projection without forming matrices.
+    This is the general reference path, kept as the oracle of the
+    solvers' O(n) step kernel in :mod:`psdlab.iterate`.  It shares no
+    code with the kernel, which does the two-dimensional projection
+    without forming matrices and solves it in closed form.
     """
     if form not in ("lambda", "mu"):
         raise ValueError(f"unknown Ritz value form {form!r}")
@@ -337,7 +319,12 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     pb = q.T @ (pencil.b @ q)
     pa = (pa + pa.T) / 2.0
     pb = (pb + pb.T) / 2.0
-    mu_vals, z = _projected_mu_eig(pa, pb, k)
+    try:  # mu ascending, pa-normalized eigenvectors in the orthonormal basis
+        mu_vals, z = scipy.linalg.eigh(pb, pa)
+    except np.linalg.LinAlgError as exc:  # cannot happen for s.p.d. A and full rank
+        raise DegenerateSubspaceError(
+            "projected A block is numerically singular", rank=k - 1
+        ) from exc
 
     pairs = []
     for idx in range(k - 1, -1, -1):  # descending mu == ascending lambda
@@ -357,71 +344,6 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
             RitzPair(value=float(value), form=form, vector=vec, basis_coefficients=raw)
         )
     return pairs
-
-
-def ritz_2x2(a11, a12, a22, b11, b12, b22):
-    """Reciprocal-form eigenpairs of a 2x2 projected pencil, in closed form.
-
-    Solves ``Pb z = mu Pa z`` for the symmetric ``Pa = [[a11, a12], [a12,
-    a22]]`` (positive definite) and ``Pb`` alike, in Python-float scalar
-    math: reduce through the Cholesky factor of ``Pa``, rotate the
-    reduced matrix with one Jacobi rotation, map back.  Returns
-    ``((mu1, mu2), ((z11, z12), (z21, z22)))`` with ``mu1 <= mu2``,
-    column ``k`` of ``z`` the ``Pa``-normalized eigenvector of ``mu[k]``.
-    Raises :class:`DegenerateSubspaceError` when ``Pa`` is numerically
-    singular.  The single 2x2 Ritz routine behind both the solver step
-    kernel and :func:`rayleigh_ritz`.
-    """
-    if a11 <= 0.0:
-        raise DegenerateSubspaceError(
-            "projected A block is numerically singular", rank=1
-        )
-    l11 = math.sqrt(a11)
-    l21 = a12 / l11
-    disc = a22 - l21 * l21
-    if disc <= 0.0:
-        raise DegenerateSubspaceError(
-            "projected A block is numerically singular", rank=1
-        )
-    l22 = math.sqrt(disc)
-    inv11 = 1.0 / l11
-    inv21 = -l21 / (l11 * l22)
-    inv22 = 1.0 / l22
-    t11 = inv11 * b11
-    t12 = inv11 * b12
-    t21 = inv21 * b11 + inv22 * b12
-    t22 = inv21 * b12 + inv22 * b22
-    m11 = t11 * inv11
-    m12 = t11 * inv21 + t12 * inv22
-    m22 = t21 * inv21 + t22 * inv22
-    mu_vals, ((y11, y12), (y21, y22)) = eigh_2x2(m11, m22, m12)
-    z = (
-        (inv11 * y11 + inv21 * y21, inv11 * y12 + inv21 * y22),
-        (inv22 * y21, inv22 * y22),
-    )
-    return mu_vals, z
-
-
-def _projected_mu_eig(pa, pb, k):
-    """Reciprocal-form eigenpairs of the projected pencil ``(pb, pa)``.
-
-    Returns ``mu`` ascending and the ``pa``-normalized eigenvectors in the
-    orthonormalized basis.  The two-dimensional case goes through
-    :func:`ritz_2x2`, every larger one through LAPACK's generalized
-    symmetric-definite solver.
-    """
-    if k == 2:
-        mu_vals, z = ritz_2x2(
-            float(pa[0, 0]), float(pa[1, 0]), float(pa[1, 1]),
-            float(pb[0, 0]), float(pb[0, 1]), float(pb[1, 1]),
-        )
-        return np.array(mu_vals), np.array(z)
-    try:
-        return scipy.linalg.eigh(pb, pa)
-    except np.linalg.LinAlgError as exc:  # cannot happen for s.p.d. A and full rank
-        raise DegenerateSubspaceError(
-            "projected A block is numerically singular", rank=k - 1
-        ) from exc
 
 
 # -- test problem generation -------------------------------------------------

@@ -123,9 +123,9 @@ def test_criterion_04_hierarchy_dominance():
             form = diagonalize(pencil)
             gamma = float(rng.uniform(0.0, 0.95))
             t = synthetic_gamma_preconditioner(form, gamma, seed=trial)
-            x = rng.standard_normal(n)
-            rho_psd = psd_step(pencil, t, x).rho.rho
-            rho_fixed = pinvit1_step(pencil, t, x).rho.rho
+            z = form.to_diagonal(rng.standard_normal(n))
+            rho_psd = psd_step(form, t, z).rho.rho
+            rho_fixed = pinvit1_step(form, t, z).rho.rho
             assert rho_psd <= rho_fixed + 1e-12
 
 
@@ -199,10 +199,10 @@ def test_criterion_09_scale_and_reflection_invariance():
             pencil = SymmetricPencil(np.diag(lam), np.eye(n))
             form = diagonalize(pencil)
             t = synthetic_gamma_preconditioner(form, 0.6, seed=trial)
-            x = rng.standard_normal(n)
-            base = psd_step(pencil, t, x)
+            z = form.to_diagonal(rng.standard_normal(n))
+            base = psd_step(form, t, z)
             for c in (0.1, 10.0):
-                scaled = psd_step(pencil, t.scaled(c), x)
+                scaled = psd_step(form, t.scaled(c), z)
                 assert abs(scaled.rho.rho - base.rho.rho) <= 1e-12 * base.rho.rho
                 assert np.linalg.norm(scaled.x - base.x) <= 1e-12
         # cone minima invariant under coordinate reflections

@@ -42,19 +42,21 @@ def random_instance(rng, n, gamma, seed):
 class TestPinvit1Step:
     def test_hand_example_exact_inverse(self):
         pencil = diag_pencil([1.0, 2.0])
-        t = exact_inverse_preconditioner(pencil)
-        res = pinvit1_step(pencil, t, np.array([1.0, 1.0]))
+        form = diagonalize(pencil)
+        t = exact_inverse_preconditioner(pencil).in_coords("diagonal", form)
+        res = pinvit1_step(form, t, form.to_diagonal([1.0, 1.0]))
         # x' proportional to (1.5, 0.75)
         direction = np.array([1.5, 0.75])
+        x_next = form.from_diagonal(res.x)
         np.testing.assert_allclose(
-            res.x, direction / np.linalg.norm(direction), rtol=1e-14
+            x_next / np.linalg.norm(x_next), direction / np.linalg.norm(direction), rtol=1e-14
         )
         assert res.rho.rho == pytest.approx(1.2, rel=1e-14)
 
     def test_eigenvector_is_fixed_point(self):
-        pencil = diag_pencil([1.0, 2.0, 4.0])
+        form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
         e1 = np.array([1.0, 0.0, 0.0])
-        res = pinvit1_step(pencil, np.eye(3), e1)
+        res = pinvit1_step(form, np.eye(3), e1)
         assert res.converged
         np.testing.assert_array_equal(res.x, e1)
 
@@ -66,7 +68,7 @@ class TestPinvit1Step:
             spectrum = diagonalize(pencil).spectrum()
             form = diagonalize(pencil)
             z = form.to_diagonal(x)
-            res = pinvit1_step(form.diagonal_pencil(), t, z)
+            res = pinvit1_step(form, t, z)
             check = bounds.certify_step(
                 spectrum, gamma, rayleigh(pencil, x), res.rho, kind="pinvit1"
             )
@@ -75,17 +77,17 @@ class TestPinvit1Step:
 
 class TestPsdStep:
     def test_invariant_subspace_one_step(self):
-        pencil = diag_pencil([1.0, 2.0, 4.0])
-        res = psd_step(pencil, np.eye(3), np.array([1.0, 1.0, 0.0]))
+        form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
+        res = psd_step(form, np.eye(3), form.to_diagonal([1.0, 1.0, 0.0]))
         assert res.rho.rho == pytest.approx(1.0, abs=1e-14)
 
     def test_scaled_preconditioner_same_step(self):
-        pencil = diag_pencil([1.0, 2.0, 4.0, 9.0])
+        form = diagonalize(diag_pencil([1.0, 2.0, 4.0, 9.0]))
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(4)
+        z = form.to_diagonal(rng.standard_normal(4))
         t = np.eye(4) * 0.7
-        base = psd_step(pencil, t, x)
-        scaled = psd_step(pencil, 10.0 * t, x)
+        base = psd_step(form, t, z)
+        scaled = psd_step(form, 10.0 * t, z)
         np.testing.assert_allclose(scaled.x, base.x, atol=1e-13)
         assert scaled.rho.rho == pytest.approx(base.rho.rho, rel=1e-13)
 
@@ -96,9 +98,8 @@ class TestPsdStep:
             pencil, t, x = random_instance(rng, 7, gamma, seed=1000 + trial)
             form = diagonalize(pencil)
             z = form.to_diagonal(x)
-            mu_pencil = form.diagonal_pencil()
-            rho_psd = psd_step(mu_pencil, t, z).rho.rho
-            rho_fixed = pinvit1_step(mu_pencil, t, z).rho.rho
+            rho_psd = psd_step(form, t, z).rho.rho
+            rho_fixed = pinvit1_step(form, t, z).rho.rho
             assert rho_psd <= rho_fixed + 1e-12 * abs(rho_fixed)
 
     def test_ritz_optimality_against_line_samples(self):
@@ -107,22 +108,23 @@ class TestPsdStep:
         pencil, t, x = random_instance(rng, 6, 0.5, seed=11)
         form = diagonalize(pencil)
         z = form.to_diagonal(x)
-        mu_pencil = form.diagonal_pencil()
+        mu_pencil = SymmetricPencil(np.eye(6), np.diag(form.mus))
         value = rayleigh(mu_pencil, z)
         r_mu = mu_pencil.b @ z - value.mu * z
         d = t.matrix @ r_mu
-        best = psd_step(mu_pencil, t, z).rho.rho
+        best = psd_step(form, t, z).rho.rho
         thetas = np.concatenate([-np.logspace(-3, 3, 25), np.logspace(-3, 3, 25)])
         for theta in thetas:
             candidate = value.mu * z + theta * d
             assert best <= rayleigh(mu_pencil, candidate).rho + 1e-12
 
     def test_theta_opt_reproduces_iterate(self):
-        pencil = diag_pencil([1.0, 3.0, 5.0, 11.0])
+        form = diagonalize(diag_pencil([1.0, 3.0, 5.0, 11.0]))
+        pencil = SymmetricPencil(np.eye(4), np.diag(form.mus))
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(4)
+        x = form.to_diagonal(rng.standard_normal(4))
         t = 0.9 * np.eye(4)
-        res = psd_step(pencil, t, x)
+        res = psd_step(form, t, x)
         assert np.isfinite(res.theta_opt)
         value = rayleigh(pencil, x)
         r = pencil.a @ x - value.rho * (pencil.b @ x)
@@ -130,13 +132,14 @@ class TestPsdStep:
         assert rayleigh(pencil, manual).rho == pytest.approx(res.rho.rho, rel=1e-12)
 
     def test_stationary_direction_returns_converged(self):
-        pencil = diag_pencil([1.0, 2.0, 4.0])
-        x = np.array([1.0, 1.0, 0.0])
+        form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
+        pencil = SymmetricPencil(np.eye(3), np.diag(form.mus))
+        x = form.to_diagonal([1.0, 1.0, 0.0])
         value = rayleigh(pencil, x)
         r = pencil.a @ x - value.rho * (pencil.b @ x)
         # rank-one preconditioner-like map sending r onto x (degenerate span)
         t = np.outer(x, r) / (r @ r)
-        res = psd_step(pencil, t, x)
+        res = psd_step(form, t, x)
         assert res.converged
         np.testing.assert_allclose(res.x, x / np.linalg.norm(x), atol=1e-15)
 
@@ -144,15 +147,17 @@ class TestPsdStep:
 class TestInvitSteps:
     def test_invit1_matches_pinvit1_with_exact_inverse(self):
         pencil = diag_pencil([1.0, 2.0])
-        res = invit1_step(pencil, np.array([1.0, 1.0]))
-        t = exact_inverse_preconditioner(pencil)
-        ref = pinvit1_step(pencil, t, np.array([1.0, 1.0]))
+        form = diagonalize(pencil)
+        z = form.to_diagonal([1.0, 1.0])
+        res = invit1_step(form, z)
+        t = exact_inverse_preconditioner(pencil).in_coords("diagonal", form)
+        ref = pinvit1_step(form, t, z)
         np.testing.assert_allclose(res.x, ref.x, rtol=1e-14)
         assert res.rho.rho == pytest.approx(1.2, rel=1e-14)
 
     def test_invit1_fixed_point(self):
-        pencil = diag_pencil([1.0, 2.0, 4.0])
-        res = invit1_step(pencil, np.array([1.0, 0.0, 0.0]))
+        form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
+        res = invit1_step(form, form.to_diagonal([1.0, 0.0, 0.0]))
         assert res.converged
 
     def test_invit1_asymptotic_factor(self):
@@ -160,11 +165,12 @@ class TestInvitSteps:
         # lambda_1, attained when the error concentrates on e_2
         lam = np.array([1.0, 2.0, 4.0])
         pencil = diag_pencil(lam)
+        form = diagonalize(pencil)
         spectrum = Spectrum(lambdas=lam)
         for x, attained in ((np.array([1.0, 1e-4, 1e-4]), False),
                             (np.array([1.0, 1e-4, 0.0]), True)):
             rho = rayleigh(pencil, x).rho
-            res = invit1_step(pencil, x)
+            res = invit1_step(form, form.to_diagonal(x))
             ratio = (bounds.delta(spectrum, 0, res.rho.rho)
                      / bounds.delta(spectrum, 0, rho))
             assert ratio <= 0.25 * (1.0 + 1e-6)
@@ -176,10 +182,11 @@ class TestInvitSteps:
         pencil = SymmetricPencil(
             np.diag([1.0, 2.0, 4.0, 8.0]), np.eye(4)
         )
-        x = rng.standard_normal(4)
-        t = exact_inverse_preconditioner(pencil)
-        res = invit2_step(pencil, x)
-        ref = psd_step(pencil, t, x)
+        form = diagonalize(pencil)
+        x = form.to_diagonal(rng.standard_normal(4))
+        t = exact_inverse_preconditioner(pencil).in_coords("diagonal", form)
+        res = invit2_step(form, x)
+        ref = psd_step(form, t, x)
         np.testing.assert_allclose(res.x, ref.x, atol=1e-13)
         assert res.rho.rho == pytest.approx(ref.rho.rho, rel=1e-13)
 
@@ -225,12 +232,13 @@ class TestRun:
 
     def test_eigenvector_stationary_for_further_steps(self):
         pencil = diag_pencil([1.0, 2.0, 4.0])
-        x = np.array([0.0, 0.0, 1.0])
+        form = diagonalize(pencil)
+        z = form.to_diagonal([0.0, 0.0, 1.0])
         for _ in range(5):
-            res = psd_step(pencil, np.eye(3), x)
+            res = psd_step(form, np.eye(3), z)
             assert res.converged
-            x = res.x
-        assert rayleigh(pencil, x).rho == pytest.approx(4.0)
+            z = res.x
+        assert rayleigh(pencil, form.from_diagonal(z)).rho == pytest.approx(4.0)
 
     def test_certification_skipped_for_unscaled_fixed_step(self):
         pencil = generate_problem("laplacian1d", n=12)
@@ -284,16 +292,15 @@ class TestRun:
         pencil = diag_pencil([1.0, 2.0, 4.0, 8.0])
         t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=1)
         result = run(pencil, t, np.array([1.0, 1e-2, 1e-2, 1e-2]), kind)
-        # Records clip delta to 0 once rho rounds to lambda_1; skip those.
         pairs = [
             (prev, rec) for prev, rec in zip(result.records, result.records[1:])
             if rec.bound is not None and rec.bound.verdict == bounds.HOLDS
-            and prev.delta > 0.0 and rec.delta > 0.0
         ]
         assert len(pairs) >= 5
         for prev, rec in pairs:
-            assert rec.bound.delta_after == pytest.approx(rec.delta, rel=1e-12)
-            assert rec.bound.delta_before == pytest.approx(prev.delta, rel=1e-12)
+            # abs=0: the deltas below 1e-12 must agree too
+            assert rec.bound.delta_after == pytest.approx(rec.delta, rel=1e-12, abs=0.0)
+            assert rec.bound.delta_before == pytest.approx(prev.delta, rel=1e-12, abs=0.0)
 
     def test_max_steps_status(self):
         rng = np.random.default_rng(14)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from psdlab import jacobi_eigh
+from psdlab.jacobi import jacobi_eigh
 
 
 def random_symmetric(rng, n, scale=1.0):

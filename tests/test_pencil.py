@@ -12,12 +12,12 @@ from psdlab import (
     Spectrum,
     diagonalize,
     generate_problem,
-    jacobi_eigh,
     orthonormalize,
     rayleigh,
     rayleigh_ritz,
     residual,
 )
+from psdlab.jacobi import jacobi_eigh
 
 
 def random_spd(rng, n, cond=10.0):

@@ -61,9 +61,9 @@ class TestSyntheticPreconditioner:
         form = diagonalize(pencil)
         t = synthetic_gamma_preconditioner(form, 0.0, seed=3)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(4)
-        with_t = psd_step(pencil, t, x)
-        plain = psd_step(pencil, np.eye(4), x)
+        z = form.to_diagonal(rng.standard_normal(4))
+        with_t = psd_step(form, t, z)
+        plain = psd_step(form, np.eye(4), z)
         np.testing.assert_allclose(with_t.x, plain.x, atol=1e-14)
         assert with_t.rho.rho == pytest.approx(plain.rho.rho, rel=1e-14)
 
@@ -214,9 +214,9 @@ class TestPsdScaleInvariance:
         form = diagonalize(pencil)
         t = synthetic_gamma_preconditioner(form, 0.5, seed=9)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal(4)
-        base = psd_step(pencil, t, x)
-        scaled = psd_step(pencil, t.scaled(c), x)
+        z = form.to_diagonal(rng.standard_normal(4))
+        base = psd_step(form, t, z)
+        scaled = psd_step(form, t.scaled(c), z)
         assert scaled.rho.rho == pytest.approx(base.rho.rho, rel=1e-12)
         np.testing.assert_allclose(scaled.x, base.x, atol=1e-12)
 

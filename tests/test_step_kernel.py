@@ -1,10 +1,11 @@
 """The O(n) step kernel against the general Rayleigh-Ritz reference.
 
-``psd_step`` and ``pinvit1_step`` handed a :class:`DiagonalForm` apply
+``psd_step`` and ``pinvit1_step`` take a :class:`DiagonalForm`, apply
 ``A = I`` and ``B = diag(mus)`` to vectors and solve the 2x2 Ritz problem
-in closed form.  The reference here is the textbook step on the dense
-pencil ``(I, diag(mus))``: Rayleigh quotient, residual, and the general
-:func:`rayleigh_ritz` over ``[x, T r]``.
+in closed form.  The reference here is the textbook step on a dense
+pencil: Rayleigh quotient, residual, and the general LAPACK-backed
+:func:`rayleigh_ritz` over ``[x, T r]``.  General pencils (``A != I``)
+reach the kernel through :func:`run`.
 """
 
 import math
@@ -18,16 +19,23 @@ from hypothesis import strategies as st
 import psdlab.cli as cli
 from psdlab import (
     DegenerateSubspaceError,
+    PrecondQuality,
+    Preconditioner,
+    SolverKind,
     SymmetricPencil,
     diagonalize,
     generate_problem,
+    invit1_step,
+    invit2_step,
+    jacobi_preconditioner,
     pinvit1_step,
     psd_step,
     rayleigh,
     rayleigh_ritz,
+    run,
     synthetic_gamma_preconditioner,
 )
-from psdlab.pencil import ritz_2x2
+from psdlab.jacobi import eigh_2x2
 
 
 def reference_step(dense, t, x, line_search):
@@ -125,8 +133,10 @@ def test_kernel_matches_general_rayleigh_ritz(step, line_search, case):
 
 @pytest.mark.parametrize("step, line_search", [(psd_step, True), (pinvit1_step, False)])
 def test_kernel_matches_reference_on_general_pencils(step, line_search):
-    # dense (A, B) with A != I: the kernel projects A instead of assuming I
+    # dense (A, B) with A != I, stepped the way users run them: run() maps
+    # the pencil and its pencil-coordinate T into diagonal coordinates
     rng = np.random.default_rng(17)
+    kind = SolverKind.PSD if line_search else SolverKind.PINVIT1
 
     def random_spd(n, cond):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -138,12 +148,15 @@ def test_kernel_matches_reference_on_general_pencils(step, line_search):
         pencil = SymmetricPencil(random_spd(n, 1e3), random_spd(n, 1e2))
         t = random_spd(n, 10.0)
         x = rng.standard_normal(n)
-        res = step(pencil, t, x)
+        result = run(pencil, Preconditioner(t, PrecondQuality(), "pencil"), x, kind,
+                     max_steps=1)
         converged, rho, vec, theta = reference_step(pencil, t, x, line_search)
-        assert res.converged == converged
-        assert res.rho.rho == pytest.approx(rho, rel=1e-11)
-        np.testing.assert_allclose(res.x, vec, rtol=0, atol=1e-10)
-        assert res.theta_opt == pytest.approx(theta, rel=1e-8)
+        assert not converged and result.final.step_index == 1
+        assert result.final.rho.rho == pytest.approx(rho, rel=1e-11)
+        np.testing.assert_allclose(
+            result.x / np.linalg.norm(result.x), vec, rtol=0, atol=1e-10
+        )
+        assert result.final.theta_opt == pytest.approx(theta, rel=1e-8)
 
 
 def test_parallel_direction_is_stationary_in_diagonal_coordinates():
@@ -208,34 +221,44 @@ def test_preconditioner_forms_agree(step):
 
 
 @given(
-    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=3),
-    st.floats(min_value=0.1, max_value=10.0),
-    st.floats(min_value=-0.99, max_value=0.99),
-    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=1e3),
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_ritz_2x2_matches_lapack(b_entries, a11, corr, a22):
-    a12 = corr * math.sqrt(a11 * a22)
-    b11, b12, b22 = b_entries
-    mus, z = ritz_2x2(a11, a12, a22, b11, b12, b22)
-    pa = np.array([[a11, a12], [a12, a22]])
-    pb = np.array([[b11, b12], [b12, b22]])
-    w = scipy.linalg.eigh(pb, pa, eigvals_only=True)
-    scale = max(1.0, np.abs(pb).max()) / np.linalg.eigvalsh(pa)[0]
-    assert mus[0] <= mus[1]
-    np.testing.assert_allclose(mus, w, rtol=0, atol=1e-12 * scale)
-    z = np.array(z)
+def test_eigh_2x2_matches_lapack(a11, a22, a12):
+    w, v = eigh_2x2(a11, a22, a12)
+    m = np.array([[a11, a12], [a12, a22]])
+    scale = max(1.0, np.abs(m).max())
+    assert w[0] <= w[1]
+    np.testing.assert_allclose(w, scipy.linalg.eigh(m, eigvals_only=True),
+                               rtol=0, atol=1e-12 * scale)
+    v = np.array(v)
+    np.testing.assert_allclose(v.T @ v, np.eye(2), rtol=0, atol=1e-14)
     for k in range(2):
-        residual = pb @ z[:, k] - mus[k] * (pa @ z[:, k])
-        assert np.linalg.norm(residual) <= 1e-12 * scale
-        assert z[:, k] @ pa @ z[:, k] == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-12 * scale
 
 
-def test_ritz_2x2_rejects_singular_projection():
-    with pytest.raises(DegenerateSubspaceError):
-        ritz_2x2(1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(DegenerateSubspaceError):
-        ritz_2x2(0.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+@pytest.mark.parametrize("step", [psd_step, pinvit1_step, invit1_step, invit2_step],
+                         ids=lambda f: f.__name__)
+def test_steps_reject_a_symmetric_pencil(step):
+    pencil = generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0])
+    x = np.ones(3)
+    args = (pencil, x) if step in (invit1_step, invit2_step) else (pencil, None, x)
+    with pytest.raises(TypeError, match="diagonalize"):
+        step(*args)
+
+
+@pytest.mark.parametrize("step", [psd_step, pinvit1_step], ids=lambda f: f.__name__)
+def test_steps_reject_a_pencil_coordinate_preconditioner(step):
+    pencil = generate_problem("laplacian1d", n=6)
+    form = diagonalize(pencil)
+    t = jacobi_preconditioner(pencil)
+    z = form.to_diagonal(np.ones(6))
+    with pytest.raises(ValueError, match="in_coords"):
+        step(form, t, z)
+    res = step(form, t.in_coords("diagonal", form), z)
+    assert res.rho.rho < rayleigh(pencil, np.ones(6)).rho
 
 
 # Per-run (steps, verdict counts) of ``psdlab certify --trials 20 --n 20
