@@ -302,6 +302,10 @@ def cmd_certify(config):
         raise ValueError("--seed is mandatory for certify")
     gammas = [float(tok) for tok in config.gammas.split(",") if tok != ""]
     solvers = [SolverKind.parse(tok) for tok in config.solvers.split(",") if tok]
+    if not gammas:
+        raise ValueError("--gammas needs at least one value")
+    if not solvers:
+        raise ValueError("--solvers needs at least one solver")
     rows = []
     violations = 0
     skipped = 0
@@ -373,6 +377,8 @@ def cmd_sharpness(config):
     deltas = [float(tok) for tok in config.deltas.split(",") if tok]
     if not deltas:
         raise ValueError("--deltas needs at least one value")
+    if config.t_mode == "grid" and config.t_grid < 1:
+        raise ValueError("--t-grid needs at least one point")
     # kappa and sigma depend on mus and gamma alone; this also validates mus.
     base = WorstCaseSetup(mus=mus, gamma=gamma, delta=1.0, t=1.0)
     kappa, sigma = base.kappa, base.sigma

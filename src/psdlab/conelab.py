@@ -141,22 +141,19 @@ def extremal_directions(cone):
 def worst_direction(cone):
     """The cone point whose line search improves the Rayleigh quotient least.
 
-    Valid for componentwise nonnegative ``x`` (use
-    :func:`householder_reduce` first otherwise); picks the extremal
-    direction on the ``+ x cross r`` side of the cross-section.
+    The closed form covers componentwise nonnegative ``x`` (use
+    :func:`householder_reduce` first otherwise) with ``mu(x)`` in
+    ``(mus[1], mus[0])``: the extremal direction on the ``+ x cross r``
+    side of the cross-section.  Other cones are rejected.
     """
     if np.any(cone.x < 0):
         raise ValueError(
             "worst_direction needs a componentwise nonnegative x; "
             "apply householder_reduce first"
         )
-    g = cone.gamma
-    x_norm = np.linalg.norm(cone.x)
-    return (
-        cone.mu_x * cone.x
-        + (1.0 - g * g) * cone.r
-        + g * math.sqrt(1.0 - g * g) * np.cross(cone.x, cone.r) / x_norm
-    )
+    if cone.mu_x <= cone.mus[1]:
+        raise ValueError("worst_direction needs mu(x) in (mus[1], mus[0])")
+    return extremal_directions(cone)[0]
 
 
 def ritz_gap(mus, x, directions):
@@ -229,33 +226,36 @@ def ritz_on_segment(cone, t):
     return float(values[0]) if scalar else values
 
 
+def _disc_min(mus, x, center, radius, basis, ys):
+    """Smallest larger Ritz value over the disc points ``center + radius * basis @ y``.
+
+    ``ys`` holds unit-ball points ``y`` as rows; all go through one
+    :func:`ritz_gap` call.  Returns the value, its direction and its ``y``.
+    """
+    d = center + radius * (ys @ basis.T)
+    values = mus[0] - ritz_gap(mus, x, d)
+    idx = int(np.argmin(values))
+    return float(values[idx]), d[idx].copy(), ys[idx]
+
+
 def brute_force_cone_min(cone, n_samples):
     """Smallest larger Ritz value over a dense sampling of the cone.
 
     Samples the full boundary circle of the cross-section disc plus
-    interior rings at 1/4, 1/2 and 3/4 of its radius (the oracle must
-    not assume the extrema sit on the x-orthogonal segment, nor on the
-    boundary).  Returns the minimum and the direction attaining it.
+    interior rings at 1/4, 1/2 and 3/4 of its radius in its ``(v, x/|x|)``
+    basis (the oracle must not assume the extrema sit on the x-orthogonal
+    segment, nor on the boundary), all in one :func:`_disc_min` call.
+    Returns the minimum and the direction attaining it.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    if cone.gamma == 0.0:
-        value = cone.mus[0] - float(ritz_gap(cone.mus, cone.x, cone.center)[0])
-        return value, cone.center.copy()
     cs = cross_section(cone)
     angles = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    xh = cone.x / np.linalg.norm(cone.x)
-    circle = np.outer(np.cos(angles), cs.v) + np.outer(np.sin(angles), xh)
-    best_value = np.inf
-    best_direction = None
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        d = cs.center + (cs.radius * frac) * circle
-        values = cone.mus[0] - ritz_gap(cone.mus, cone.x, d)
-        idx = int(np.argmin(values))
-        if values[idx] < best_value:
-            best_value = float(values[idx])
-            best_direction = d[idx].copy()
-    return best_value, best_direction
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
+    basis = np.column_stack([cs.v, cone.x / np.linalg.norm(cone.x)])
+    value, direction, _ = _disc_min(cone.mus, cone.x, cs.center, cs.radius, basis, ys)
+    return value, direction
 
 
 # -- worst-case instances attaining the sharp factor -------------------------
@@ -572,7 +572,6 @@ def _perp_basis(r):
     """
     n = r.size
     h = r / np.linalg.norm(r)
-    h = h.copy()
     h[0] += math.copysign(1.0, h[0])
     reflector = np.eye(n) - 2.0 * np.outer(h, h) / (h @ h)
     return reflector[:, 1:]
@@ -582,8 +581,11 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     """Inner level: smallest larger Ritz value over the cone at ``x``.
 
     ``samples`` is a fixed pattern of points of the unit ball in
-    dimension ``n - 1`` (so the outer objective is deterministic);
-    optionally polished by a bounded Nelder-Mead refinement.
+    dimension ``k = n - 1`` (so the outer objective is deterministic).
+    ``refine`` polishes the best sample by compass rounds: the
+    ``3^k - 1`` stencil around the best ``y``, projected into the unit
+    ball, is one :func:`_disc_min` call per round, and its step halves
+    after each round without improvement, down to 1e-10.
     """
     bx = mus * x
     mu_x = _mu_of(mus, x)
@@ -594,29 +596,22 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     basis = _perp_basis(r)  # (n, n-1)
     center = mu_x * x + (1.0 - gamma * gamma) * r
     radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
-    d = center + radius * (samples @ basis.T)
-    values = mus[0] - ritz_gap(mus, x, d)
-    idx = int(np.argmin(values))
-    best_y = samples[idx]
-    best_val = float(values[idx])
+    best_val, best_d, best_y = _disc_min(mus, x, center, radius, basis, samples)
     if not refine:
-        return best_val, d[idx]
-
-    def objective(y):
-        norm = np.linalg.norm(y)
-        if norm > 1.0:
-            y = y / norm
-        point = center + radius * (basis @ y)
-        return mus[0] - float(ritz_gap(mus, x, point)[0])
-
-    res = scipy.optimize.minimize(
-        objective, best_y, method="Nelder-Mead",
-        options={"maxfev": 140, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    if res.fun < best_val:
-        y = res.x / max(1.0, np.linalg.norm(res.x))
-        return float(res.fun), center + radius * (basis @ y)
-    return best_val, d[idx]
+        return best_val, best_d
+    k = samples.shape[1]
+    stencil = np.indices((3,) * k).reshape(k, -1).T - 1.0
+    stencil = stencil[np.any(stencil, axis=1)]
+    step = 0.25  # the spacing of the sample rings
+    while step >= 1e-10:
+        ys = best_y + step * stencil
+        ys /= np.maximum(1.0, np.linalg.norm(ys, axis=1))[:, None]
+        value, d, y = _disc_min(mus, x, center, radius, basis, ys)
+        if value < best_val:
+            best_val, best_d, best_y = value, d, y
+        else:
+            step *= 0.5
+    return best_val, best_d
 
 
 def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None):
@@ -624,15 +619,18 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None):
 
     Runs ``n_outer`` seeded Nelder-Mead descents over the level set
     ``mu(x) = mu0`` in dimension 4 or 5, with the cone minimum at each
-    iterate evaluated by assumption-free disc sampling.  The resulting
-    optimizer is then hard-thresholded coordinate by coordinate (a zeroed
-    coordinate is kept only if it does not worsen the objective), and
-    the report compares the best value against the closed-form worst
+    iterate evaluated by assumption-free disc sampling; the best descent
+    is polished with the batched compass rounds of :func:`_disc_worst`.
+    The optimizer is then hard-thresholded coordinate by coordinate (a
+    zeroed coordinate is kept only if it does not worsen the objective),
+    and the report compares the best value against the closed-form worst
     value of every admissible invariant triple.  Report-only: the caller
     decides what to do with a discordant outcome.
     """
     if seed is None:
         raise ValueError("a seed is mandatory for the randomized search")
+    if n_outer < 1:
+        raise ValueError("n_outer must be at least 1")
     mus = np.asarray(spectrum.mus, dtype=float)
     n = mus.size
     if n not in (3, 4, 5):

@@ -191,6 +191,14 @@ class TestCertifyCommand:
         assert payload["summary"]["skipped_runs"] == 3
         assert all(not row["certified"] for row in payload["records"])
 
+    @pytest.mark.parametrize("args", [["--gammas", ","], ["--solvers", ","]])
+    def test_bad_input_exits_with_message(self, args, capsys):
+        code = main(["certify", "--trials", "2", "--n", "5", "--seed", "1", *args])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("psdlab: error: ")
+        assert "Traceback" not in err
+
 
 class TestSharpnessCommand:
     def test_gap_shrinks_toward_limit(self, tmp_path):
@@ -233,6 +241,7 @@ class TestSharpnessCommand:
 
     @pytest.mark.parametrize("args", [
         ["--mus", "0.1,0.5,1"], ["--mus", "1,1,0.5"], ["--mus", "1,0.5,0.1", "--deltas", ","],
+        ["--mus", "1,0.5,0.1", "--t-mode", "grid", "--t-grid", "0"],
     ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["sharpness", "--gamma", "0.5", *args])

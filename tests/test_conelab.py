@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from psdlab import (
     ConeSpec,
     DegenerateSubspaceError,
+    Spectrum,
     StationaryPointError,
     SymmetricPencil,
     WorstCaseSetup,
@@ -23,10 +24,11 @@ from psdlab import (
     ritz_gap,
     ritz_on_segment,
     t_star,
+    three_d_concentration_check,
     worst_case_instance,
     worst_direction,
 )
-from psdlab.conelab import _intercepts
+from psdlab.conelab import _disc_worst, _intercepts
 
 MUS = np.array([1.0, 0.5, 0.25])
 
@@ -38,6 +40,19 @@ def random_cone(rng, gamma=None, nonnegative=True):
     x = rng.uniform(0.1, 1.0, size=3) if nonnegative else rng.standard_normal(3)
     g = rng.uniform(0.05, 0.95) if gamma is None else gamma
     return ConeSpec(mus=mus, x=x, gamma=g)
+
+
+def ball_pattern(rng, k):
+    """Sample pattern of the concentration check: 40 directions on 4 rings."""
+    dirs = rng.standard_normal((40, k))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return np.concatenate([frac * dirs for frac in (1.0, 0.75, 0.5, 0.25)])
+
+
+def in_ball(cone, d):
+    """Whether direction(s) ``d`` lie in the ball of admissible fixed steps."""
+    dist = np.linalg.norm(np.atleast_2d(cone.center - d), axis=1)
+    return bool(np.all(dist <= cone.gamma * np.linalg.norm(cone.r) + 1e-12))
 
 
 def random_bracketed_cone(rng, gamma=None):
@@ -162,6 +177,18 @@ class TestWorstDirection:
             brute, _ = brute_force_cone_min(cone, 10_000)
             assert brute == pytest.approx(closed, abs=1e-8)
             assert brute >= closed - 1e-12  # closed form is the true minimum
+
+    def test_level_below_middle_rejected(self):
+        # mu(x) = 0.306 < mus[1]: the extremal point gives 0.5476, yet the
+        # cone reaches 0.5000, so the closed form would miss the minimum.
+        cone = ConeSpec(mus=MUS, x=np.array([0.1, 0.5, 1.0]), gamma=0.8)
+        d1, _ = extremal_directions(cone)
+        extremal = float(cone.mus[0] - ritz_gap(cone.mus, cone.x, d1[None, :])[0])
+        brute, _ = brute_force_cone_min(cone, 20_000)
+        assert extremal == pytest.approx(0.5476, abs=1e-4)
+        assert brute == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(ValueError, match="mus\\[1\\]"):
+            worst_direction(cone)
 
 
 @st.composite
@@ -289,9 +316,15 @@ class TestBruteForce:
         angles = np.linspace(0.0, 2.0 * np.pi, 500, endpoint=False)
         circle = np.outer(np.cos(angles), cs.v) + np.outer(np.sin(angles), xh)
         for frac in (0.25, 0.5, 0.75, 1.0):
-            d = cs.center + cs.radius * frac * circle
-            dist = np.linalg.norm(cone.center - d, axis=1)
-            assert np.all(dist <= cone.gamma * np.linalg.norm(cone.r) + 1e-12)
+            assert in_ball(cone, cs.center + cs.radius * frac * circle)
+        # the directions the production searches return
+        for _ in range(20):
+            cone = random_cone(rng)
+            assert in_ball(cone, brute_force_cone_min(cone, 500)[1])
+            samples = ball_pattern(rng, 2)
+            for refine in (False, True):
+                assert in_ball(cone, _disc_worst(cone.mus, cone.x, cone.gamma,
+                                                 samples, refine=refine)[1])
 
     def test_gamma_zero_single_direction(self):
         cone = ConeSpec(mus=MUS, x=np.ones(3), gamma=0.0)
@@ -312,6 +345,32 @@ class TestBruteForce:
         cone = ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5)
         with pytest.raises(ValueError):
             brute_force_cone_min(cone, 50)
+
+
+class TestDiscWorst:
+    def test_matches_brute_force_oracle(self):
+        # the batched polish against the assumption-free dense sampling
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            cone = random_cone(rng)
+            samples = ball_pattern(rng, 2)
+            args = (cone.mus, cone.x, cone.gamma, samples)
+            refined, _ = _disc_worst(*args, refine=True)
+            sampled, _ = _disc_worst(*args, refine=False)
+            brute, _ = brute_force_cone_min(cone, 20_000)
+            assert abs(refined - brute) <= 1e-8
+            assert refined <= brute + 1e-12 * abs(brute)
+            assert refined <= sampled
+
+
+class TestConcentrationCheck:
+    SPECTRUM = Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.3, 0.1]))
+
+    @pytest.mark.parametrize("n_outer", [0, -1])
+    def test_needs_an_outer_run(self, n_outer):
+        with pytest.raises(ValueError, match="n_outer"):
+            three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
+                                        n_outer=n_outer, seed=1)
 
 
 class TestWorstCaseInstance:
