@@ -7,8 +7,9 @@ Three subcommands::
     psdlab sharpness --mus 1,0.5,0.1 --gamma 0.5 --deltas 1e-2,1e-4,1e-6,1e-8
 
 Exit codes: 0 converged / all bounds hold, 1 usage or I/O failure,
-2 iteration limit reached, 3 certification violation.  Seeds are
-mandatory wherever randomness enters, and identical configurations
+2 iteration limit reached, 3 certification violation; certify exits 0
+or 3 and counts its iteration-limited runs as ``max_steps_runs``.  Seeds
+are mandatory wherever randomness enters, and identical configurations
 produce byte-identical output.
 """
 
@@ -306,9 +307,12 @@ def cmd_certify(config):
         raise ValueError("--gammas needs at least one value")
     if not solvers:
         raise ValueError("--solvers needs at least one solver")
+    if config.trials < 1:
+        raise ValueError("--trials needs at least one trial")
     rows = []
     violations = 0
     skipped = 0
+    max_steps_runs = 0
     for trial in range(config.trials):
         rng = np.random.default_rng(config.seed + trial)
         lam = simple_spectrum(rng, config.n)
@@ -330,6 +334,7 @@ def cmd_certify(config):
             violations += n_violated
             if not result.certified:
                 skipped += 1
+            max_steps_runs += result.status == "max_steps"
             checked = [r for r in result.records if r.bound is not None]
             ratios = [
                 r.bound.ratio / r.bound.sigma_squared
@@ -349,7 +354,7 @@ def cmd_certify(config):
                 "note": result.certify_note,
             })
     summary = {
-        "status": "converged",
+        "max_steps_runs": max_steps_runs,
         "trials": config.trials,
         "violations": violations,
         "skipped_runs": skipped,

@@ -25,6 +25,7 @@ import scipy.optimize
 
 from .bounds import SolverKind, _factor
 from .errors import StationaryPointError
+from .pencil import _shifted_ritz_2x2
 
 __all__ = [
     "ConeSpec",
@@ -165,10 +166,9 @@ def ritz_gap(mus, x, directions):
     two Gram-Schmidt passes, and the projected 2x2 problem is solved
     relative to ``mus[0]``: with ``S = diag(mus[0] - mus)`` (nonnegative),
     ``p``, ``q`` and ``c`` the entries of ``S`` on the orthonormal pair,
-    the gap is the smaller eigenvalue
-    ``(p q - c^2) / ((p + q)/2 + sqrt(((q - p)/2)^2 + c^2))`` of
-    ``[[p, c], [c, q]]``, which keeps its relative accuracy as ``theta``
-    approaches ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).
+    the gap is the smaller eigenvalue of ``[[p, c], [c, q]]`` from the
+    step kernel's 2x2 routine, accurate as ``theta`` approaches
+    ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).
     Rows (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``.
     Vectorized over rows and value-only; :func:`ritz_on_segment` checks
     it against LAPACK's generalized symmetric-definite solver.
@@ -189,9 +189,7 @@ def ritz_gap(mus, x, directions):
     # The entries of S on the unit vector w / |w|.
     q = (ww @ s) / w_sq
     c = (w @ sxh) / np.sqrt(w_sq)
-    half_gap = 0.5 * (q - p)
-    gap = (p * q - c * c) / (0.5 * (p + q) + np.sqrt(half_gap * half_gap + c * c))
-    return np.where(degenerate, p, gap)
+    return np.where(degenerate, p, _shifted_ritz_2x2(p, q, c)[0])
 
 
 def ritz_on_segment(cone, t):

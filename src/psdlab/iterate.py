@@ -9,11 +9,11 @@ exact inverse ``T = A^-1`` (quality ``gamma = 0``).
 
 One step kernel serves every kind, in the coordinates of a
 :class:`DiagonalForm`: ``A = I``, ``B = diag(mus)``.  There a step is
-O(n) vector work, the application of ``T``, and a closed-form 2x2
-symmetric eigenproblem (:func:`psdlab.jacobi.eigh_2x2`).  A dense
-:class:`SymmetricPencil` is stepped by :func:`run`, which maps it into
-those coordinates once; :func:`psdlab.pencil.rayleigh_ritz` on its
-matrices is the kernel's test oracle and shares no code with it.
+O(n) vector work, ``T`` (``None`` or a :class:`Preconditioner` in those
+coordinates) and the shifted 2x2 Ritz routine that
+:func:`psdlab.conelab.ritz_gap` shares.  :func:`run` maps a dense
+:class:`SymmetricPencil` and its ``T`` there once;
+:func:`psdlab.pencil.rayleigh_ritz` is the kernel's test oracle.
 """
 
 import math
@@ -24,8 +24,7 @@ import numpy as np
 from . import bounds
 from .bounds import SolverKind
 from .errors import NumericFailure
-from .jacobi import eigh_2x2
-from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, diagonalize
+from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, diagonalize
 from .precond import Preconditioner
 
 __all__ = [
@@ -79,25 +78,19 @@ def _identity(v):
 
 
 def _as_operator(precond):
-    """The map ``r -> T r`` of a preconditioner in any accepted form.
-
-    ``None`` means ``T = I``; a :class:`Preconditioner` must act in
-    diagonal coordinates and is applied through its ``apply``; a
-    callable is taken as the map itself; anything else is read as a
-    matrix.
-    """
+    """The map ``r -> T r``: ``None`` is ``T = I``, else a diagonal-coordinate ``apply``."""
     if precond is None:
         return _identity
-    if isinstance(precond, Preconditioner):
-        if precond.coords != "diagonal":
-            raise ValueError(
-                f"the preconditioner acts in {precond.coords!r} coordinates; "
-                "conjugate it with in_coords('diagonal', form) first"
-            )
-        return precond.apply
-    if callable(precond):
-        return precond
-    return np.asarray(precond, dtype=float).dot
+    if not isinstance(precond, Preconditioner):
+        raise TypeError(
+            f"solver steps take None or a Preconditioner, not {type(precond).__name__}"
+        )
+    if precond.coords != "diagonal":
+        raise ValueError(
+            f"the preconditioner acts in {precond.coords!r} coordinates; "
+            "conjugate it with in_coords('diagonal', form) first"
+        )
+    return precond.apply
 
 
 def _rayleigh_value(x, bx):
@@ -121,9 +114,9 @@ def _step(form, precond, x, line_search):
     orthonormalized by two Gram-Schmidt passes, which leaves the
     projected ``A`` the identity to working precision, so the projected
     problem is the symmetric 2x2 eigenproblem of the projected ``B``,
-    solved by :func:`eigh_2x2`.  The checks, tolerances and sign
-    conventions are those of :func:`psdlab.pencil.rayleigh_ritz` on the
-    basis ``[x, T r]``.
+    solved on ``S = mus[0] - B`` by :func:`_shifted_ritz_2x2`.  The
+    checks, tolerances and sign conventions are those of
+    :func:`psdlab.pencil.rayleigh_ritz` on the basis ``[x, T r]``.
     """
     if not isinstance(form, DiagonalForm):
         raise TypeError(
@@ -160,12 +153,16 @@ def _step(form, precond, x, line_search):
         # T r parallel to x: stationary for the line search.
         return _converged_result(x, value)
     q2 = w / w_norm
-    # The projected B on [q1, q2]; as q1 = x / x_norm, its q1 entry is mu(x).
-    (_, mu), ((_, z1), (_, z2)) = eigh_2x2(
-        value.mu, float(q2.dot(mus * q2)), float(q2.dot(bx)) / x_norm
-    )
-    # Larger mu, i.e. smaller lambda.  Its coordinates in [x, d] scaled to
-    # max-norm 1 and signed so that the first non-negligible one is positive.
+    # S on [q1, q2]: its smaller eigenvalue g gives the larger mu, i.e. the
+    # smaller lambda, and (z1, z2) its eigenvector.
+    s = mus[0] - mus
+    sq1 = s * q1
+    c = float(q2.dot(sq1))
+    g, half, root = _shifted_ritz_2x2(float(q1.dot(sq1)), float(q2.dot(s * q2)), c)
+    z1, z2 = (half + root, -c) if half >= 0.0 else (c, half - root)
+    mu = mus[0] - g
+    # Its coordinates in [x, d] scaled to max-norm 1 and signed so that the
+    # first non-negligible one is positive.
     c_d = z2 / w_norm
     c_x = (z1 - r12 * c_d) / x_norm
     scale = max(abs(c_x), abs(c_d))
@@ -185,11 +182,10 @@ def pinvit1_step(form, precond, x):
 
     ``form`` is the :class:`DiagonalForm` of a pencil and ``x`` a vector in
     its coordinates (``A = I``, ``B = diag(form.mus)``); ``precond`` is
-    ``None`` (``T = I``), a :class:`Preconditioner` in diagonal
-    coordinates, a callable ``r -> T r`` or a matrix.  A
-    :class:`SymmetricPencil` raises :class:`TypeError` (step it through
-    :func:`run`), a preconditioner in pencil coordinates
-    :class:`ValueError`.
+    ``None`` (``T = I``) or a :class:`Preconditioner` in diagonal
+    coordinates.  A :class:`SymmetricPencil`, a matrix or a callable
+    raises :class:`TypeError` (step a pencil through :func:`run`), a
+    preconditioner in pencil coordinates :class:`ValueError`.
     """
     return _step(form, precond, x, line_search=False)
 
@@ -353,6 +349,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     increase raises :class:`NumericFailure`.
     """
     kind = SolverKind.parse(kind)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     x0 = np.asarray(x0, dtype=float)
     if not np.any(x0):
         raise ValueError("x0 must be nonzero")
@@ -368,7 +366,6 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             raise ValueError(f"{kind.value} needs a preconditioner")
         t = precond.in_coords("diagonal", form)
         quality = t.quality
-    apply_t = _as_operator(t)
     cert_gamma, cert_note = _certification_gamma(kind, quality)
     certifying = cert_gamma is not None
     # The line-search kinds decrease rho structurally; the fixed-step kinds
@@ -396,7 +393,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         max_steps = 0
 
     for step_index in range(1, max_steps + 1):
-        step = psd_step(form, apply_t, z) if kind.line_search else pinvit1_step(form, apply_t, z)
+        step = psd_step(form, t, z) if kind.line_search else pinvit1_step(form, t, z)
         rho_prev = value
         z, value = step.x, step.rho
         if not math.isfinite(value.rho):

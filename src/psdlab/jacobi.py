@@ -1,12 +1,11 @@
-"""Jacobi rotations: the closed-form 2x2 eigensolver and a cyclic reference.
+"""A cyclic Jacobi eigensolver, kept only as a test oracle.
 
-:func:`eigh_2x2` solves the projected 2x2 problem of every line-search
-step in the kernel of :mod:`psdlab.iterate`, where the projected ``A``
-is the identity.  The n x n reductions in :mod:`psdlab.pencil` and
-:mod:`psdlab.precond` use LAPACK; :func:`jacobi_eigh`, a cyclic-Jacobi
-solver that shares no code with LAPACK, is kept as their test oracle
-and is not exported from :mod:`psdlab`.  Its signature mirrors
-``numpy.linalg.eigh``.
+The n x n reductions in :mod:`psdlab.pencil` and :mod:`psdlab.precond`
+use LAPACK, and no module of :mod:`psdlab` imports this one.
+:func:`jacobi_eigh` shares no code with LAPACK and is their independent
+test oracle; it is not exported from :mod:`psdlab`, and its signature
+mirrors ``numpy.linalg.eigh``.  It stays in the package because the
+benchmark traces it by name (``psdlab.jacobi:jacobi_eigh``).
 """
 
 import math
@@ -44,9 +43,6 @@ def jacobi_eigh(m):
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy(), np.eye(1)
-    if n == 2:
-        w, v = eigh_2x2(float(a[0, 0]), float(a[1, 1]), float(a[0, 1]))
-        return np.array(w), np.array(v)
     v = np.eye(n)
 
     norm_f = np.linalg.norm(a, "fro")
@@ -66,7 +62,7 @@ def jacobi_eigh(m):
                 apq = float(a[p, q])
                 if abs(apq) <= skip_tol:
                     continue
-                _, c, s = _rotation(float(a[p, p]), float(a[q, q]), apq)
+                c, s = _rotation(float(a[p, p]), float(a[q, q]), apq)
 
                 ap = a[:, p].copy()
                 aq = a[:, q].copy()
@@ -95,29 +91,12 @@ def jacobi_eigh(m):
 
 
 def _rotation(app, aqq, apq):
-    """Tangent, cosine and sine of the Jacobi rotation annihilating ``apq != 0``."""
+    """Cosine and sine of the Jacobi rotation annihilating ``apq != 0``."""
     tau = (aqq - app) / (2.0 * apq)
     if tau >= 0.0:
         t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
     else:
         t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    return t, c, t * c
+    return c, t * c
 
-
-def eigh_2x2(a11, a22, a12):
-    """The two-dimensional case: a single Jacobi rotation, in closed form.
-
-    Scalar in, scalar out: returns ``((w1, w2), ((v11, v12), (v21, v22)))``
-    with ``w1 <= w2`` and column ``k`` of ``v`` the eigenvector of ``w[k]``.
-    """
-    if a12 == 0.0:
-        if a11 <= a22:
-            return (a11, a22), ((1.0, 0.0), (0.0, 1.0))
-        return (a22, a11), ((0.0, 1.0), (1.0, 0.0))
-    t, c, s = _rotation(a11, a22, a12)
-    w1 = a11 - t * a12
-    w2 = a22 + t * a12
-    if w1 <= w2:
-        return (w1, w2), ((c, s), (-s, c))
-    return (w2, w1), ((s, c), (c, -s))

@@ -298,6 +298,24 @@ def orthonormalize(vectors):
     return q, r
 
 
+def _shifted_ritz_2x2(p, q, c):
+    """The 2x2 Ritz problem of ``(I, diag(mus))`` on an orthonormal pair, shifted.
+
+    ``p, q >= 0`` and ``c`` are the entries of ``S = mus[0] - B`` on the
+    pair, as floats or as arrays of rows.  Returns ``(g, half, root)``:
+    the smaller eigenvalue ``g`` of ``[[p, c], [c, q]]``, accurate relative
+    to itself as the Ritz value ``mus[0] - g`` nears ``mus[0]``, with
+    ``half = (q - p)/2`` and ``root = sqrt(half^2 + c^2)``.  The eigenvector
+    of ``g`` is ``(half + root, -c)`` if ``half >= 0``, else
+    ``(c, half - root)``; neither cancels.  Outside the contract: ``p = q``
+    with ``c = 0`` (zero eigenvector; ``g`` is 0/0 at ``p = 0``) and
+    entries whose squares underflow.
+    """
+    half = 0.5 * (q - p)
+    root = (half * half + c * c) ** 0.5  # on arrays, np.sqrt bit for bit
+    return (p * q - c * c) / (0.5 * (p + q) + root), half, root
+
+
 def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     """Ritz pairs of the pencil over the span of ``basis_vectors``.
 

@@ -101,6 +101,15 @@ class TestSolveCommand:
         ])
         assert code == EXIT_MAX_STEPS
 
+    @pytest.mark.parametrize("args", [["--max-steps", "-1"]])
+    def test_bad_input_exits_with_message(self, args, capsys):
+        code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
+                     "--gamma", "0.5", "--seed", "7", *args])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("psdlab: error: ")
+        assert "Traceback" not in err
+
     def test_missing_seed_exits_1(self, capsys):
         code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
                      "--gamma", "0.5"])
@@ -189,9 +198,24 @@ class TestCertifyCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["violations"] == 0
         assert payload["summary"]["skipped_runs"] == 3
+        assert payload["summary"]["max_steps_runs"] == 3  # a count, not an exit code
         assert all(not row["certified"] for row in payload["records"])
 
-    @pytest.mark.parametrize("args", [["--gammas", ","], ["--solvers", ","]])
+    def test_max_steps_runs_counted_without_changing_the_verdict(self, tmp_path):
+        out = tmp_path / "certify.json"
+        code = main([
+            "certify", "--seed", "1", "--trials", "4", "--n", "20", "--max-steps", "3",
+            "--format", "json", "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert [row["steps"] for row in payload["records"]] == [3, 3, 3, 3]
+        assert payload["summary"]["max_steps_runs"] == 4
+        assert "status" not in payload["summary"]
+
+    @pytest.mark.parametrize("args", [
+        ["--gammas", ","], ["--solvers", ","], ["--trials", "0"], ["--trials", "-2"],
+    ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["certify", "--trials", "2", "--n", "5", "--seed", "1", *args])
         assert code == EXIT_ERROR

@@ -29,6 +29,11 @@ def diag_pencil(lambdas):
     return SymmetricPencil(np.diag(lam), np.eye(lam.size))
 
 
+def as_preconditioner(t):
+    """A matrix in diagonal coordinates as the steps take it; ``apply`` is ``t.dot``."""
+    return Preconditioner(t, PrecondQuality(), "diagonal")
+
+
 def random_instance(rng, n, gamma, seed):
     lam = np.sort(np.exp(rng.uniform(0.0, np.log(1e3), size=n)))
     lam += lam * np.arange(n) * 1e-8  # keep gaps strict
@@ -56,7 +61,7 @@ class TestPinvit1Step:
     def test_eigenvector_is_fixed_point(self):
         form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
         e1 = np.array([1.0, 0.0, 0.0])
-        res = pinvit1_step(form, np.eye(3), e1)
+        res = pinvit1_step(form, as_preconditioner(np.eye(3)), e1)
         assert res.converged
         np.testing.assert_array_equal(res.x, e1)
 
@@ -78,7 +83,7 @@ class TestPinvit1Step:
 class TestPsdStep:
     def test_invariant_subspace_one_step(self):
         form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
-        res = psd_step(form, np.eye(3), form.to_diagonal([1.0, 1.0, 0.0]))
+        res = psd_step(form, as_preconditioner(np.eye(3)), form.to_diagonal([1.0, 1.0, 0.0]))
         assert res.rho.rho == pytest.approx(1.0, abs=1e-14)
 
     def test_scaled_preconditioner_same_step(self):
@@ -86,8 +91,8 @@ class TestPsdStep:
         rng = np.random.default_rng(2)
         z = form.to_diagonal(rng.standard_normal(4))
         t = np.eye(4) * 0.7
-        base = psd_step(form, t, z)
-        scaled = psd_step(form, 10.0 * t, z)
+        base = psd_step(form, as_preconditioner(t), z)
+        scaled = psd_step(form, as_preconditioner(10.0 * t), z)
         np.testing.assert_allclose(scaled.x, base.x, atol=1e-13)
         assert scaled.rho.rho == pytest.approx(base.rho.rho, rel=1e-13)
 
@@ -124,7 +129,7 @@ class TestPsdStep:
         rng = np.random.default_rng(5)
         x = form.to_diagonal(rng.standard_normal(4))
         t = 0.9 * np.eye(4)
-        res = psd_step(form, t, x)
+        res = psd_step(form, as_preconditioner(t), x)
         assert np.isfinite(res.theta_opt)
         value = rayleigh(pencil, x)
         r = pencil.a @ x - value.rho * (pencil.b @ x)
@@ -139,7 +144,7 @@ class TestPsdStep:
         r = pencil.a @ x - value.rho * (pencil.b @ x)
         # rank-one preconditioner-like map sending r onto x (degenerate span)
         t = np.outer(x, r) / (r @ r)
-        res = psd_step(form, t, x)
+        res = psd_step(form, as_preconditioner(t), x)
         assert res.converged
         np.testing.assert_allclose(res.x, x / np.linalg.norm(x), atol=1e-15)
 
@@ -235,7 +240,7 @@ class TestRun:
         form = diagonalize(pencil)
         z = form.to_diagonal([0.0, 0.0, 1.0])
         for _ in range(5):
-            res = psd_step(form, np.eye(3), z)
+            res = psd_step(form, as_preconditioner(np.eye(3)), z)
             assert res.converged
             z = res.x
         assert rayleigh(pencil, form.from_diagonal(z)).rho == pytest.approx(4.0)

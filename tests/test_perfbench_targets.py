@@ -4,7 +4,8 @@
 target, or a driver that stops calling through the traced names, would
 only surface when the benchmark runs.  This loads the tracer by path,
 resolves every entry of its table, and runs it around a tiny certify
-sweep.
+sweep.  It also loads ``perfbench/workloads.py`` and holds one pass of
+the fast workloads to their own correctness gates.
 """
 
 import importlib
@@ -18,13 +19,17 @@ from psdlab import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracing():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
 
 
 def _traced_targets():
@@ -58,3 +63,17 @@ def test_tracer_counts_every_step_and_check():
     verdicts = sum(m[f"bounds.verdict.{v}"] for v in ("holds", "passed_lambda_i", "violated"))
     assert m["bounds.certify_step.calls"] == verdicts
     assert m["bounds.certify_step.calls"] == sum(row["checked_steps"] for row in report.records)
+
+
+# conelab-worstcase is left out: its tiny pass takes seconds, and the
+# acceptance and sharpness tests already hold its gates.
+@pytest.mark.parametrize("workload, size", [
+    ("solve-jacobi-lap1d-64", "full"),
+    ("solve-lap2d-256", "full"),
+    ("certify-sweep", "tiny"),
+])
+def test_workload_pass_meets_its_gates(workload, size):
+    w = _load("workloads").WORKLOADS[workload]
+    outcome = w.run_pass(w.default_seed, size)
+    assert outcome.attempted > 0
+    assert outcome.failed == 0, outcome.problems

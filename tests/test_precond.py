@@ -63,7 +63,7 @@ class TestSyntheticPreconditioner:
         rng = np.random.default_rng(5)
         z = form.to_diagonal(rng.standard_normal(4))
         with_t = psd_step(form, t, z)
-        plain = psd_step(form, np.eye(4), z)
+        plain = psd_step(form, Preconditioner(np.eye(4), PrecondQuality(), "diagonal"), z)
         np.testing.assert_allclose(with_t.x, plain.x, atol=1e-14)
         assert with_t.rho.rho == pytest.approx(plain.rho.rho, rel=1e-14)
 

@@ -5,7 +5,9 @@
 in closed form.  The reference here is the textbook step on a dense
 pencil: Rayleigh quotient, residual, and the general LAPACK-backed
 :func:`rayleigh_ritz` over ``[x, T r]``.  General pencils (``A != I``)
-reach the kernel through :func:`run`.
+reach the kernel through :func:`run`.  The kernel's 2x2 routine is also
+:func:`ritz_gap`'s, and both callers are held to LAPACK and to each
+other.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdlab.cli as cli
@@ -32,10 +34,16 @@ from psdlab import (
     psd_step,
     rayleigh,
     rayleigh_ritz,
+    ritz_gap,
     run,
     synthetic_gamma_preconditioner,
 )
-from psdlab.jacobi import eigh_2x2
+from psdlab.pencil import _shifted_ritz_2x2
+
+
+def as_preconditioner(t):
+    """A matrix in diagonal coordinates as the steps take it; ``apply`` is ``t.dot``."""
+    return Preconditioner(t, PrecondQuality(), "diagonal")
 
 
 def reference_step(dense, t, x, line_search):
@@ -115,7 +123,7 @@ def build_case(n, log10_cond, gamma, seed, start, offset, tilt=None):
 def test_kernel_matches_general_rayleigh_ritz(step, line_search, case):
     form, t, x = build_case(*case)
     dense = SymmetricPencil(np.eye(form.n), np.diag(form.mus))
-    res = step(form, t, x)
+    res = step(form, as_preconditioner(t), x)
     converged, rho, vec, theta = reference_step(dense, t, x, line_search)
     assert res.converged == converged
     # A tilted T r pins span{x, T r} down only to about eps / tilt, so two
@@ -166,7 +174,7 @@ def test_parallel_direction_is_stationary_in_diagonal_coordinates():
     value = rayleigh(SymmetricPencil(np.eye(3), np.diag(form.mus)), x)
     r = x - value.rho * (form.mus * x)
     t = np.outer(x, r) / (r @ r)
-    res = psd_step(form, t, x)
+    res = psd_step(form, as_preconditioner(t), x)
     assert res.converged and res.theta_opt is None
     np.testing.assert_allclose(res.x, x / np.linalg.norm(x), atol=1e-15)
     assert res.rho == value
@@ -180,7 +188,7 @@ def test_theta_opt_infinite_when_direction_alone_is_optimal(x_part, theta_inf):
     x = np.array([1.0, 1.0, 0.0])  # diagonal coordinates: index 0 is lambda_1
     r = x - (x @ x) / (x @ (form.mus * x)) * (form.mus * x)
     t = np.outer(np.array([1.0, 0.0, 0.0]) + x_part * x, r) / (r @ r)
-    res = psd_step(form, t, x)
+    res = psd_step(form, as_preconditioner(t), x)
     dense = SymmetricPencil(np.eye(3), np.diag(form.mus))
     converged, rho, vec, theta = reference_step(dense, t, x, line_search=True)
     assert not res.converged and not converged
@@ -195,7 +203,7 @@ def test_short_direction_threshold(scale, converged):
     # puts ||T r|| on either side of the 1e-14 ||x|| short-direction test
     form = diagonalize(generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0]))
     x = np.array([1.0, 1e-9, 0.0])
-    res = psd_step(form, scale * np.eye(3), x)
+    res = psd_step(form, as_preconditioner(scale * np.eye(3)), x)
     dense = SymmetricPencil(np.eye(3), np.diag(form.mus))
     expected = reference_step(dense, scale * np.eye(3), x, line_search=True)
     assert res.converged == expected[0] == converged
@@ -203,40 +211,66 @@ def test_short_direction_threshold(scale, converged):
 
 
 @pytest.mark.parametrize("step", [psd_step, pinvit1_step])
-def test_preconditioner_forms_agree(step):
-    rng = np.random.default_rng(31)
+def test_steps_take_none_or_a_preconditioner(step):
     form = diagonalize(generate_problem("diagonal", lambdas=[1.0, 3.0, 4.0, 9.0, 20.0]))
     t = synthetic_gamma_preconditioner(form, 0.4, seed=3)
-    x = rng.standard_normal(5)
-    ref = step(form, t, x)
-    for precond in (t.matrix, t.apply, t.matrix.tolist()):
-        res = step(form, precond, x)
-        np.testing.assert_array_equal(res.x, ref.x)
-        assert res.rho == ref.rho
+    x = np.random.default_rng(31).standard_normal(5)
+    for precond in (t.matrix, t.apply):
+        with pytest.raises(TypeError, match="Preconditioner"):
+            step(form, precond, x)
     # None is the identity
-    eye = step(form, np.eye(5), x)
+    eye = step(form, as_preconditioner(np.eye(5)), x)
     res = step(form, None, x)
     np.testing.assert_array_equal(res.x, eye.x)
     assert res.rho == eye.rho
 
 
+# Zero or normal entries whose products stay normal; subnormal entries
+# underflow half * half and are outside the routine's contract.
+_S_ENTRIES = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=1e100))
+
+
+@given(p=_S_ENTRIES, q=_S_ENTRIES, c=_S_ENTRIES, c_sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_shifted_ritz_2x2_matches_lapack(p, q, c, c_sign):
+    c *= c_sign
+    # p = q with c = 0 (S = p I on the pair) is outside the contract: ritz_gap
+    # returns 0 before the call when p == 0, and the kernel's c is
+    # r.Tr / (rho |x| |w|), nonzero for a positive definite T.
+    assume(not (p == q and c == 0.0))
+    g, half, root = _shifted_ritz_2x2(p, q, c)
+    m = np.array([[p, c], [c, q]])
+    scale = np.abs(m).max()
+    assert abs(g - scipy.linalg.eigh(m, eigvals_only=True)[0]) <= 1e-14 * scale
+    # the eigenvector of the returned branch, scaled to max-norm 1
+    z = np.array((half + root, -c) if half >= 0.0 else (c, half - root))
+    z /= np.abs(z).max()
+    assert np.linalg.norm((m / scale) @ z - (g / scale) * z) <= 1e-14
+    # the row form gives the same value
+    rows = _shifted_ritz_2x2(p, np.array([q, q]), np.array([c, c]))[0]
+    np.testing.assert_allclose(rows, g, rtol=1e-15, atol=0.0)
+
+
 @given(
-    st.floats(min_value=-1e3, max_value=1e3),
-    st.floats(min_value=-1e3, max_value=1e3),
-    st.floats(min_value=-1e3, max_value=1e3),
+    n=st.integers(min_value=3, max_value=30),
+    log10_cond=st.floats(min_value=0.5, max_value=12.0),
+    gamma=st.floats(min_value=0.0, max_value=0.99),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_eigh_2x2_matches_lapack(a11, a22, a12):
-    w, v = eigh_2x2(a11, a22, a12)
-    m = np.array([[a11, a12], [a12, a22]])
-    scale = max(1.0, np.abs(m).max())
-    assert w[0] <= w[1]
-    np.testing.assert_allclose(w, scipy.linalg.eigh(m, eigvals_only=True),
-                               rtol=0, atol=1e-12 * scale)
-    v = np.array(v)
-    np.testing.assert_allclose(v.T @ v, np.eye(2), rtol=0, atol=1e-14)
-    for k in range(2):
-        assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-12 * scale
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_psd_step_agrees_with_ritz_gap(n, log10_cond, gamma, seed):
+    # the two callers of the shared 2x2 routine: the step kernel and conelab
+    rng = np.random.default_rng(seed)
+    form = diagonalize(generate_problem(
+        "diagonal", lambdas=spectrum_with_condition(rng, n, log10_cond)))
+    mus = form.mus
+    t = synthetic_gamma_preconditioner(form, gamma, seed=seed)
+    x = rng.standard_normal(n)
+    res = psd_step(form, t, x)
+    assert not res.converged
+    r = x - (x @ x) / (x @ (mus * x)) * (mus * x)
+    expected = mus[0] - ritz_gap(mus, x, t.apply(r)[None, :])[0]
+    assert res.rho.mu == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("step", [psd_step, pinvit1_step, invit1_step, invit2_step],
