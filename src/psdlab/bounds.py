@@ -256,15 +256,14 @@ def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None
     (``holds`` / ``violated``), or ``violated`` with a note when
     monotonicity failed.  ``kind`` is a :class:`SolverKind` or its name.
 
-    ``deltas`` may carry the pair of reciprocal-form errors
-    ``(mu_i - mu) / (mu - mu_{i+1})`` computed by the caller on a route
-    free of cancellation (the solver driver evaluates them from
-    per-eigenvalue distances in its diagonalized coordinates); values at
-    or below zero mean the step passed ``lambda_i``.  Their ratio is the
-    contraction ratio, and the check stores them in the lambda form,
-    ``lambda_i / lambda_{i+1}`` times the reciprocal form.  Without it
-    the deltas come from the ``rho`` values directly, whose resolution
-    degrades once ``rho - lambda_i`` approaches roundoff.
+    ``deltas`` may carry the pair ``(delta_before, delta_after)`` on the
+    located interval, in the lambda form of :func:`delta`, computed by
+    the caller on a route free of cancellation (the solver driver
+    evaluates them from per-eigenvalue distances in its diagonalized
+    coordinates); values at or below zero mean the step passed
+    ``lambda_i``.  Without it the deltas come from the ``rho`` values
+    directly, whose resolution degrades once ``rho - lambda_i``
+    approaches roundoff.
     """
     kind = SolverKind.parse(kind)
     rb = _value_of(rho_before)
@@ -313,10 +312,6 @@ def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None
         verdict = HOLDS if ratio <= sig_sq * (1.0 + RATIO_TOL) else VIOLATED
         if verdict == VIOLATED:
             note = f"ratio {ratio!r} exceeds sigma^2 {sig_sq!r} beyond tolerance"
-    if deltas is not None:
-        d_before = d_before * lam_i / lam_i1
-        if d_after is not None:
-            d_after = d_after * lam_i / lam_i1
     return BoundCheck(
         kind=kind.value, gamma=gamma, interval_index=i, delta_before=d_before,
         delta_after=d_after, ratio=ratio, sigma_squared=sig_sq, slack=slack,

@@ -283,15 +283,22 @@ def _verdict_counts(rows):
     return counts
 
 
-def simple_spectrum(rng, n, low=1.0, high=1e3, min_rel_gap=1e-8):
+_SPECTRUM_LOW = 1.0
+_SPECTRUM_HIGH = 1e3
+_SPECTRUM_MIN_REL_GAP = 1e-8
+
+
+def simple_spectrum(rng, n):
     """Log-uniform random spectrum with degeneracies nudged apart.
 
+    The values are drawn between ``_SPECTRUM_LOW`` and ``_SPECTRUM_HIGH``.
     Repeated or nearly repeated values are spread by a relative
-    ``min_rel_gap`` so that interval bracketing stays well posed.
+    ``_SPECTRUM_MIN_REL_GAP`` so that interval bracketing stays well posed.
     """
-    lam = np.sort(np.exp(rng.uniform(np.log(low), np.log(high), size=n)))
+    logs = rng.uniform(np.log(_SPECTRUM_LOW), np.log(_SPECTRUM_HIGH), size=n)
+    lam = np.sort(np.exp(logs))
     for i in range(1, n):
-        floor = lam[i - 1] * (1.0 + min_rel_gap)
+        floor = lam[i - 1] * (1.0 + _SPECTRUM_MIN_REL_GAP)
         if lam[i] < floor:
             lam[i] = floor
     return lam

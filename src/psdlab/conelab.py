@@ -612,7 +612,7 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     return best_val, best_d
 
 
-def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None):
+def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     """Empirical check that the two-level worst case lives in 3 coordinates.
 
     Runs ``n_outer`` seeded Nelder-Mead descents over the level set
@@ -625,8 +625,6 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, seed=None):
     value of every admissible invariant triple.  Report-only: the caller
     decides what to do with a discordant outcome.
     """
-    if seed is None:
-        raise ValueError("a seed is mandatory for the randomized search")
     if n_outer < 1:
         raise ValueError("n_outer must be at least 1")
     mus = np.asarray(spectrum.mus, dtype=float)

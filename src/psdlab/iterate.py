@@ -265,51 +265,20 @@ class RunResult:
         ]
 
 
-def _mu_delta(mus, z, i):
-    """Interval-relative error of ``z`` on interval ``i``, cancellation free.
+def _delta(lam, mus, z, i):
+    """Interval-relative error of ``z`` on interval ``i``, lambda form, cancellation free.
 
     Evaluated in the diagonalized coordinates from per-eigenvalue
-    distances (``mus`` descending pairs with ascending ``lambdas`` by
-    index), so the result keeps full relative accuracy even when the
-    iterate is within roundoff of an eigenvector.  May come out at or
-    below zero when the value sits at ``lambda_i`` (reciprocal-form
-    ``mus[i]``) or beyond.
+    distances (``mus`` descending pairs with ascending ``lam`` by
+    index): the reciprocal form ``(mus[i] - mu) / (mu - mus[i + 1])``
+    times ``lam[i] / lam[i + 1]``.  It keeps full relative accuracy even
+    when the iterate is within roundoff of an eigenvector, and may come
+    out at or below zero when the value sits at ``lambda_i`` or beyond.
     """
     w = z * z
     p = float((mus[i] - mus).dot(w))
     q = float((mus - mus[i + 1]).dot(w))
-    return p / q
-
-
-def _locate(spectrum, mus, z, rho, known=None):
-    """Interval index and raw :func:`_mu_delta` of an iterate, or ``None``.
-
-    ``None`` when ``rho`` is at or above ``lambda_n``.  Values at or
-    below ``lambda_1`` use the bottom interval.  ``known`` is an
-    ``(index, raw delta)`` pair already computed for this iterate and
-    is returned as is when its index is the located one.
-    """
-    lam = spectrum.lambdas
-    if rho >= lam[-1]:
-        return None
-    i = bounds.locate_interval(spectrum, max(rho, lam[0]))
-    if known is not None and known[0] == i:
-        return known
-    return i, _mu_delta(mus, z, i)
-
-
-def _record_delta(spectrum, located):
-    """The record's ``delta``: lambda-form, clipped at zero, ``None`` above ``lambda_n``.
-
-    The cancellation-free value that certification stores, so it stays
-    positive after ``rho`` has rounded to ``lambda_1``.
-    """
-    if located is None:
-        return None
-    lam = spectrum.lambdas
-    i, raw = located
-    # lambda-form delta differs from the reciprocal form by lam_i/lam_{i+1}
-    return max(0.0, raw * lam[i] / lam[i + 1])
+    return p / q * lam[i] / lam[i + 1]
 
 
 def _certification_gamma(kind, quality):
@@ -344,7 +313,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     pencil; only the final iterate is mapped back, as ``RunResult.x``.
     The run stops when the (relative) residual falls below
     ``residual_tol``, when ``delta`` falls below ``delta_tol`` (if
-    given), at a stationary point, or after ``max_steps`` steps.  The
+    given), at a stationary point, or after ``max_steps`` steps; the
+    test applies to every record, the initial one included.  The
     Rayleigh quotient is asserted to be nonincreasing; a genuine
     increase raises :class:`NumericFailure`.
     """
@@ -373,51 +343,22 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     monotone_guaranteed = kind.line_search or certifying
 
     mus = form.mus
+    lam = spectrum.lambdas
     z = _unit(form.to_diagonal(x0))
     value = _rayleigh_value(z, mus * z)
-    res_norm = _norm(z - value.rho * (mus * z))
-    # (interval index, raw delta) of the current iterate: the record's
-    # delta and the "before" side of the next step's certification.
-    located = _locate(spectrum, mus, z, value.rho)
-    records = [
-        IterationRecord(
-            step_index=0,
-            rho=value,
-            residual_norm=res_norm,
-            delta=_record_delta(spectrum, located),
-        )
-    ]
+    step = bound = certified = None
+    records = []
     status = "max_steps"
-    if res_norm < residual_tol:
-        status = "converged"
-        max_steps = 0
-
-    for step_index in range(1, max_steps + 1):
-        step = psd_step(form, t, z) if kind.line_search else pinvit1_step(form, t, z)
-        rho_prev = value
-        z, value = step.x, step.rho
-        if not math.isfinite(value.rho):
-            raise NumericFailure(
-                f"step {step_index} produced a non-finite Rayleigh quotient "
-                f"({value.rho!r}); aborting"
-            )
-        if monotone_guaranteed and value.rho > rho_prev.rho * (1.0 + bounds._MONOTONE_TOL):
-            raise NumericFailure(
-                f"step {step_index} increased the Rayleigh quotient from "
-                f"{rho_prev.rho!r} to {value.rho!r}"
-            )
-        bound = None
-        after = None
-        if certifying and not step.converged and located is not None:
-            i, delta_before = located
-            after = (i, _mu_delta(mus, z, i))
-            bound = bounds.certify_step(
-                spectrum, cert_gamma, rho_prev, value, kind=kind,
-                deltas=(delta_before, after[1]),
-            )
+    for step_index in range(max_steps + 1):
+        # Measure: residual, interval (None at or above lambda_n) and delta.
+        # A certified step already took the delta on its interval.
         res_norm = _norm(z - value.rho * (mus * z))
-        located = _locate(spectrum, mus, z, value.rho, known=after)
-        delta_now = _record_delta(spectrum, located)
+        i = None if value.rho >= lam[-1] else bounds.locate_interval(spectrum, value.rho)
+        if certified is not None and certified[0] == i:
+            delta = certified[1]
+        else:
+            delta = None if i is None else _delta(lam, mus, z, i)
+        delta_now = None if delta is None else max(0.0, delta)
         records.append(
             IterationRecord(
                 step_index=step_index,
@@ -425,15 +366,37 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
                 residual_norm=res_norm,
                 delta=delta_now,
                 bound=bound,
-                theta_opt=step.theta_opt,
+                theta_opt=None if step is None else step.theta_opt,
             )
         )
-        if step.converged or res_norm < residual_tol:
+        if ((step is not None and step.converged) or res_norm < residual_tol
+                or (delta_tol is not None and delta_now is not None
+                    and delta_now < delta_tol)):
             status = "converged"
             break
-        if delta_tol is not None and delta_now is not None and delta_now < delta_tol:
-            status = "converged"
+        if step_index == max_steps:
             break
+
+        step = psd_step(form, t, z) if kind.line_search else pinvit1_step(form, t, z)
+        rho_prev = value
+        z, value = step.x, step.rho
+        if not math.isfinite(value.rho):
+            raise NumericFailure(
+                f"step {step_index + 1} produced a non-finite Rayleigh quotient "
+                f"({value.rho!r}); aborting"
+            )
+        if monotone_guaranteed and value.rho > rho_prev.rho * (1.0 + bounds._MONOTONE_TOL):
+            raise NumericFailure(
+                f"step {step_index + 1} increased the Rayleigh quotient from "
+                f"{rho_prev.rho!r} to {value.rho!r}"
+            )
+        bound = certified = None
+        if certifying and not step.converged and i is not None:
+            certified = (i, _delta(lam, mus, z, i))
+            bound = bounds.certify_step(
+                spectrum, cert_gamma, rho_prev, value, kind=kind,
+                deltas=(delta, certified[1]),
+            )
 
     return RunResult(
         records=records,

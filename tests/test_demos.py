@@ -27,7 +27,7 @@ def test_demo_imports(path):
 
 
 # The quick demos (under 2 s each) run end to end.
-@pytest.mark.parametrize("name", ["cone_geometry", "sharpness_limit"])
+@pytest.mark.parametrize("name", ["cone_geometry", "sharpness_limit", "solver_hierarchy"])
 def test_demo_runs(name, capsys):
     load(DEMO_DIR / f"{name}.py").main()
     assert capsys.readouterr().out

@@ -292,8 +292,8 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_bound_deltas_are_record_deltas(self, kind):
-        # The check computes its ratio from reciprocal-form deltas but
-        # stores the lambda form the records use.
+        # The check takes its deltas from the driver, in the lambda form
+        # the records use, and stores them as they are.
         pencil = diag_pencil([1.0, 2.0, 4.0, 8.0])
         t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=1)
         result = run(pencil, t, np.array([1.0, 1e-2, 1e-2, 1e-2]), kind)
@@ -303,9 +303,43 @@ class TestRun:
         ]
         assert len(pairs) >= 5
         for prev, rec in pairs:
-            # abs=0: the deltas below 1e-12 must agree too
-            assert rec.bound.delta_after == pytest.approx(rec.delta, rel=1e-12, abs=0.0)
-            assert rec.bound.delta_before == pytest.approx(prev.delta, rel=1e-12, abs=0.0)
+            # exact: the deltas below 1e-12 must agree too
+            assert rec.bound.delta_after == rec.delta
+            assert rec.bound.delta_before == prev.delta
+
+    # Ratio tests cannot see the lambda_i / lambda_{i+1} factor of the
+    # lambda form, since it cancels in the ratio; the closed form can.
+    @pytest.mark.parametrize("lambdas", [
+        (1.0, 2.0, 4.0, 8.0),
+        tuple(1.5 ** np.arange(10)),
+        tuple(np.linspace(1.0, 30.0, 7)),
+    ], ids=["doubling", "geometric", "linear"])
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_record_delta_is_the_closed_form(self, lambdas, kind):
+        pencil = diag_pencil(lambdas)
+        form = diagonalize(pencil)
+        spectrum = form.spectrum()
+        t = synthetic_gamma_preconditioner(form, 0.3, seed=4)
+        # Weighted towards the top, so the run crosses several intervals.
+        x0 = np.linspace(0.2, 1.0, len(lambdas))
+        result = run(pencil, t, x0, kind, max_steps=200)
+        checked = [rec for rec in result.records
+                   if rec.delta is not None and rec.delta >= 1e-6]
+        assert len(checked) >= 3
+        assert len({bounds.locate_interval(spectrum, rec.rho.rho) for rec in checked}) >= 2
+        for rec in checked:
+            i = bounds.locate_interval(spectrum, rec.rho.rho)
+            closed_form = bounds.delta(spectrum, i, rec.rho.rho)
+            assert rec.delta == pytest.approx(closed_form, rel=1e-9)
+
+    def test_start_under_delta_tol_stops_after_zero_steps(self):
+        pencil = diag_pencil([1.0, 2.0, 4.0, 8.0])
+        x0 = np.array([1.0, 1e-4, 0.0, 0.0])
+        result = run(pencil, None, x0, SolverKind.INVIT2, delta_tol=1e-6)
+        assert result.records[0].residual_norm > 1e-10
+        assert result.records[0].delta < 1e-6
+        assert result.status == "converged"
+        assert [rec.step_index for rec in result.records] == [0]
 
     def test_max_steps_status(self):
         rng = np.random.default_rng(14)

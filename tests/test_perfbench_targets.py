@@ -66,14 +66,20 @@ def test_tracer_counts_every_step_and_check():
 
 
 # conelab-worstcase is left out: its tiny pass takes seconds, and the
-# acceptance and sharpness tests already hold its gates.
-@pytest.mark.parametrize("workload, size", [
-    ("solve-jacobi-lap1d-64", "full"),
-    ("solve-lap2d-256", "full"),
-    ("certify-sweep", "tiny"),
+# acceptance and sharpness tests already hold its gates.  A timed run steps
+# through seeds default_seed + k * seed_stride, so the gates are held on the
+# first few of them; k = 0 keeps the bare workload-size id.
+_GATED = [("solve-jacobi-lap1d-64", "full", 10), ("solve-lap2d-256", "full", 10),
+          ("certify-sweep", "tiny", 5)]
+
+
+@pytest.mark.parametrize("workload, size, k", [
+    pytest.param(workload, size, k, id=f"{workload}-{size}" + (f"-pass{k}" if k else ""))
+    for workload, size, passes in _GATED
+    for k in range(passes)
 ])
-def test_workload_pass_meets_its_gates(workload, size):
+def test_workload_pass_meets_its_gates(workload, size, k):
     w = _load("workloads").WORKLOADS[workload]
-    outcome = w.run_pass(w.default_seed, size)
+    outcome = w.run_pass(w.default_seed + k * w.seed_stride, size)
     assert outcome.attempted > 0
     assert outcome.failed == 0, outcome.problems
