@@ -12,7 +12,6 @@ coordinates.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSubspaceError
 
@@ -90,8 +89,8 @@ class SymmetricPencil:
 
     def solve_a(self, rhs):
         """Apply the exact inverse of A through its Cholesky factor."""
-        y = scipy.linalg.solve_triangular(self._chol_a, rhs, lower=True)
-        return scipy.linalg.solve_triangular(self._chol_a.T, y, lower=False)
+        y = np.linalg.solve(self._chol_a, rhs)
+        return np.linalg.solve(self._chol_a.T, y)
 
     def __repr__(self):
         return f"SymmetricPencil(n={self.n})"
@@ -233,23 +232,25 @@ def diagonalize(pencil):
     """Compute (and cache on the pencil) its :class:`DiagonalForm`.
 
     The congruence is the Cholesky factorization ``A = C C^T`` followed by
-    an orthogonal diagonalization of ``C^-1 B C^-T`` by LAPACK
-    (``scipy.linalg.eigh``); the reciprocal eigenvalues come out in
-    decreasing order.  Within a repeated eigenvalue the basis is whatever
-    LAPACK returns: only the eigenspace is determined.
+    an orthogonal diagonalization of ``C^-1 B C^-T`` by LAPACK through
+    numpy (``numpy.linalg.solve`` for the two reductions by ``C`` and the
+    map back, ``numpy.linalg.eigh`` for the symmetric eigenproblem); the
+    reciprocal eigenvalues come out in decreasing order.  Within a
+    repeated eigenvalue the basis is whatever LAPACK returns: only the
+    eigenspace is determined.
     """
     if pencil._diag_form is not None:
         return pencil._diag_form
     c = pencil._chol_a
-    tmp = scipy.linalg.solve_triangular(c, pencil.b, lower=True)
-    bt = scipy.linalg.solve_triangular(c, tmp.T, lower=True)
+    tmp = np.linalg.solve(c, pencil.b)
+    bt = np.linalg.solve(c, tmp.T)
     bt = (bt + bt.T) / 2.0
-    mus, q = scipy.linalg.eigh(bt)
+    mus, q = np.linalg.eigh(bt)
     mus = mus[::-1]
     q = q[:, ::-1]
     # z = Q^T C^T x diagonalizes; x = C^-T Q z maps back.
     basis = q.T @ c.T
-    inverse_basis = scipy.linalg.solve_triangular(c.T, q, lower=False)
+    inverse_basis = np.linalg.solve(c.T, q)
     form = DiagonalForm(mus=mus, basis=basis, inverse_basis=inverse_basis)
     pencil._diag_form = form
     return form
@@ -327,8 +328,13 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     This is the general reference path, kept as the oracle of the
     solvers' O(n) step kernel in :mod:`psdlab.iterate`.  It shares no
     code with the kernel, which does the two-dimensional projection
-    without forming matrices and solves it in closed form.
+    without forming matrices and solves it in closed form.  Its LAPACK
+    calls (``scipy.linalg.eigh`` on the projected pencil, a triangular
+    solve for the coefficients) import scipy here, on first use, so that
+    no command path loads it.
     """
+    import scipy.linalg
+
     if form not in ("lambda", "mu"):
         raise ValueError(f"unknown Ritz value form {form!r}")
     q, r = orthonormalize(basis_vectors)

@@ -14,7 +14,6 @@ because its line search absorbs the scaling.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "PrecondQuality",
@@ -237,9 +236,9 @@ def estimate_quality(pencil, precond):
     """Tight spectral-equivalence constants of ``(A, T)``.
 
     ``gamma1`` and ``gamma2`` are the extreme eigenvalues of ``T A``,
-    computed densely by LAPACK (the eigenvalues of the symmetric
-    ``C^T T C`` with ``A = C C^T``); exactness matters more than
-    scalability at desk scale.
+    computed densely by LAPACK through ``numpy.linalg.eigvalsh`` (the
+    eigenvalues of the symmetric ``C^T T C`` with ``A = C C^T``);
+    exactness matters more than scalability at desk scale.
     """
     m = precond.matrix
     if precond.coords == "diagonal":
@@ -248,7 +247,7 @@ def estimate_quality(pencil, precond):
         c = pencil._chol_a
         g = c.T @ m @ c
         g = (g + g.T) / 2.0
-    w = scipy.linalg.eigh(g, eigvals_only=True)
+    w = np.linalg.eigvalsh(g)
     gamma1, gamma2 = float(w[0]), float(w[-1])
     if gamma1 <= 0:
         raise ValueError("preconditioner is not positive definite against A")

@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +244,18 @@ class TestSharpnessCommand:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3 * payload["summary"]["sigma_sq"]
 
+    def test_default_mode_gap_vanishes_below_eps(self, tmp_path):
+        # the t1 mode's instances keep their level-set geometry at delta near
+        # eps; the gap then is rounding, not a lost minor semi-axis
+        out = tmp_path / "sharp.json"
+        code = main([
+            "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
+            "--deltas", "1e-14,1e-16", "--format", "json", "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        gaps = [row["gap"] for row in json.loads(out.read_text())["records"]]
+        assert all(abs(gap) < 1e-13 for gap in gaps)
+
     def test_gamma_zero_routes_to_plain_factor(self, tmp_path):
         out = tmp_path / "sharp.json"
         code = main([
@@ -357,3 +374,54 @@ def test_direct_command_functions_return_reports():
     config = ExperimentConfig(command="sharpness", mus="1,0.5,0.1", gamma=0.2,
                               deltas="1e-6")
     assert cmd_sharpness(config).summary["final_gap"] > 0
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import json, os, sys
+
+    import numpy as np
+    from psdlab.cli import main
+    from psdlab.mmio import write_matrix
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    out = {"on_import": scipy_modules()}
+    path_a = os.path.join(sys.argv[1], "a.mtx")
+    write_matrix(path_a, np.diag([1.0, 2.0, 4.0, 5.0]))
+    commands = [["certify", "--seed", "1", "--trials", "2", "--n", "6"]]
+    commands += [["solve", "--problem", "laplacian1d:8", "--solver", "psd",
+                  "--precond", precond, "--gamma", "0.5", "--seed", "3"]
+                 for precond in ("synthetic", "jacobi", "exact", "identity")]
+    commands += [["solve", "--problem", "matrix_market:" + path_a, "--solver", "psd",
+                  "--precond", "jacobi", "--seed", "2"],
+                 ["sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5", "--deltas", "1e-4"]]
+    out["codes"] = [main(argv + ["--output", os.devnull]) for argv in commands]
+    out["after_commands"] = scipy_modules()
+
+    from psdlab import Spectrum, three_d_concentration_check
+
+    report = three_d_concentration_check(Spectrum(lambdas=[1.0, 1 / 0.6, 10.0]),
+                                         gamma=0.5, mu0=0.8, n_outer=1, seed=1)
+    out["significant"] = len(report.significant)
+    out["after_check"] = scipy_modules()
+    print(json.dumps(out))
+""")
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # A fresh interpreter: importing psdlab and running certify, solve (every
+    # preconditioner kind, and a matrix_market problem) and sharpness loads
+    # numpy alone; the concentration check then loads scipy.optimize itself.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["on_import"] == []
+    assert out["codes"] == [EXIT_OK] * 7
+    assert out["after_commands"] == []
+    assert "scipy.optimize" in out["after_check"]
+    assert out["significant"] <= 3

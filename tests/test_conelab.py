@@ -1,9 +1,11 @@
 """Cone geometry: extremal directions, worst case, algebraic identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -306,6 +308,24 @@ class TestRitzOnSegment:
         with pytest.raises(ValueError):
             ritz_on_segment(cone, 1.5)
 
+    def test_matches_lapack_generalized_solver(self):
+        # differential: every point against LAPACK's generalized
+        # symmetric-definite solver on the projected pencil of [x, d - mu(x) x]
+        rng = np.random.default_rng(10)
+        ts = np.linspace(0.0, 1.0, 101)
+        cones = [random_bracketed_cone(rng) for _ in range(15)]
+        cones += [random_cone(rng, nonnegative=False) for _ in range(15)]
+        for cone in cones:
+            values = ritz_on_segment(cone, ts)
+            d1, d2 = extremal_directions(cone)
+            x, bx = cone.x, cone.mus * cone.x
+            for t, value in zip(ts, values):
+                u = t * d1 + (1.0 - t) * d2 - cone.mu_x * x
+                pa = np.array([[x @ x, x @ u], [x @ u, u @ u]])
+                pb = np.array([[x @ bx, u @ bx], [u @ bx, u @ (cone.mus * u)]])
+                general = scipy.linalg.eigh(pb, pa, eigvals_only=True)[1]
+                assert abs(general - value) <= 1e-12 * abs(value)
+
 
 class TestBruteForce:
     def test_samples_stay_in_ball(self):
@@ -431,6 +451,18 @@ class TestWorstCaseInstance:
             gaps.append(r.predicted_ratio - r.measured_ratio)
         assert all(g > 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-12, 1e-16])
+    def test_minor_semi_axis_exact_below_eps(self, delta):
+        # b^2 = (mu_j - mu) / (mu - mu_l) at the exact level; subtracting the
+        # rounded level from mu_j cancels, and at delta = 1e-16 gives b = 0
+        mus = (1.0, 0.5, 0.1)
+        setup = WorstCaseSetup(mus=np.array(mus), gamma=0.5, delta=delta, t=0.4)
+        mu_j, mu_k, mu_l = (Fraction(m) for m in mus)
+        d = Fraction(delta)
+        mu = (mu_j + d * mu_k) / (1 + d)
+        exact = float((mu_j - mu) / (mu - mu_l))
+        assert setup.b ** 2 == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_invalid_inputs(self):
         mus = np.array([1.0, 0.5, 0.1])

@@ -11,11 +11,15 @@ from psdlab import (
     SymmetricPencil,
     Spectrum,
     diagonalize,
+    estimate_quality,
     generate_problem,
+    identity_preconditioner,
+    jacobi_preconditioner,
     orthonormalize,
     rayleigh,
     rayleigh_ritz,
     residual,
+    synthetic_gamma_preconditioner,
 )
 from psdlab.jacobi import jacobi_eigh
 
@@ -159,14 +163,19 @@ class TestDiagonalize:
             )
 
 
-def _jacobi_oracle(pencil):
+def _scipy_reduction(pencil, eigh=scipy.linalg.eigh):
     """Reciprocal eigenvalues (decreasing) and A-orthonormal eigenvectors of a
-    pencil, from the same Cholesky reduction as :func:`diagonalize` but solved
-    by the cyclic-Jacobi reference instead of LAPACK."""
+    pencil by the reduction of :func:`diagonalize`, done by ``scipy.linalg``.
+
+    Same Cholesky factor, then LAPACK's triangular solves
+    (``solve_triangular``) in place of ``numpy.linalg.solve``, and ``eigh``
+    (default: LAPACK's through ``scipy.linalg``) in place of
+    ``numpy.linalg.eigh``.
+    """
     c = np.linalg.cholesky(pencil.a)
     tmp = scipy.linalg.solve_triangular(c, pencil.b, lower=True)
     bt = scipy.linalg.solve_triangular(c, tmp.T, lower=True)
-    mus, q = jacobi_eigh((bt + bt.T) / 2.0)
+    mus, q = eigh((bt + bt.T) / 2.0)
     return mus[::-1], scipy.linalg.solve_triangular(c.T, q[:, ::-1], lower=False)
 
 
@@ -184,32 +193,120 @@ def _oracle_cases():
     return [pytest.param(pencil, id=name) for name, pencil in cases]
 
 
-class TestDiagonalizeMatchesJacobiOracle:
-    """LAPACK ``diagonalize`` against the independent cyclic-Jacobi oracle.
+def _assert_same_eigenspaces(form, mus_ref, x_ref):
+    """Each eigenvalue cluster's spectral projector ``X_S X_S^T`` matches.
 
-    Vectors inside a repeated eigenvalue (``laplacian2d`` has many) are
-    arbitrary, so each cluster is compared through its spectral projector
-    ``X_S X_S^T``, which does not depend on the basis chosen within it.
-    The projector tolerance follows first-order perturbation theory:
-    ``eps * ||X||^2 / gap`` with a factor of about 45 to spare.
+    Vectors inside a repeated eigenvalue are arbitrary, so a cluster is
+    compared through its projector, which does not depend on the basis
+    chosen within it.  The tolerance follows first-order perturbation
+    theory: ``eps * ||X||^2 / gap`` with a factor of about 45 to spare.
     """
+    top = mus_ref[0]
+    breaks = np.nonzero(-np.diff(mus_ref) > 1e-8 * top)[0] + 1
+    x_norm_sq = np.linalg.norm(x_ref, 2) ** 2
+    for cluster in np.split(np.arange(mus_ref.size), breaks):
+        others = np.setdiff1d(np.arange(mus_ref.size), cluster)
+        gap = np.min(np.abs(mus_ref[others][:, None] - mus_ref[cluster])) / top
+        x, x0 = form.inverse_basis[:, cluster], x_ref[:, cluster]
+        np.testing.assert_allclose(
+            x @ x.T, x0 @ x0.T, rtol=0.0, atol=1e-14 * x_norm_sq / gap,
+        )
+
+
+class TestDiagonalizeMatchesJacobiOracle:
+    """LAPACK ``diagonalize`` against the independent cyclic-Jacobi oracle."""
 
     @pytest.mark.parametrize("pencil", _oracle_cases())
     def test_spectrum_and_projectors(self, pencil):
         form = diagonalize(pencil)
-        mus_ref, x_ref = _jacobi_oracle(pencil)
+        mus_ref, x_ref = _scipy_reduction(pencil, eigh=jacobi_eigh)
         np.testing.assert_allclose(form.mus, mus_ref, rtol=1e-12, atol=0.0)
+        _assert_same_eigenspaces(form, mus_ref, x_ref)
 
-        top = mus_ref[0]
-        breaks = np.nonzero(-np.diff(mus_ref) > 1e-8 * top)[0] + 1
-        x_norm_sq = np.linalg.norm(x_ref, 2) ** 2
-        for cluster in np.split(np.arange(mus_ref.size), breaks):
-            others = np.setdiff1d(np.arange(mus_ref.size), cluster)
-            gap = np.min(np.abs(mus_ref[others][:, None] - mus_ref[cluster])) / top
-            x, x0 = form.inverse_basis[:, cluster], x_ref[:, cluster]
-            np.testing.assert_allclose(
-                x @ x.T, x0 @ x0.T, rtol=0.0, atol=1e-14 * x_norm_sq / gap,
-            )
+
+def _spd_of_condition(rng, n, cond):
+    """s.p.d. with eigenvalues log-spaced over ``[1, cond]``, random eigenvectors."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.logspace(0.0, np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2.0
+
+
+def _matrix_market_pencil(tmp_path):
+    from psdlab.mmio import write_matrix
+
+    rng = np.random.default_rng(77)
+    pa, pb = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(pa, random_spd(rng, 7, cond=1e3))
+    write_matrix(pb, generate_problem("laplacian1d", n=7, mass="fem").b)
+    return generate_problem("matrix_market", path_a=str(pa), path_b=str(pb))
+
+
+# name -> (pencil builder, spectrum compared relative to the largest value)
+_SCIPY_ORACLE_CASES = {
+    "laplacian2d_6": (lambda tmp: generate_problem("laplacian2d", nx=6), False),
+    "cond_1e12": (lambda tmp: SymmetricPencil(
+        _spd_of_condition(np.random.default_rng(12), 12, 1e12), np.eye(12)), True),
+    "n3": (lambda tmp: random_pencil(np.random.default_rng(3), 3), False),
+    "matrix_market": (_matrix_market_pencil, False),
+}
+
+
+class TestNumpyLapackMatchesScipyOracle:
+    """The numpy LAPACK path against a ``scipy.linalg`` oracle that lives in tests.
+
+    ``laplacian2d`` has repeated eigenvalues, so eigenvectors are compared
+    through cluster projectors.  A dense symmetric eigensolver is accurate
+    relative to the norm of the matrix, so at condition 1e12 the small
+    ``mus`` of two backward-stable solvers agree only to ``eps * cond``
+    relative to themselves; that case compares to 1e-12 of the largest value.
+    """
+
+    @pytest.mark.parametrize("name", list(_SCIPY_ORACLE_CASES))
+    def test_diagonalize_spectrum_and_projectors(self, name, tmp_path):
+        build, normwise = _SCIPY_ORACLE_CASES[name]
+        pencil = build(tmp_path)
+        form = diagonalize(pencil)
+        mus_ref, x_ref = _scipy_reduction(pencil)
+        atol = 1e-12 * mus_ref[0] if normwise else 0.0
+        np.testing.assert_allclose(form.mus, mus_ref, rtol=1e-12, atol=atol)
+        _assert_same_eigenspaces(form, mus_ref, x_ref)
+
+    @pytest.mark.parametrize("name", list(_SCIPY_ORACLE_CASES))
+    def test_solve_a_residual(self, name, tmp_path):
+        pencil = _SCIPY_ORACLE_CASES[name][0](tmp_path)
+        rng = np.random.default_rng(5)
+        a_norm = np.linalg.norm(pencil.a, 2)
+        for rhs in (rng.standard_normal(pencil.n), rng.standard_normal((pencil.n, 3))):
+            x = pencil.solve_a(rhs)
+            assert x.shape == rhs.shape
+            res = np.linalg.norm(pencil.a @ x - rhs)
+            assert res <= 1e-13 * a_norm * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("case", ["jacobi_lap1d_64", "identity_fem", "synthetic",
+                                      "jacobi_matrix_market"])
+    def test_estimate_quality_extremes(self, case, tmp_path):
+        if case == "jacobi_lap1d_64":
+            pencil = generate_problem("laplacian1d", n=64)
+            t = jacobi_preconditioner(pencil)
+        elif case == "identity_fem":
+            pencil = generate_problem("laplacian2d", nx=5, mass="fem")
+            t = identity_preconditioner(pencil)
+        elif case == "synthetic":
+            pencil = generate_problem("laplacian1d", n=20, mass="fem")
+            t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.6, seed=4)
+        else:
+            pencil = _matrix_market_pencil(tmp_path)
+            t = jacobi_preconditioner(pencil)
+        if t.coords == "diagonal":
+            g = t.matrix
+        else:
+            c = np.linalg.cholesky(pencil.a)
+            g = c.T @ t.matrix @ c
+            g = (g + g.T) / 2.0
+        w = scipy.linalg.eigh(g, eigvals_only=True)
+        q = estimate_quality(pencil, t)
+        assert q.gamma1 == pytest.approx(w[0], rel=1e-12, abs=0.0)
+        assert q.gamma2 == pytest.approx(w[-1], rel=1e-12, abs=0.0)
 
 
 class TestOrthonormalize:
