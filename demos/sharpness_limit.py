@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Attain the PSD bound: the worst-case ratio meets sigma^2 as the error vanishes.
 
-For each quality gamma, build the explicit worst iterate/direction pair
-on the optimal level-set position t1 and shrink the interval-relative
-error delta.  The measured one-step contraction ratio approaches the
-squared sharp factor from below; the gap closes linearly in delta.  The
-ratio evaluation runs on shifted quantities, so the delta = 1e-8 rows
-are exact to roughly machine precision rather than drowned in
-cancellation.
+For each quality gamma, build the explicit worst iterate on the optimal
+level-set position t1 and shrink the interval-relative error delta.
+Each row is one step of the PSD solver itself (``psd_step``) under the
+worst-aligned preconditioner, whose fixed step lands on the cone's
+worst direction.  The measured one-step contraction ratio approaches
+the squared sharp factor from below; the gap closes linearly in delta.
+The deltas before and after come from the step kernel's distances to
+the eigenvalues, so the delta = 1e-8 rows are exact to roughly machine
+precision rather than drowned in cancellation.
 """
 
 import numpy as np
@@ -21,12 +23,13 @@ DELTAS = (1e-2, 1e-4, 1e-6, 1e-8)
 
 def main():
     for mus in MU_SETS:
-        kappa = (mus[1] - mus[2]) / (mus[0] - mus[2])
-        print(f"reciprocal eigenvalues {tuple(mus)}, kappa = {kappa:.6f}")
         for gamma in GAMMAS:
-            sigma = (kappa + gamma * (2 - kappa)) / ((2 - kappa) + gamma * kappa)
-            t1 = t_star(kappa, gamma)
-            print(f"  gamma={gamma}: sigma^2 = {sigma**2:.10f}, t1 = {t1:.6f}")
+            # kappa and sigma depend on mus and gamma alone
+            setup = WorstCaseSetup(mus=mus, gamma=gamma, delta=DELTAS[0], t=1.0)
+            if gamma == GAMMAS[0]:
+                print(f"reciprocal eigenvalues {tuple(mus)}, kappa = {setup.kappa:.6f}")
+            t1 = t_star(setup.kappa, gamma)
+            print(f"  gamma={gamma}: sigma^2 = {setup.sigma**2:.10f}, t1 = {t1:.6f}")
             print(f"    {'delta':>8} {'measured ratio':>18} {'gap to sigma^2':>16}")
             for delta in DELTAS:
                 result = worst_case_instance(

@@ -23,7 +23,9 @@ import numpy as np
 
 from .bounds import SolverKind, _factor
 from .errors import StationaryPointError
-from .pencil import _shifted_ritz_2x2
+from .iterate import _delta, psd_step
+from .pencil import DiagonalForm, _shifted_ritz_2x2
+from .precond import synthetic_gamma_preconditioner
 
 __all__ = [
     "ConeSpec",
@@ -47,8 +49,21 @@ __all__ = [
 ]
 
 
-def _mu_of(mus, x):
-    return float(x @ (mus * x)) / float(x @ x)
+def _cone_disc(mus, x, gamma):
+    """``mu(x)``, ``r = Bx - mu(x) x``, ``||r||`` and the cone's disc center and radius.
+
+    Raises :class:`StationaryPointError` when ``||r|| < 1e-13 ||Bx||``,
+    where ``x`` is numerically an eigenvector and the cone is empty.
+    """
+    bx = mus * x
+    mu_x = float(x @ bx) / float(x @ x)
+    r = bx - mu_x * x
+    r_norm = np.linalg.norm(r)
+    if r_norm < 1e-13 * np.linalg.norm(bx):
+        raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+    center = mu_x * x + (1.0 - gamma * gamma) * r
+    radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
+    return mu_x, r, r_norm, center, radius
 
 
 @dataclass
@@ -84,15 +99,8 @@ class ConeSpec:
             raise ValueError("x must be nonzero")
         self.mus = mus
         self.x = x
-        bx = mus * x
-        self.mu_x = _mu_of(mus, x)
-        self.r = bx - self.mu_x * x
-        self.center = bx
-        r_norm = np.linalg.norm(self.r)
-        if r_norm < 1e-13 * np.linalg.norm(bx):
-            raise StationaryPointError(
-                "x is numerically an eigenvector; the search cone is empty"
-            )
+        self.mu_x, self.r, r_norm, _, _ = _cone_disc(mus, x, self.gamma)
+        self.center = mus * x
         self.radius = self.gamma * r_norm
 
 
@@ -113,12 +121,9 @@ class CrossSection:
 
 
 def cross_section(cone):
-    g = cone.gamma
-    r_norm = np.linalg.norm(cone.r)
-    center = cone.mu_x * cone.x + (1.0 - g * g) * cone.r
-    radius = g * math.sqrt(1.0 - g * g) * r_norm
-    axis = cone.r / r_norm
-    v = np.cross(cone.x, cone.r)
+    _, r, r_norm, center, radius = _cone_disc(cone.mus, cone.x, cone.gamma)
+    axis = r / r_norm
+    v = np.cross(cone.x, r)
     v_norm = np.linalg.norm(v)
     if v_norm < 1e-14 * np.linalg.norm(cone.x) * r_norm:
         raise ValueError("x and r do not span a plane (degenerate 2-D data)")
@@ -316,7 +321,12 @@ class WorstCaseSetup:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
-    """Measured outcome of one worst-case PSD step."""
+    """Measured outcome of one worst-case PSD step from ``x`` toward the worst direction ``d``.
+
+    ``mu_before``/``mu_after`` are Rayleigh quotients in the ``mu`` form,
+    the deltas are in the ``lambda`` form of ``IterationRecord.delta``, and
+    ``predicted_ratio`` is the squared sharp factor.
+    """
 
     x: np.ndarray
     d: np.ndarray
@@ -329,50 +339,31 @@ class WorstCaseResult:
 
 
 def worst_case_instance(setup):
-    """Build the poorest-convergence iterate/direction pair and measure it.
+    """One solver :func:`psdlab.iterate.psd_step` on the poorest-convergence pair.
 
-    The interval-relative errors before and after the implicit line
-    search are evaluated through shifted quantities (distances to
-    ``mu_j`` from nonnegative terms, after the step by :func:`ritz_gap`),
-    so the measured contraction ratio stays accurate down to ``delta``
-    near 1e-8 where the naive evaluation would cancel catastrophically.
-    ``predicted_ratio`` is the squared sharp factor.
+    The ``worst_aligned`` preconditioner of quality ``setup.gamma`` makes
+    the fixed step from ``setup.x`` land on :func:`worst_direction`; the
+    deltas come from the step kernel's ``_delta``, accurate down to
+    ``delta`` near 1e-18.  A numerically empty cone (``x`` within 1e-13 of
+    an eigenvector, or a ``converged`` step) raises :class:`StationaryPointError`.
     """
-    mu_j, mu_k, mu_l = setup.mus
-    alpha0, beta0 = setup.alpha0, setup.beta0
-    x = setup.x
-    x_sq = 1.0 + alpha0 * alpha0 + beta0 * beta0
-    # Distance of mu(x) to mu_j from nonnegative terms only.
-    p = ((mu_j - mu_k) * alpha0 * alpha0 + (mu_j - mu_l) * beta0 * beta0) / x_sq
-    mu_x = mu_j - p
-    # Residual with each component carried as (mu_i - mu(x)) * x_i.
-    r = np.array(
-        [p, (p - (mu_j - mu_k)) * alpha0, (p - (mu_j - mu_l)) * beta0]
+    cone = setup.cone()
+    d = worst_direction(cone)
+    mus = setup.mus
+    form = DiagonalForm(mus=mus, basis=np.eye(3), inverse_basis=np.eye(3))
+    t = synthetic_gamma_preconditioner(
+        form, setup.gamma, mode="worst_aligned", x=setup.x, target=d
     )
-    r_norm = np.linalg.norm(r)
-    if r_norm == 0.0:
-        raise StationaryPointError("worst-case iterate is an eigenvector")
-    g = setup.gamma
-    s = math.sqrt(1.0 - g * g)
-    x_norm = math.sqrt(x_sq)
-    d = mu_x * x + (1.0 - g * g) * r + g * s * np.cross(x, r) / x_norm
-
-    # Unit search direction sqrt(1-g^2) r-hat + g v-hat, orthogonal to x.
-    dbar = s * r / r_norm + g * np.cross(x, r) / (x_norm * r_norm)
-    gap_after = float(ritz_gap(setup.mus, x, dbar)[0])  # mu_j - theta_2 > 0
-    theta2 = mu_j - gap_after
-
-    delta_before = p / ((mu_j - mu_k) - p)
-    delta_after = gap_after / ((mu_j - mu_k) - gap_after)
-    measured = delta_after / delta_before
+    step = psd_step(form, t, setup.x)
+    if step.converged:
+        raise StationaryPointError("the worst-case step found a stationary point")
+    lam = 1.0 / mus
+    delta_before = _delta(lam, mus, setup.x, 0)
+    delta_after = _delta(lam, mus, step.x, 0)
     return WorstCaseResult(
-        x=x,
-        d=d,
-        mu_before=mu_x,
-        mu_after=theta2,
-        delta_before=delta_before,
-        delta_after=delta_after,
-        measured_ratio=measured,
+        x=setup.x, d=d, mu_before=cone.mu_x, mu_after=step.rho.mu,
+        delta_before=delta_before, delta_after=delta_after,
+        measured_ratio=delta_after / delta_before,
         predicted_ratio=setup.sigma * setup.sigma,
     )
 
@@ -387,12 +378,16 @@ class EllipseQuantities:
     c_l_infinite: bool = False
 
 
-def _intercepts(mus, mu, alpha0, beta0, big_gamma):
-    mu_j, mu_k, mu_l = mus
+def _intercepts(setup, big_gamma):
+    mu_j, mu_k, mu_l = setup.mus
+    delta, alpha0, beta0 = setup.delta, setup.alpha0, setup.beta0
     x_norm = math.sqrt(1.0 + alpha0 * alpha0 + beta0 * beta0)
-    num = x_norm * (mu_j - mu) + big_gamma * alpha0 * beta0 * (mu_k - mu_l)
-    den_k = x_norm * alpha0 * (mu - mu_k) + big_gamma * beta0 * (mu_j - mu_l)
-    den_l = x_norm * beta0 * (mu - mu_l) + big_gamma * alpha0 * (mu_k - mu_j)
+    # mu_j - mu and mu - mu_k in closed form, as in WorstCaseSetup.b.
+    num = (x_norm * delta * (mu_j - mu_k) / (1.0 + delta)
+           + big_gamma * alpha0 * beta0 * (mu_k - mu_l))
+    den_k = (x_norm * alpha0 * (mu_j - mu_k) / (1.0 + delta)
+             + big_gamma * beta0 * (mu_j - mu_l))
+    den_l = x_norm * beta0 * (setup.mu - mu_l) + big_gamma * alpha0 * (mu_k - mu_j)
     return num, den_k, den_l
 
 
@@ -407,9 +402,7 @@ def ellipse_quantities(setup):
     ``c_l`` denominator vanishes the line is parallel to the third axis
     and the limit ``axis_ratio = c_k^2 / a^2`` is used (flagged).
     """
-    num, den_k, den_l = _intercepts(
-        setup.mus, setup.mu, setup.alpha0, setup.beta0, setup.Gamma
-    )
+    num, den_k, den_l = _intercepts(setup, setup.Gamma)
     c_k = num / den_k
     a_sq = setup.a * setup.a
     b_sq = setup.b * setup.b
@@ -575,15 +568,11 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
     ball, is one :func:`_disc_min` call per round, and its step halves
     after each round without improvement, down to 1e-10.
     """
-    bx = mus * x
-    mu_x = _mu_of(mus, x)
-    r = bx - mu_x * x
-    r_norm = np.linalg.norm(r)
-    if r_norm < 1e-13 * np.linalg.norm(bx):
+    try:
+        _, r, _, center, radius = _cone_disc(mus, x, gamma)
+    except StationaryPointError:
         return math.inf, None
     basis = _perp_basis(r)  # (n, n-1)
-    center = mu_x * x + (1.0 - gamma * gamma) * r
-    radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
     best_val, best_d, best_y = _disc_min(mus, x, center, radius, basis, samples)
     if not refine:
         return best_val, best_d

@@ -152,7 +152,7 @@ def _aligned_error_matrix(r, w, norm):
     return (e + e.T) / 2.0
 
 
-def synthetic_gamma_preconditioner(diag_form, gamma, seed, mode="random", x=None, target=None):
+def synthetic_gamma_preconditioner(diag_form, gamma, seed=None, mode="random", x=None, target=None):
     """A preconditioner of exactly known quality in diagonal coordinates.
 
     In the diagonalized coordinates the quality constraint is a spectral
@@ -167,7 +167,8 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed, mode="random", x=None
     gamma : float
         Quality parameter in ``[0, 1)``.
     seed : int
-        Mandatory seed for the random orthogonal factor.
+        Seed for the random orthogonal factor, mandatory for
+        ``mode="random"``; ``worst_aligned`` draws no random numbers.
     mode : {"random", "worst_aligned"}
         ``random``: ``E = Q diag(eta) Q^T`` with seeded orthogonal ``Q``
         and ``max |eta| = gamma``.  ``worst_aligned``: ``E`` is chosen
@@ -178,6 +179,8 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed, mode="random", x=None
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if mode == "random" and seed is None:
+        raise ValueError("random mode needs a seed")
     n = diag_form.n
     if gamma == 0.0:
         e = np.zeros((n, n))

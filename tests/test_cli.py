@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -250,11 +251,35 @@ class TestSharpnessCommand:
         out = tmp_path / "sharp.json"
         code = main([
             "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
-            "--deltas", "1e-14,1e-16", "--format", "json", "--output", str(out),
+            "--deltas", "1e-14,1e-16,1e-18", "--format", "json", "--output", str(out),
         ])
         assert code == EXIT_OK
         gaps = [row["gap"] for row in json.loads(out.read_text())["records"]]
+        assert len(gaps) == 3
         assert all(abs(gap) < 1e-13 for gap in gaps)
+
+    def test_ratio_above_sigma_sq_exits_violated(self, tmp_path, monkeypatch):
+        # a ratio beyond sigma^2 (1 + RATIO_TOL) is a violation, not a pass
+        import psdlab.cli as cli
+
+        real = cli.worst_case_instance
+
+        def inflated(setup):
+            result = real(setup)
+            return dataclasses.replace(
+                result, measured_ratio=result.measured_ratio * (1.0 + 1e-6)
+            )
+
+        monkeypatch.setattr(cli, "worst_case_instance", inflated)
+        out = tmp_path / "sharp.json"
+        code = main([
+            "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
+            "--deltas", "1e-4,1e-12", "--format", "json", "--output", str(out),
+        ])
+        assert code == EXIT_VIOLATED
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["violations"] == 1
+        assert "status" not in summary
 
     def test_gamma_zero_routes_to_plain_factor(self, tmp_path):
         out = tmp_path / "sharp.json"
@@ -283,6 +308,8 @@ class TestSharpnessCommand:
     @pytest.mark.parametrize("args", [
         ["--mus", "0.1,0.5,1"], ["--mus", "1,1,0.5"], ["--mus", "1,0.5,0.1", "--deltas", ","],
         ["--mus", "1,0.5,0.1", "--t-mode", "grid", "--t-grid", "0"],
+        # below the stationary floor the cone is numerically empty
+        ["--mus", "1,0.5,0.1", "--deltas", "1e-30"],
     ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["sharpness", "--gamma", "0.5", *args])

@@ -19,17 +19,22 @@ from psdlab import (
     axis_ratio_closed_form,
     brute_force_cone_min,
     cross_section,
+    diagonalize,
     ellipse_quantities,
     extremal_directions,
+    generate_problem,
     householder_reduce,
     rayleigh_ritz,
     ritz_gap,
     ritz_on_segment,
+    run,
+    synthetic_gamma_preconditioner,
     t_star,
     three_d_concentration_check,
     worst_case_instance,
     worst_direction,
 )
+from psdlab.bounds import HOLDS
 from psdlab.conelab import _disc_worst, _intercepts
 
 MUS = np.array([1.0, 0.5, 0.25])
@@ -55,6 +60,32 @@ def in_ball(cone, d):
     """Whether direction(s) ``d`` lie in the ball of admissible fixed steps."""
     dist = np.linalg.norm(np.atleast_2d(cone.center - d), axis=1)
     return bool(np.all(dist <= cone.gamma * np.linalg.norm(cone.r) + 1e-12))
+
+
+def shifted_worst_case_step(setup):
+    """Oracle of :func:`worst_case_instance`: the worst PSD step from shifted quantities.
+
+    Carries each residual component as ``(mu_i - mu(x)) x_i`` from
+    distances to ``mu_j``, searches along the unit direction
+    ``sqrt(1 - gamma^2) r-hat + gamma v-hat`` and takes the gap after the
+    step from :func:`ritz_gap`; it shares neither the solver's step nor
+    the worst-aligned preconditioner.  Returns the contraction ratio of
+    the ``mu``-form deltas and ``mu`` after the step.
+    """
+    mu_j, mu_k, mu_l = setup.mus
+    alpha0, beta0 = setup.alpha0, setup.beta0
+    x = setup.x
+    x_sq = 1.0 + alpha0 * alpha0 + beta0 * beta0
+    p = ((mu_j - mu_k) * alpha0 * alpha0 + (mu_j - mu_l) * beta0 * beta0) / x_sq
+    r = np.array([p, (p - (mu_j - mu_k)) * alpha0, (p - (mu_j - mu_l)) * beta0])
+    r_norm = np.linalg.norm(r)
+    g = setup.gamma
+    dbar = (math.sqrt(1.0 - g * g) * r / r_norm
+            + g * np.cross(x, r) / (math.sqrt(x_sq) * r_norm))
+    gap_after = float(ritz_gap(setup.mus, x, dbar)[0])
+    delta_before = p / ((mu_j - mu_k) - p)
+    delta_after = gap_after / ((mu_j - mu_k) - gap_after)
+    return delta_after / delta_before, mu_j - gap_after
 
 
 def random_bracketed_cone(rng, gamma=None):
@@ -464,6 +495,55 @@ class TestWorstCaseInstance:
         exact = float((mu_j - mu) / (mu - mu_l))
         assert setup.b ** 2 == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("mus", [(1.0, 0.5, 0.1), (2.0, 1.0, 0.25)])
+    def test_solver_step_matches_shifted_oracle(self, mus, gamma):
+        # the solver's psd_step under the worst-aligned preconditioner
+        # against the shifted evaluation, down to delta = 1e-18
+        mus = np.array(mus)
+        t = t_star((mus[1] - mus[2]) / (mus[0] - mus[2]), gamma)
+        for exponent in range(2, 19):
+            setup = WorstCaseSetup(mus=mus, gamma=gamma, delta=10.0 ** -exponent, t=t)
+            result = worst_case_instance(setup)
+            ratio, mu_after = shifted_worst_case_step(setup)
+            assert result.measured_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+            assert result.mu_after == pytest.approx(mu_after, rel=1e-15, abs=0.0)
+            assert result.delta_before == pytest.approx(
+                setup.delta * mus[1] / mus[0], rel=1e-12, abs=0.0
+            )
+
+    def test_stationary_floor(self):
+        # below the floor the cone is numerically empty and nothing steps
+        mus = np.array([1.0, 0.5, 0.1])
+        t = t_star(4.0 / 9.0, 0.5)
+        deep = worst_case_instance(WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-24, t=t))
+        assert deep.measured_ratio == pytest.approx(deep.predicted_ratio, rel=1e-9)
+        with pytest.raises(StationaryPointError):
+            worst_case_instance(WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-26, t=t))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("mus", [(1.0, 0.5, 0.1), (2.0, 1.0, 0.25)])
+    def test_worst_step_certified_by_run(self, mus, gamma):
+        # one certified step through run() holds at every delta, and from
+        # 1e-12 on it sits within RATIO_TOL of sigma^2: the margin of the
+        # verdict is measured, not assumed
+        pencil = generate_problem("diagonal", lambdas=1.0 / np.array(mus))
+        form = diagonalize(pencil)
+        t = t_star((mus[1] - mus[2]) / (mus[0] - mus[2]), gamma)
+        for exponent in range(4, 19):
+            delta = 10.0 ** -exponent
+            setup = WorstCaseSetup(mus=form.mus, gamma=gamma, delta=delta, t=t)
+            precond = synthetic_gamma_preconditioner(
+                form, gamma, mode="worst_aligned", x=setup.x,
+                target=worst_direction(setup.cone()),
+            )
+            result = run(pencil, precond, form.from_diagonal(setup.x), "psd",
+                         max_steps=1, residual_tol=0.0)
+            check = result.records[1].bound
+            assert check.verdict == HOLDS, (delta, check.note)
+            if exponent in (12, 14, 16):
+                assert check.ratio / check.sigma_squared >= 1.0 - 1e-9
+
     def test_invalid_inputs(self):
         mus = np.array([1.0, 0.5, 0.1])
         with pytest.raises(ValueError):
@@ -498,7 +578,7 @@ class TestEllipseQuantities:
         # at vanishing Gamma the k-intercept reduces to a^2 / alpha0
         mus = np.array([1.0, 0.5, 0.1])
         setup = WorstCaseSetup(mus=mus, gamma=0.5, delta=0.3, t=0.8)
-        num, den_k, _ = _intercepts(setup.mus, setup.mu, setup.alpha0, setup.beta0, 0.0)
+        num, den_k, _ = _intercepts(setup, 0.0)
         assert num / den_k == pytest.approx(setup.a**2 / setup.alpha0, rel=1e-13)
 
     def test_matches_closed_form(self):
@@ -514,6 +594,15 @@ class TestEllipseQuantities:
                 continue
             cf = axis_ratio_closed_form(delta, t, setup.kappa, gamma)
             assert eq.axis_ratio == pytest.approx(cf, rel=1e-8)
+        # the intercepts take the level's distances in closed form, so the
+        # ratio keeps its accuracy where mu_j - mu would cancel
+        mus = np.array([1.0, 0.5, 0.1])
+        for gamma in (0.2, 0.5, 0.8):
+            t = t_star(4.0 / 9.0, gamma)
+            for delta in (1e-12, 1e-14, 1e-16, 1e-18):
+                setup = WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t)
+                cf = axis_ratio_closed_form(delta, t, setup.kappa, gamma)
+                assert ellipse_quantities(setup).axis_ratio == pytest.approx(cf, rel=1e-12)
 
     def test_axis_ratio_bounded_by_sigma_squared(self):
         mus = np.array([1.0, 0.5, 0.1])
@@ -552,7 +641,7 @@ class TestEllipseQuantities:
 
         def den_l(t):
             s = WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t)
-            return _intercepts(s.mus, s.mu, s.alpha0, s.beta0, s.Gamma)[2]
+            return _intercepts(s, s.Gamma)[2]
 
         t0 = brentq(den_l, 1.0, 2.0, xtol=1e-15)
         flagged = ellipse_quantities(WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t0))

@@ -85,7 +85,7 @@ class TestSyntheticPreconditioner:
         cone = ConeSpec(mus=mus, x=x, gamma=gamma)
         d = worst_direction(cone)
         t = synthetic_gamma_preconditioner(
-            form, gamma, seed=0, mode="worst_aligned", x=x, target=d
+            form, gamma, mode="worst_aligned", x=x, target=d
         )
         tr = t.matrix @ cone.r
         want = d - cone.mu_x * x
@@ -114,6 +114,12 @@ class TestSyntheticPreconditioner:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 synthetic_gamma_preconditioner(form, bad, seed=0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_random_mode_needs_seed(self, gamma):
+        form = diag_form_for_mus([1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match="needs a seed"):
+            synthetic_gamma_preconditioner(form, gamma)
 
 
 class TestJacobiPreconditioner:
