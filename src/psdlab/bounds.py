@@ -48,13 +48,6 @@ VIOLATED = "violated"
 # are treated as genuine bugs, not floating point noise.
 RATIO_TOL = 1e-9
 
-# Relative tolerance for "the step passed lambda_i": exact-subspace steps
-# land on lambda_i up to roundoff amplified by the spectral spread.
-_PASS_TOL = 1e-10
-
-# Monotonicity slack: rho may not increase beyond this relative amount.
-_MONOTONE_TOL = 1e-12
-
 
 class SolverKind(enum.Enum):
     """The four solvers as two iterations, each with two preconditioners.
@@ -85,11 +78,6 @@ class SolverKind(enum.Enum):
             return cls(str(name).lower())
         except ValueError:
             raise ValueError(f"unknown solver kind {name!r}") from None
-
-
-def _value_of(x):
-    """Accept a plain number or a RayleighValue-like object."""
-    return float(getattr(x, "rho", x))
 
 
 def locate_interval(spectrum, value):
@@ -246,67 +234,36 @@ class BoundCheck:
     note: str = ""
 
 
-def certify_step(spectrum, gamma, rho_before, rho_after, kind="psd", deltas=None):
-    """Check one solver step against its sharp bound.
+def certify_step(spectrum, gamma, i, deltas, kind="psd"):
+    """Check one solver step on interval ``i`` against its sharp bound.
 
-    ``rho_before`` must lie inside the spectral range; the interval is
-    located by left-closed bracketing.  The outcome is either the
-    ``passed_lambda_i`` branch (the step jumped at or below
-    ``lambda_i``), a ratio comparison against ``sigma**2``
-    (``holds`` / ``violated``), or ``violated`` with a note when
-    monotonicity failed.  ``kind`` is a :class:`SolverKind` or its name.
-
-    ``deltas`` may carry the pair ``(delta_before, delta_after)`` on the
-    located interval, in the lambda form of :func:`delta`, computed by
-    the caller on a route free of cancellation (the solver driver
-    evaluates them from per-eigenvalue distances in its diagonalized
-    coordinates); values at or below zero mean the step passed
-    ``lambda_i``.  Without it the deltas come from the ``rho`` values
-    directly, whose resolution degrades once ``rho - lambda_i``
-    approaches roundoff.
+    ``i`` is the interval of the value before the step, as
+    :func:`locate_interval` gives it, and ``deltas`` the pair
+    ``(delta_before, delta_after)`` on that interval in the lambda form
+    of :func:`delta`.  The solver driver evaluates both from
+    per-eigenvalue distances in its diagonalized coordinates, free of
+    cancellation; a caller that has only the two Rayleigh quotients can
+    take them from :func:`locate_interval` and :func:`delta`.  The
+    factor is ``sigma(kind, spectrum, i, gamma) ** 2``.  A delta at or
+    below zero means the step passed ``lambda_i`` (``passed_lambda_i``);
+    otherwise ``ratio = delta_after / delta_before`` is compared with
+    ``sigma**2`` (``holds`` / ``violated``).  Finiteness and
+    monotonicity of the step are the caller's to enforce, as
+    :func:`psdlab.iterate.run` does.  ``kind`` is a :class:`SolverKind`
+    or its name; an ``i`` out of range raises :class:`IntervalError`.
     """
     kind = SolverKind.parse(kind)
-    rb = _value_of(rho_before)
-    ra = _value_of(rho_after)
     gamma = 0.0 if kind.exact_inverse else float(gamma)
-    i = locate_interval(spectrum, rb)
-    lam = spectrum.lambdas
-    lam_i, lam_i1 = float(lam[i]), float(lam[i + 1])
-    k = _kappa_lenient(lam, i) if kind.line_search else None
-    sig = _factor(kind, lam_i / lam_i1, k, gamma)
-    sig_sq = sig * sig
-
-    if not math.isfinite(ra):
-        note = f"rho after step is not finite: {ra!r}"
-    elif ra > rb * (1.0 + _MONOTONE_TOL):
-        note = f"monotonicity violated: rho rose from {rb!r} to {ra!r}"
-    else:
-        note = ""
-    if note:
-        return BoundCheck(
-            kind=kind.value, gamma=gamma, interval_index=i, delta_before=None,
-            delta_after=None, ratio=None, sigma_squared=sig_sq, slack=None,
-            verdict=VIOLATED, note=note,
-        )
-
-    if deltas is not None:
-        d_before, d_after = (float(d) for d in deltas)
-        passed = d_after <= 0.0
-    else:
-        d_before = (rb - lam_i) / (lam_i1 - rb)
-        d_after = None
-        passed = ra <= lam_i * (1.0 + _PASS_TOL)
+    sig_sq = sigma(kind, spectrum, i, gamma) ** 2
+    d_before, d_after = (float(d) for d in deltas)
     ratio = slack = None
-    if passed:
+    note = ""
+    if d_after <= 0.0:
         verdict, d_after = PASSED_LAMBDA_I, None
     elif d_before <= 0.0:
-        # started at lambda_i exactly; monotonicity already pinned ra there
+        # the step started at or below lambda_i: there is no ratio to take
         verdict = PASSED_LAMBDA_I
     else:
-        if d_after is None:
-            # ra > lambda_i strictly; monotonicity gives ra <= rb < lambda_{i+1},
-            # so the delta is well defined here.
-            d_after = (ra - lam_i) / (lam_i1 - ra)
         ratio = d_after / d_before
         slack = sig_sq - ratio
         verdict = HOLDS if ratio <= sig_sq * (1.0 + RATIO_TOL) else VIOLATED

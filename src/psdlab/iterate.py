@@ -47,6 +47,9 @@ _EIGENVECTOR_TOL = 1e-13
 # second dimension in floating point.
 _DEGENERATE_DIRECTION_TOL = 1e-14
 
+# Monotonicity slack: rho may not increase beyond this relative amount.
+_MONOTONE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -312,11 +315,14 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     All internal math happens in the diagonalized coordinates of the
     pencil; only the final iterate is mapped back, as ``RunResult.x``.
     The run stops when the (relative) residual falls below
-    ``residual_tol``, when ``delta`` falls below ``delta_tol`` (if
-    given), at a stationary point, or after ``max_steps`` steps; the
-    test applies to every record, the initial one included.  The
-    Rayleigh quotient is asserted to be nonincreasing; a genuine
-    increase raises :class:`NumericFailure`.
+    ``residual_tol``, when ``delta`` on the first interval
+    ``[lambda_1, lambda_2)`` falls below ``delta_tol`` (if given; a small
+    ``delta`` higher up is a stall, not convergence), at a stationary
+    point, or after ``max_steps`` steps; the test applies to every
+    record, the initial one included.  ``rho`` must stay finite and, for
+    the line-search kinds and certified runs, nonincreasing up to
+    ``_MONOTONE_TOL``; a failure raises :class:`NumericFailure`.  Each
+    certified step is judged by :func:`psdlab.bounds.certify_step`.
     """
     kind = SolverKind.parse(kind)
     if max_steps < 0:
@@ -369,8 +375,10 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
                 theta_opt=None if step is None else step.theta_opt,
             )
         )
+        # delta_tol is a distance to lambda_1, so only the first interval
+        # (from the last copy of lambda_1) can meet it.
         if ((step is not None and step.converged) or res_norm < residual_tol
-                or (delta_tol is not None and delta_now is not None
+                or (delta_tol is not None and i is not None and lam[i] == lam[0]
                     and delta_now < delta_tol)):
             status = "converged"
             break
@@ -378,25 +386,22 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             break
 
         step = psd_step(form, t, z) if kind.line_search else pinvit1_step(form, t, z)
-        rho_prev = value
+        rho_prev = value.rho
         z, value = step.x, step.rho
         if not math.isfinite(value.rho):
             raise NumericFailure(
                 f"step {step_index + 1} produced a non-finite Rayleigh quotient "
                 f"({value.rho!r}); aborting"
             )
-        if monotone_guaranteed and value.rho > rho_prev.rho * (1.0 + bounds._MONOTONE_TOL):
+        if monotone_guaranteed and value.rho > rho_prev * (1.0 + _MONOTONE_TOL):
             raise NumericFailure(
                 f"step {step_index + 1} increased the Rayleigh quotient from "
-                f"{rho_prev.rho!r} to {value.rho!r}"
+                f"{rho_prev!r} to {value.rho!r}"
             )
         bound = certified = None
         if certifying and not step.converged and i is not None:
             certified = (i, _delta(lam, mus, z, i))
-            bound = bounds.certify_step(
-                spectrum, cert_gamma, rho_prev, value, kind=kind,
-                deltas=(delta, certified[1]),
-            )
+            bound = bounds.certify_step(spectrum, cert_gamma, i, (delta, certified[1]), kind=kind)
 
     return RunResult(
         records=records,

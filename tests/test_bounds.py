@@ -23,6 +23,18 @@ def spec124():
     return Spectrum(lambdas=np.array([1.0, 2.0, 4.0]))
 
 
+def _lambda_delta(spec, i, rho):
+    """``delta(spec, i, rho)``, or its negative value for a ``rho`` below lambda_i."""
+    lam = spec.lambdas
+    return delta(spec, i, rho) if rho >= lam[i] else (rho - lam[i]) / (lam[i + 1] - rho)
+
+
+def _step(spec, rho_before, rho_after):
+    """``(i, deltas)`` of the step ``rho_before -> rho_after``, as certify_step takes them."""
+    i = locate_interval(spec, rho_before)
+    return i, (_lambda_delta(spec, i, rho_before), _lambda_delta(spec, i, rho_after))
+
+
 class TestDelta:
     def test_midpoint(self):
         s = Spectrum(lambdas=np.array([1.0, 2.0, 8.0]))
@@ -125,7 +137,7 @@ class TestSigma:
         # the public factor is the one certify_step uses: the limit kappa = 0
         s = Spectrum(lambdas=np.array(lambdas))
         rho = 0.5 * (s.lambdas[i] + s.lambdas[i + 1])
-        check = certify_step(s, 0.3, rho, rho, kind="psd")
+        check = certify_step(s, 0.3, *_step(s, rho, rho), kind="psd")
         assert check.interval_index == i
         assert sigma(SolverKind.PSD, s, i, 0.3) == pytest.approx(0.3, rel=1e-15)
         assert sigma(SolverKind.PSD, s, i, 0.3) ** 2 == check.sigma_squared
@@ -185,25 +197,20 @@ class TestFactorMonotonicityAndHierarchy:
 class TestCertifyStep:
     def test_holds(self, spec124):
         # sigma^2 = 0.04 on the first interval; delta shrinks 1 -> 0.03/0.97
-        check = certify_step(spec124, 0.0, 1.5, 1.03, kind="psd")
+        check = certify_step(spec124, 0.0, *_step(spec124, 1.5, 1.03), kind="psd")
         assert check.verdict == HOLDS
         assert check.ratio == pytest.approx((0.03 / 0.97) / 1.0, rel=1e-12)
         assert check.slack > 0
 
     def test_passed_lambda_i(self, spec124):
-        check = certify_step(spec124, 0.3, 2.5, 1.9, kind="psd")
+        check = certify_step(spec124, 0.3, *_step(spec124, 2.5, 1.9), kind="psd")
         assert check.verdict == PASSED_LAMBDA_I
         assert check.interval_index == 1
 
     def test_stationary_boundary(self, spec124):
-        check = certify_step(spec124, 0.3, 1.0, 1.0, kind="psd")
+        check = certify_step(spec124, 0.3, *_step(spec124, 1.0, 1.0), kind="psd")
         assert check.verdict == PASSED_LAMBDA_I
         assert check.ratio is None
-
-    def test_monotonicity_violation_flagged(self, spec124):
-        check = certify_step(spec124, 0.3, 1.5, 1.6, kind="psd")
-        assert check.verdict == VIOLATED
-        assert "monotonicity" in check.note
 
     def test_violation_detected(self, spec124):
         # a fake step that contracts less than sigma^2 allows
@@ -212,7 +219,7 @@ class TestCertifyStep:
         d_before = delta(spec124, 0, rho_before)
         target = d_before * sig_sq * 4.0
         rho_after = (target * 2.0 + 1.0) / (1.0 + target)
-        check = certify_step(spec124, 0.0, rho_before, rho_after, kind="psd")
+        check = certify_step(spec124, 0.0, *_step(spec124, rho_before, rho_after), kind="psd")
         assert check.verdict == VIOLATED
         assert check.ratio > check.sigma_squared
 
@@ -221,37 +228,42 @@ class TestCertifyStep:
         d_before = delta(spec124, 0, 1.5)
         target = d_before * sig_sq * (1.0 + 1e-10)  # inside the 1e-9 band
         rho_after = (target * 2.0 + 1.0) / (1.0 + target)
-        check = certify_step(spec124, 0.5, 1.5, rho_after, kind="psd")
+        check = certify_step(spec124, 0.5, *_step(spec124, 1.5, rho_after), kind="psd")
         assert check.verdict == HOLDS
 
     def test_top_interval_uses_degenerate_kappa(self, spec124):
-        check = certify_step(spec124, 0.5, 3.0, 2.2, kind="psd")
+        check = certify_step(spec124, 0.5, *_step(spec124, 3.0, 2.2), kind="psd")
         assert check.interval_index == 1
         assert check.sigma_squared == pytest.approx(0.25, rel=1e-12)
 
     def test_repeated_top_eigenvalue_uses_degenerate_kappa(self):
         # lambda_{i+1} == lambda_n by value, although i + 1 != n - 1
         spec = Spectrum(lambdas=np.array([1.0, 2.0, 4.0, 4.0]))
-        check = certify_step(spec, 0.5, 3.0, 2.2, kind="psd")
+        check = certify_step(spec, 0.5, *_step(spec, 3.0, 2.2), kind="psd")
         assert check.interval_index == 1
         assert check.sigma_squared == pytest.approx(0.25, rel=1e-12)
 
     def test_fixed_step_kinds_need_no_kappa(self):
         spec = Spectrum(lambdas=np.array([1.0, 2.0, 3.0, 3.0]))
-        check = certify_step(spec, 0.5, 2.5, 2.2, kind="pinvit1")
+        check = certify_step(spec, 0.5, *_step(spec, 2.5, 2.2), kind="pinvit1")
         assert check.sigma_squared == pytest.approx((0.5 + 0.5 * 2.0 / 3.0) ** 2)
-        check = certify_step(spec, 0.0, 2.5, 2.2, kind="invit1")
+        check = certify_step(spec, 0.0, *_step(spec, 2.5, 2.2), kind="invit1")
         assert check.sigma_squared == pytest.approx((2.0 / 3.0) ** 2)
 
     def test_repeated_bottom_eigenvalue_below_roundoff(self):
         # a value a roundoff below a repeated lambda_1 brackets at its last copy
         spec = Spectrum(lambdas=np.array([1.0, 1.0, 2.0, 3.0]))
         assert locate_interval(spec, 1.0 - 1e-15) == 1
-        check = certify_step(spec, 0.3, 1.0 - 1e-15, 1.0 - 1e-15, kind="psd")
+        check = certify_step(spec, 0.3, *_step(spec, 1.0 - 1e-15, 1.0 - 1e-15), kind="psd")
         assert check.interval_index == 1
         assert check.verdict == PASSED_LAMBDA_I
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_interval_out_of_range_raises(self, spec124, i):
+        with pytest.raises(IntervalError):
+            certify_step(spec124, 0.3, i, (0.5, 0.1), kind="psd")
+
     def test_pinvit1_kind(self, spec124):
-        check = certify_step(spec124, 0.5, 1.5, 1.3, kind="pinvit1")
+        check = certify_step(spec124, 0.5, *_step(spec124, 1.5, 1.3), kind="pinvit1")
         assert check.sigma_squared == pytest.approx(0.75**2, rel=1e-12)
         assert check.verdict == HOLDS

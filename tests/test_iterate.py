@@ -21,7 +21,11 @@ from psdlab import (
     sigma,
     synthetic_gamma_preconditioner,
     exact_inverse_preconditioner,
+    iterate,
 )
+from psdlab.errors import NumericFailure
+from psdlab.iterate import StepResult
+from psdlab.pencil import RayleighValue
 
 
 def diag_pencil(lambdas):
@@ -74,9 +78,9 @@ class TestPinvit1Step:
             form = diagonalize(pencil)
             z = form.to_diagonal(x)
             res = pinvit1_step(form, t, z)
-            check = bounds.certify_step(
-                spectrum, gamma, rayleigh(pencil, x), res.rho, kind="pinvit1"
-            )
+            i = bounds.locate_interval(spectrum, rayleigh(pencil, x).rho)
+            deltas = [iterate._delta(spectrum.lambdas, form.mus, v, i) for v in (z, res.x)]
+            check = bounds.certify_step(spectrum, gamma, i, deltas, kind="pinvit1")
             assert check.verdict != bounds.VIOLATED
 
 
@@ -341,6 +345,27 @@ class TestRun:
         assert result.status == "converged"
         assert [rec.step_index for rec in result.records] == [0]
 
+    def test_delta_tol_needs_the_first_interval(self):
+        # A start near lambda_2's eigenvector has a small delta on interval 1;
+        # that is a stall, not convergence, so the run goes on to lambda_1.
+        pencil = diag_pencil([1.0, 2.0, 4.0])
+        x0 = np.array([1e-4, 1.0, 1e-3])
+        result = run(pencil, None, x0, SolverKind.INVIT1, delta_tol=1e-3)
+        assert result.records[0].delta < 1e-3
+        assert result.status == "converged"
+        assert len(result.records) > 1
+        assert result.final.rho.rho == pytest.approx(1.0, rel=1e-3)
+        assert result.final.delta < 1e-3
+
+    def test_delta_tol_on_a_repeated_lambda_1(self):
+        # The first interval starts at the last copy of lambda_1.
+        pencil = diag_pencil([1.0, 1.0, 2.0, 4.0])
+        x0 = np.array([1.0, 1.0, 1e-4, 0.0])
+        result = run(pencil, None, x0, SolverKind.INVIT2, delta_tol=1e-6)
+        assert result.records[0].residual_norm > 1e-10
+        assert [rec.step_index for rec in result.records] == [0]
+        assert result.status == "converged"
+
     def test_max_steps_status(self):
         rng = np.random.default_rng(14)
         pencil, t, x0 = random_instance(rng, 10, 0.9, seed=3)
@@ -401,3 +426,58 @@ class TestUncertifiedRuns:
         assert result.certify_note == ""
         assert any(rec.bound is not None for rec in result.records)
         assert not result.violations()
+
+
+class TestRunGuards:
+    # run() is the one place that rejects a non-finite or rising rho; the
+    # steps are replaced by fakes that report a chosen Rayleigh quotient.
+    @staticmethod
+    def _fake_step(monkeypatch, name, rho_of):
+        def step(form, t, z):
+            rho = iterate._rayleigh_value(z, form.mus * z).rho
+            return StepResult(x=z, rho=RayleighValue.from_rho(rho_of(rho)), theta_opt=1.0)
+        monkeypatch.setattr(iterate, name, step)
+
+    @staticmethod
+    def _run(kind, scale=1.0):
+        pencil = generate_problem("laplacian1d", n=12)
+        t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.3, seed=2).scaled(scale)
+        rng = np.random.default_rng(11)
+        return run(pencil, t, rng.standard_normal(12), kind, max_steps=3)
+
+    @pytest.mark.parametrize("kind, name", [
+        (SolverKind.PSD, "psd_step"),
+        (SolverKind.PINVIT1, "pinvit1_step"),
+    ])
+    def test_rise_raises(self, monkeypatch, kind, name):
+        self._fake_step(monkeypatch, name, lambda rho: rho * (1.0 + 10 * iterate._MONOTONE_TOL))
+        with pytest.raises(NumericFailure, match="increased the Rayleigh quotient"):
+            self._run(kind)
+
+    def test_rise_within_tolerance_passes(self, monkeypatch):
+        slack = 0.5 * iterate._MONOTONE_TOL
+        self._fake_step(monkeypatch, "psd_step", lambda rho: rho * (1.0 + slack))
+        result = self._run(SolverKind.PSD)
+        assert result.final.step_index == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind, name, scale", [
+        (SolverKind.PSD, "psd_step", 1.0),
+        (SolverKind.PINVIT1, "pinvit1_step", 1.0),
+        (SolverKind.PINVIT1, "pinvit1_step", 4.0),
+    ])
+    def test_non_finite_rho_raises(self, monkeypatch, bad, kind, name, scale):
+        self._fake_step(monkeypatch, name, lambda rho: bad)
+        with pytest.raises(NumericFailure, match="non-finite"):
+            self._run(kind, scale)
+
+    def test_uncertified_fixed_step_may_rise(self, monkeypatch):
+        # A quality mismatch leaves the fixed step without a monotonicity
+        # guarantee, so a rise is recorded rather than raised.
+        self._fake_step(monkeypatch, "pinvit1_step", lambda rho: 1.5 * rho)
+        result = self._run(SolverKind.PINVIT1, scale=4.0)
+        assert not result.certified
+        assert "quality mismatch" in result.certify_note
+        # the fake step keeps the iterate, so every step reports 1.5 rho(x0)
+        rhos = [rec.rho.rho for rec in result.records]
+        assert rhos[1:] == [1.5 * rhos[0]] * 3
