@@ -7,7 +7,8 @@ Three subcommands::
     psdlab sharpness --mus 1,0.5,0.1 --gamma 0.5 --deltas 1e-2,1e-4,1e-6,1e-8
 
 Exit codes: 0 converged / all bounds hold, 1 usage or I/O failure,
-2 iteration limit reached, 3 certification violation; certify exits 0
+2 iteration limit reached, 3 certification violation, 4 numeric failure
+(a step gave a non-finite or rising Rayleigh quotient); certify exits 0
 or 3 and counts its iteration-limited runs as ``max_steps_runs``;
 sharpness exits 0 or 3, and 1 for a ``delta`` whose cone is numerically
 empty.  Seeds are mandatory wherever randomness enters, and identical
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_STEPS = 2
 EXIT_VIOLATED = 3
+EXIT_NUMERIC = 4
 
 SOLVE_CSV_COLUMNS = ("step", "rho", "mu", "residual_norm", "delta", "ratio",
                      "sigma_sq", "verdict")
@@ -511,9 +513,12 @@ def main(argv=None):
         config = _config_from_args(args)
         report = dispatch[args.command](config)
         _emit(report, config)
-    except (ValueError, OSError, MatrixMarketError, NumericFailure) as exc:
+    except (ValueError, OSError, MatrixMarketError) as exc:
         print(f"psdlab: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except NumericFailure as exc:
+        print(f"psdlab: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return report.exit_code
 
 

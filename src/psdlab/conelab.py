@@ -17,6 +17,7 @@ assumption-free oracle.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,12 +219,13 @@ def _disc_min(mus, x, center, radius, basis, ys):
     """Smallest larger Ritz value over the disc points ``center + radius * basis @ y``.
 
     ``ys`` holds unit-ball points ``y`` as rows; all go through one
-    :func:`ritz_gap` call.  Returns the value, its direction and its ``y``.
+    :func:`ritz_gap` call.  Returns the value, its direction, its ``y``
+    and its row index in ``ys``.
     """
     d = center + radius * (ys @ basis.T)
     values = mus[0] - ritz_gap(mus, x, d)
     idx = int(np.argmin(values))
-    return float(values[idx]), d[idx].copy(), ys[idx]
+    return float(values[idx]), d[idx].copy(), ys[idx], idx
 
 
 def brute_force_cone_min(cone, n_samples):
@@ -242,7 +244,7 @@ def brute_force_cone_min(cone, n_samples):
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
     basis = np.column_stack([cs.v, cone.x / np.linalg.norm(cone.x)])
-    value, direction, _ = _disc_min(cone.mus, cone.x, cs.center, cs.radius, basis, ys)
+    value, direction, _, _ = _disc_min(cone.mus, cone.x, cs.center, cs.radius, basis, ys)
     return value, direction
 
 
@@ -563,52 +565,69 @@ def _disc_worst(mus, x, gamma, samples, refine=True):
 
     ``samples`` is a fixed pattern of points of the unit ball in
     dimension ``k = n - 1`` (so the outer objective is deterministic).
-    ``refine`` polishes the best sample by compass rounds: the
-    ``3^k - 1`` stencil around the best ``y``, projected into the unit
-    ball, is one :func:`_disc_min` call per round, and its step halves
-    after each round without improvement, down to 1e-10.
+    ``refine`` polishes the best sample by multi-scale compass rounds:
+    the ``3^k - 1`` stencil around the best ``y`` at the four scales
+    ``step``, ``step/2``, ``step/4`` and ``step/8``, projected into the
+    unit ball, is one :func:`_disc_min` call per round, and the round
+    moves to its best point.  A win at a smaller scale sets ``step`` to
+    that scale, a win at ``step`` itself doubles it (at most 0.25), and a
+    round without a win divides it by 16, down to 1e-10.  A point wins
+    only if it beats the best value by more than ``1e-15`` relative:
+    where the disc landscape is flat, strict ``<`` would keep accepting
+    gains at the rounding level, each doubling the step.
     """
     try:
         _, r, _, center, radius = _cone_disc(mus, x, gamma)
     except StationaryPointError:
         return math.inf, None
     basis = _perp_basis(r)  # (n, n-1)
-    best_val, best_d, best_y = _disc_min(mus, x, center, radius, basis, samples)
+    best_val, best_d, best_y, _ = _disc_min(mus, x, center, radius, basis, samples)
     if not refine:
         return best_val, best_d
     k = samples.shape[1]
     stencil = np.indices((3,) * k).reshape(k, -1).T - 1.0
     stencil = stencil[np.any(stencil, axis=1)]
+    scales = 0.5 ** np.arange(4)
+    moves = np.concatenate([scale * stencil for scale in scales])
     step = 0.25  # the spacing of the sample rings
     while step >= 1e-10:
-        ys = best_y + step * stencil
+        ys = best_y + step * moves
         ys /= np.maximum(1.0, np.linalg.norm(ys, axis=1))[:, None]
-        value, d, y = _disc_min(mus, x, center, radius, basis, ys)
-        if value < best_val:
+        value, d, y, idx = _disc_min(mus, x, center, radius, basis, ys)
+        if best_val - value > 1e-15 * abs(best_val):
             best_val, best_d, best_y = value, d, y
+            scale = scales[idx // len(stencil)]
+            step = min(2.0 * step, 0.25) if scale == 1.0 else step * scale
         else:
-            step *= 0.5
+            step /= 16.0
     return best_val, best_d
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     """Empirical check that the two-level worst case lives in 3 coordinates.
 
     Runs ``n_outer`` seeded Nelder-Mead descents over the level set
-    ``mu(x) = mu0`` in dimension 4 or 5, with the cone minimum at each
+    ``mu(x) = mu0`` in dimension 3, 4 or 5, with the cone minimum at each
     iterate evaluated by assumption-free disc sampling; the best descent
-    is polished with the batched compass rounds of :func:`_disc_worst`.
+    is polished with the multi-scale compass rounds of :func:`_disc_worst`.
     The optimizer is then hard-thresholded coordinate by coordinate (a
     zeroed coordinate is kept only if it does not worsen the objective),
     and the report compares the best value against the closed-form worst
     value of every admissible invariant triple.  Report-only: the caller
     decides what to do with a discordant outcome.  scipy's optimizers are
     imported here, on first use, so that no command path loads scipy.
+    ``n_outer`` must be an integer of at least 1 and ``seed`` a
+    nonnegative integer (bools are neither); anything else raises
+    ``ValueError`` before the search starts.
     """
-    import scipy.optimize
-
-    if n_outer < 1:
-        raise ValueError("n_outer must be at least 1")
+    if not _is_int(n_outer) or n_outer < 1:
+        raise ValueError(f"n_outer must be an integer of at least 1, got {n_outer!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     mus = np.asarray(spectrum.mus, dtype=float)
     n = mus.size
     if n not in (3, 4, 5):
@@ -617,6 +636,8 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
         raise ValueError("gamma must lie in (0, 1)")
     if np.any(mus == mu0) or not mus[-1] < mu0 < mus[0]:
         raise ValueError("mu0 must lie strictly inside an eigenvalue interval")
+    import scipy.optimize
+
     rng = np.random.default_rng(seed)
 
     pos = np.nonzero(mus > mu0)[0]

@@ -14,6 +14,7 @@ import pytest
 from psdlab.cli import (
     EXIT_ERROR,
     EXIT_MAX_STEPS,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATED,
     ExperimentConfig,
@@ -106,6 +107,26 @@ class TestSolveCommand:
             "--output", str(tmp_path / "o.csv"),
         ])
         assert code == EXIT_MAX_STEPS
+
+    def test_numeric_failure_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a NaN Rayleigh quotient is an internal failure, not a usage error
+        import psdlab.iterate as iterate
+        from psdlab.iterate import StepResult
+        from psdlab.pencil import RayleighValue
+
+        def nan_step(form, t, z):
+            return StepResult(x=z, rho=RayleighValue.from_rho(np.nan), theta_opt=1.0)
+
+        monkeypatch.setattr(iterate, "psd_step", nan_step)
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
+                     "--gamma", "0.5", "--seed", "7", "--output", str(out)])
+        assert code == EXIT_NUMERIC
+        assert EXIT_NUMERIC not in (EXIT_OK, EXIT_ERROR, EXIT_MAX_STEPS, EXIT_VIOLATED)
+        err = capsys.readouterr().err
+        assert err.startswith("psdlab: numeric failure: ")
+        assert "non-finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--max-steps", "-1"]])
     def test_bad_input_exits_with_message(self, args, capsys):

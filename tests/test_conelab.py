@@ -35,7 +35,8 @@ from psdlab import (
     worst_direction,
 )
 from psdlab.bounds import HOLDS
-from psdlab.conelab import _disc_worst, _intercepts
+import psdlab.conelab as conelab
+from psdlab.conelab import _cone_disc, _disc_min, _disc_worst, _intercepts, _perp_basis
 
 MUS = np.array([1.0, 0.5, 0.25])
 
@@ -54,6 +55,48 @@ def ball_pattern(rng, k):
     dirs = rng.standard_normal((40, k))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return np.concatenate([frac * dirs for frac in (1.0, 0.75, 0.5, 0.25)])
+
+
+def dense_disc_min(mus, x, gamma, k):
+    """Oracle of :func:`_disc_worst`: dense sampling of the unit ``k``-ball.
+
+    50,000 seeded uniform points of the ball and as many of its sphere,
+    then full grids of ``g^k`` points zooming on the best point until
+    the grid is 1e-7 wide, every batch through one :func:`_disc_min`
+    call.  It shares no step rule with the polish.
+    """
+    n_points = 50_000
+    _, r, _, center, radius = _cone_disc(mus, x, gamma)
+    basis = _perp_basis(r)
+    rng = np.random.default_rng(0)
+    ys = rng.standard_normal((n_points, k))
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    ys = np.concatenate([ys, ys * (rng.uniform(size=n_points) ** (1.0 / k))[:, None]])
+    best, _, y, _ = _disc_min(mus, x, center, radius, basis, ys)
+    g = {2: 201, 3: 31, 4: 13}[k]
+    axis = np.linspace(-1.0, 1.0, g)
+    grid = np.stack(np.meshgrid(*([axis] * k)), axis=-1).reshape(-1, k)
+    w = 0.25
+    while w > 1e-7:
+        ys = y + w * grid
+        ys /= np.maximum(1.0, np.linalg.norm(ys, axis=1))[:, None]
+        value, _, y, _ = _disc_min(mus, x, center, radius, basis, ys)
+        best = min(best, value)
+        w *= 4.0 / (g - 1)  # the next grid spans two spacings of this one
+    return best
+
+
+def count_ritz_gap_calls(monkeypatch):
+    """Count conelab's :func:`ritz_gap` calls into the returned list."""
+    calls = []
+    real = conelab.ritz_gap
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conelab, "ritz_gap", counted)
+    return calls
 
 
 def in_ball(cone, d):
@@ -413,6 +456,42 @@ class TestDiscWorst:
             assert refined <= brute + 1e-12 * abs(brute)
             assert refined <= sampled
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_dense_oracle_in_concentration_dimensions(self, n):
+        # the dimensions the concentration check runs in (k = 3, 4)
+        rng = np.random.default_rng(14 + n)
+        for _ in range(8):
+            mus = np.sort(rng.uniform(0.05, 3.0, size=n))[::-1]
+            while np.min(-np.diff(mus)) < 1e-3:
+                mus = np.sort(rng.uniform(0.05, 3.0, size=n))[::-1]
+            x = rng.uniform(0.1, 1.0, size=n)
+            gamma = rng.uniform(0.05, 0.95)
+            samples = ball_pattern(rng, n - 1)
+            refined, _ = _disc_worst(mus, x, gamma, samples, refine=True)
+            sampled, _ = _disc_worst(mus, x, gamma, samples, refine=False)
+            dense = dense_disc_min(mus, x, gamma, n - 1)
+            assert abs(refined - dense) <= 1e-8
+            assert refined <= dense + 1e-12 * abs(dense)
+            assert refined <= sampled
+
+    @pytest.mark.parametrize("x", [
+        (0.8819171, 0.0, 0.0, 0.47140452),
+        (-0.70710678, 0.70710678, 0.0, 0.0),
+    ])
+    def test_polish_ignores_rounding_level_gains(self, monkeypatch, x):
+        # two-coordinate threshold iterates of the concentration check, where
+        # the disc landscape is flat to about 1e-12: the polish takes 15-17
+        # calls here; a strict `<` win test takes 49 at the first, because it
+        # accepts gains below 1e-15 relative and then keeps doubling its step
+        mus = np.array([1.0, 0.6, 0.3, 0.1])
+        x = np.array(x)
+        samples = ball_pattern(np.random.default_rng(45), 3)
+        calls = count_ritz_gap_calls(monkeypatch)
+        refined, _ = _disc_worst(mus, x, 0.5, samples, refine=True)
+        assert len(calls) <= 30
+        monkeypatch.undo()
+        assert abs(refined - dense_disc_min(mus, x, 0.5, 3)) <= 1e-8
+
 
 class TestConcentrationCheck:
     SPECTRUM = Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.3, 0.1]))
@@ -422,6 +501,39 @@ class TestConcentrationCheck:
         with pytest.raises(ValueError, match="n_outer"):
             three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
                                         n_outer=n_outer, seed=1)
+
+    @pytest.mark.parametrize("n_outer", [2.5, 2.0, True, "2", None])
+    def test_n_outer_must_be_an_integer(self, monkeypatch, n_outer):
+        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        with pytest.raises(ValueError, match="n_outer"):
+            three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
+                                        n_outer=n_outer, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, 1.0, -1, True, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
+        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        with pytest.raises(ValueError, match="seed"):
+            three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
+                                        n_outer=1, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        report = three_d_concentration_check(
+            Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.1])), gamma=0.5, mu0=0.8,
+            n_outer=np.int64(1), seed=np.uint32(3),
+        )
+        assert (report.n_outer, report.seed) == (1, 3)
+
+    @pytest.mark.parametrize("seed", [45, 51, 54])
+    def test_seed_sweep_within_call_budget(self, monkeypatch, seed):
+        # seeds on which a polish that never grows its step back makes up to
+        # 5x the calls; criterion 10's gate at the benchmark's settings
+        calls = count_ritz_gap_calls(monkeypatch)
+        report = three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
+                                             n_outer=20, seed=seed)
+        assert report.n_significant <= 3
+        assert report.beats_reference_by <= 1e-6
+        assert report.reference_triple == (0, 1, 3)
+        assert len(calls) <= 40_000
 
 
 class TestWorstCaseInstance:
