@@ -34,6 +34,7 @@ from .conelab import (
     ritz_on_segment,
     t_star,
     three_d_concentration_check,
+    worst_aligned_preconditioner,
     worst_case_instance,
     worst_direction,
 )

@@ -11,9 +11,10 @@ outcome is poorest, the closed-form worst direction, and the explicit
 three-dimensional instances on which the sharp PSD factor is attained
 in the limit of vanishing interval-relative error.
 
-Everything here works on 3-vectors except the brute-force machinery,
-which deliberately samples cones in any dimension so it can serve as an
-assumption-free oracle.
+The cone geometry (:class:`ConeSpec` and everything built on it,
+:func:`brute_force_cone_min` included) works on 3-vectors.  Only the
+disc sampler of the concentration check, ``_disc_worst``, samples cones
+in dimension 3 to 5, so that it can serve as an assumption-free oracle.
 """
 
 import math
@@ -26,7 +27,7 @@ from .bounds import SolverKind, _factor
 from .errors import StationaryPointError
 from .iterate import _delta, psd_step
 from .pencil import DiagonalForm, _shifted_ritz_2x2
-from .precond import synthetic_gamma_preconditioner
+from .precond import Preconditioner, PrecondQuality
 
 __all__ = [
     "ConeSpec",
@@ -41,6 +42,7 @@ __all__ = [
     "ritz_gap",
     "ritz_on_segment",
     "brute_force_cone_min",
+    "worst_aligned_preconditioner",
     "worst_case_instance",
     "ellipse_quantities",
     "axis_ratio_closed_form",
@@ -92,12 +94,12 @@ class ConeSpec:
         x = np.asarray(self.x, dtype=float)
         if mus.shape != (3,) or x.shape != (3,):
             raise ValueError("cone geometry is three-dimensional")
-        if np.any(np.diff(mus) >= 0) or mus[-1] <= 0:
-            raise ValueError("mus must be strictly decreasing and positive")
+        if not np.all(np.isfinite(mus)) or np.any(np.diff(mus) >= 0) or mus[-1] <= 0:
+            raise ValueError("mus must be finite, strictly decreasing and positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if not np.any(x):
-            raise ValueError("x must be nonzero")
+        if not np.all(np.isfinite(x)) or not np.any(x):
+            raise ValueError("x must be finite and nonzero")
         self.mus = mus
         self.x = x
         self.mu_x, self.r, r_norm, _, _ = _cone_disc(mus, x, self.gamma)
@@ -288,12 +290,12 @@ class WorstCaseSetup:
 
     def __post_init__(self):
         mus = np.asarray(self.mus, dtype=float)
-        if mus.shape != (3,) or np.any(np.diff(mus) >= 0) or mus[-1] <= 0:
-            raise ValueError("mus must be three strictly decreasing positive values")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if (mus.shape != (3,) or not np.all(np.isfinite(mus))
+                or np.any(np.diff(mus) >= 0) or mus[-1] <= 0):
+            raise ValueError("mus must be three finite, strictly decreasing positive values")
+        for name, value in (("delta", self.delta), ("t", self.t)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         self.mus = mus
@@ -340,10 +342,58 @@ class WorstCaseResult:
     predicted_ratio: float
 
 
+def _aligned_error_matrix(r, w, norm):
+    """Symmetric ``E`` with spectral norm ``norm`` and ``E r = w``.
+
+    Requires ``||w|| <= norm * ||r||``; built as a rank-two map on
+    ``span{r, w}``.
+    """
+    r_norm = np.linalg.norm(r)
+    w_norm = np.linalg.norm(w)
+    n = r.size
+    if w_norm == 0.0:
+        return np.zeros((n, n))
+    rh = r / r_norm
+    u = w / w_norm
+    g = w_norm / r_norm  # |E r-hat| = g, must be <= norm
+    if g > norm * (1.0 + 1e-12):
+        raise ValueError("target direction lies outside the admissible ball")
+    c = float(u @ rh)
+    p = u - c * rh
+    p_norm = np.linalg.norm(p)
+    if p_norm < 1e-14:
+        sign = 1.0 if c >= 0 else -1.0
+        return sign * g * np.outer(rh, rh)
+    ph = p / p_norm
+    basis = np.column_stack([rh, ph])
+    core = g * np.array([[c, p_norm], [p_norm, -c]])
+    e = basis @ core @ basis.T
+    return (e + e.T) / 2.0
+
+
+def worst_aligned_preconditioner(cone, target):
+    """``T = I - E`` of quality ``cone.gamma`` whose fixed step from ``cone.x`` hits ``target``.
+
+    ``target`` lies in the cone's ball of admissible fixed-step iterates
+    (a point outside raises ``ValueError``); ``E`` is the rank-two map of
+    norm ``gamma`` sending the cone's ``r`` to ``cone.center - target``
+    (``cone.center`` is ``Bx``).  Diagonal coordinates; ``gamma = 0``
+    gives ``T = I``.
+    """
+    gamma = cone.gamma
+    n = cone.x.size
+    if gamma == 0.0:
+        e = np.zeros((n, n))
+    else:
+        e = _aligned_error_matrix(cone.r, cone.center - np.asarray(target, dtype=float), gamma)
+    quality = PrecondQuality(gamma=gamma, gamma1=1.0 - gamma, gamma2=1.0 + gamma)
+    return Preconditioner(matrix=np.eye(n) - e, quality=quality, coords="diagonal")
+
+
 def worst_case_instance(setup):
     """One solver :func:`psdlab.iterate.psd_step` on the poorest-convergence pair.
 
-    The ``worst_aligned`` preconditioner of quality ``setup.gamma`` makes
+    :func:`worst_aligned_preconditioner` of the instance's cone makes
     the fixed step from ``setup.x`` land on :func:`worst_direction`; the
     deltas come from the step kernel's ``_delta``, accurate down to
     ``delta`` near 1e-18.  A numerically empty cone (``x`` within 1e-13 of
@@ -353,10 +403,7 @@ def worst_case_instance(setup):
     d = worst_direction(cone)
     mus = setup.mus
     form = DiagonalForm(mus=mus, basis=np.eye(3), inverse_basis=np.eye(3))
-    t = synthetic_gamma_preconditioner(
-        form, setup.gamma, mode="worst_aligned", x=setup.x, target=d
-    )
-    step = psd_step(form, t, setup.x)
+    step = psd_step(form, worst_aligned_preconditioner(cone, d), setup.x)
     if step.converged:
         raise StationaryPointError("the worst-case step found a stationary point")
     lam = 1.0 / mus
@@ -620,14 +667,17 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     value of every admissible invariant triple.  Report-only: the caller
     decides what to do with a discordant outcome.  scipy's optimizers are
     imported here, on first use, so that no command path loads scipy.
-    ``n_outer`` must be an integer of at least 1 and ``seed`` a
-    nonnegative integer (bools are neither); anything else raises
-    ``ValueError`` before the search starts.
+    ``n_outer`` must be an integer of at least 1, ``seed`` a nonnegative
+    integer and ``gamma`` and ``mu0`` real numbers (bools are none of
+    these); anything else raises ``ValueError`` before the search starts.
     """
     if not _is_int(n_outer) or n_outer < 1:
         raise ValueError(f"n_outer must be an integer of at least 1, got {n_outer!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name, value in (("gamma", gamma), ("mu0", mu0)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     mus = np.asarray(spectrum.mus, dtype=float)
     n = mus.size
     if n not in (3, 4, 5):

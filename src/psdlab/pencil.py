@@ -400,10 +400,15 @@ def generate_problem(kind, **params):
         tridiagonal ``(h/6) tridiag(1, 4, 1)``.
         ``laplacian2d``: five-point stencil on an ``nx`` by ``ny``
         interior grid; ``mass="fem"`` is the tensor-product mass matrix.
+        Both Laplacians take the grid spacing ``h`` (default 1), which
+        must be finite and positive.
         ``matrix_market``: read ``path_a`` (and optionally ``path_b``)
         in real symmetric coordinate format; ``B = I`` if no
         ``path_b``.
     """
+    h = float(params.get("h", 1.0))
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
     if kind == "diagonal":
         lambdas = np.asarray(params["lambdas"], dtype=float)
         if lambdas.size < 3:
@@ -414,7 +419,6 @@ def generate_problem(kind, **params):
 
     if kind == "laplacian1d":
         n = int(params["n"])
-        h = float(params.get("h", 1.0))
         if n < 2:
             raise ValueError("laplacian1d needs n >= 2")
         a = _laplacian_1d(n, h)
@@ -430,7 +434,6 @@ def generate_problem(kind, **params):
     if kind == "laplacian2d":
         nx = int(params["nx"])
         ny = int(params.get("ny", nx))
-        h = float(params.get("h", 1.0))
         if nx < 2 or ny < 2:
             raise ValueError("laplacian2d needs nx, ny >= 2")
         tx = _laplacian_1d(nx, h)

@@ -123,68 +123,24 @@ class Preconditioner:
         return Preconditioner(matrix=m, quality=self.quality, coords=coords)
 
 
-def _aligned_error_matrix(r, w, norm):
-    """Symmetric ``E`` with spectral norm ``norm`` and ``E r = w``.
-
-    Requires ``||w|| <= norm * ||r||``; built as a rank-two map on
-    ``span{r, w}``.
-    """
-    r_norm = np.linalg.norm(r)
-    w_norm = np.linalg.norm(w)
-    n = r.size
-    if w_norm == 0.0:
-        return np.zeros((n, n))
-    rh = r / r_norm
-    u = w / w_norm
-    g = w_norm / r_norm  # |E r-hat| = g, must be <= norm
-    if g > norm * (1.0 + 1e-12):
-        raise ValueError("target direction lies outside the admissible ball")
-    c = float(u @ rh)
-    p = u - c * rh
-    p_norm = np.linalg.norm(p)
-    if p_norm < 1e-14:
-        sign = 1.0 if c >= 0 else -1.0
-        return sign * g * np.outer(rh, rh)
-    ph = p / p_norm
-    basis = np.column_stack([rh, ph])
-    core = g * np.array([[c, p_norm], [p_norm, -c]])
-    e = basis @ core @ basis.T
-    return (e + e.T) / 2.0
-
-
-def synthetic_gamma_preconditioner(diag_form, gamma, seed=None, mode="random", x=None, target=None):
-    """A preconditioner of exactly known quality in diagonal coordinates.
+def synthetic_gamma_preconditioner(diag_form, gamma, seed=None):
+    """A seeded random preconditioner of quality ``gamma`` in diagonal coordinates.
 
     In the diagonalized coordinates the quality constraint is a spectral
     norm bound on ``I - T``, so ``T = I - E`` with ``||E|| = gamma``
-    achieves the declared quality by construction.
-
-    Parameters
-    ----------
-    diag_form : DiagonalForm
-        Supplies the dimension and, for ``mode="worst_aligned"``, the
-        diagonal entries of ``B``.
-    gamma : float
-        Quality parameter in ``[0, 1)``.
-    seed : int
-        Seed for the random orthogonal factor, mandatory for
-        ``mode="random"``; ``worst_aligned`` draws no random numbers.
-    mode : {"random", "worst_aligned"}
-        ``random``: ``E = Q diag(eta) Q^T`` with seeded orthogonal ``Q``
-        and ``max |eta| = gamma``.  ``worst_aligned``: ``E`` is chosen
-        so that the fixed step from ``x`` lands exactly on ``target`` (a
-        point of the iterate ball, e.g. a cone-boundary direction from
-        :mod:`psdlab.conelab`).  ``gamma = 0`` gives ``T = I`` in either
-        mode.
+    achieves the declared quality by construction: ``E = Q diag(eta) Q^T``
+    with ``Q`` orthogonal, drawn from ``seed``, and ``max |eta| = gamma``
+    in ``[0, 1)``.  ``diag_form`` supplies the dimension.  ``seed`` is
+    mandatory at every ``gamma``; ``gamma = 0`` gives ``T = I``.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    if mode == "random" and seed is None:
-        raise ValueError("random mode needs a seed")
+    if seed is None:
+        raise ValueError("synthetic_gamma_preconditioner needs a seed")
     n = diag_form.n
     if gamma == 0.0:
         e = np.zeros((n, n))
-    elif mode == "random":
+    else:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
@@ -192,19 +148,6 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed=None, mode="random", x
         eta[0] = gamma if rng.random() < 0.5 else -gamma  # attain the norm exactly
         e = (q * eta) @ q.T
         e = (e + e.T) / 2.0
-    elif mode == "worst_aligned":
-        if x is None or target is None:
-            raise ValueError("worst_aligned mode needs x and target")
-        x = np.asarray(x, dtype=float)
-        target = np.asarray(target, dtype=float)
-        bx = diag_form.mus * x
-        mu_x = float(x @ bx) / float(x @ x)
-        r = bx - mu_x * x
-        if np.linalg.norm(r) < 1e-14 * np.linalg.norm(bx):
-            raise ValueError("x is an eigenvector; no residual to align against")
-        e = _aligned_error_matrix(r, bx - target, gamma)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     t = np.eye(n) - e
     quality = PrecondQuality(gamma=gamma, gamma1=1.0 - gamma, gamma2=1.0 + gamma)
     return Preconditioner(matrix=t, quality=quality, coords="diagonal")

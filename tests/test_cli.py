@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,10 @@ class TestSolveCommand:
         assert "non-finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [["--max-steps", "-1"]])
+    @pytest.mark.parametrize("args", [
+        ["--max-steps", "-1"],
+        ["--problem", "laplacian1d:5", "--h", "0"],
+    ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
                      "--gamma", "0.5", "--seed", "7", *args])
@@ -136,6 +140,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("psdlab: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("h", ["0", "nan", "inf"])
+    def test_bad_grid_spacing_named_in_message(self, h, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no arithmetic on the bad spacing
+            code = main(["solve", "--problem", "laplacian1d:5", "--h", h,
+                         "--gamma", "0.5", "--seed", "7"])
+        assert code == EXIT_ERROR
+        assert "grid spacing h" in capsys.readouterr().err
 
     def test_missing_seed_exits_1(self, capsys):
         code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
@@ -331,6 +344,8 @@ class TestSharpnessCommand:
         ["--mus", "1,0.5,0.1", "--t-mode", "grid", "--t-grid", "0"],
         # below the stationary floor the cone is numerically empty
         ["--mus", "1,0.5,0.1", "--deltas", "1e-30"],
+        ["--mus", "1,0.5,0.1", "--deltas", "nan"], ["--mus", "1,0.5,0.1", "--deltas", "inf"],
+        ["--mus", "1,nan,0.1"],
     ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["sharpness", "--gamma", "0.5", *args])
@@ -338,6 +353,13 @@ class TestSharpnessCommand:
         err = capsys.readouterr().err
         assert err.startswith("psdlab: error: ")
         assert "Traceback" not in err
+
+    def test_non_finite_mu_named_in_message(self, capsys):
+        code = main(["sharpness", "--mus", "1,nan,0.1", "--gamma", "0.5"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "mus must be three finite" in err
+        assert "kappa" not in err
 
 
 class TestSolveReproducible:

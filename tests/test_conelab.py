@@ -28,9 +28,9 @@ from psdlab import (
     ritz_gap,
     ritz_on_segment,
     run,
-    synthetic_gamma_preconditioner,
     t_star,
     three_d_concentration_check,
+    worst_aligned_preconditioner,
     worst_case_instance,
     worst_direction,
 )
@@ -516,6 +516,25 @@ class TestConcentrationCheck:
             three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
                                         n_outer=1, seed=seed)
 
+    @pytest.mark.parametrize("gamma, mu0", [
+        (None, 0.8), ("0.5", 0.8), (True, 0.8), (0.5, None), (0.5, "0.8"), (0.5, True),
+    ])
+    def test_gamma_and_mu0_must_be_real_numbers(self, monkeypatch, gamma, mu0):
+        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        name = "gamma" if not isinstance(gamma, float) else "mu0"
+        with pytest.raises(ValueError, match=name):
+            three_d_concentration_check(self.SPECTRUM, gamma=gamma, mu0=mu0,
+                                        n_outer=1, seed=1)
+
+    def test_numpy_floats_accepted(self, monkeypatch):
+        # a flat cone objective: only the input handling is under test
+        monkeypatch.setattr(conelab, "_disc_worst", lambda *args, **kwargs: (1.0, None))
+        report = three_d_concentration_check(
+            Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.1])), gamma=np.float32(0.5),
+            mu0=np.float64(0.8), n_outer=1, seed=3,
+        )
+        assert (report.gamma, report.mu0) == (0.5, 0.8)
+
     def test_numpy_integers_accepted(self):
         report = three_d_concentration_check(
             Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.1])), gamma=0.5, mu0=0.8,
@@ -645,10 +664,8 @@ class TestWorstCaseInstance:
         for exponent in range(4, 19):
             delta = 10.0 ** -exponent
             setup = WorstCaseSetup(mus=form.mus, gamma=gamma, delta=delta, t=t)
-            precond = synthetic_gamma_preconditioner(
-                form, gamma, mode="worst_aligned", x=setup.x,
-                target=worst_direction(setup.cone()),
-            )
+            cone = setup.cone()
+            precond = worst_aligned_preconditioner(cone, worst_direction(cone))
             result = run(pencil, precond, form.from_diagonal(setup.x), "psd",
                          max_steps=1, residual_tol=0.0)
             check = result.records[1].bound
@@ -664,6 +681,17 @@ class TestWorstCaseInstance:
             WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-4, t=-1.0)
         with pytest.raises(ValueError):
             WorstCaseSetup(mus=np.array([1.0, 1.0, 0.5]), gamma=0.5, delta=1e-4, t=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                WorstCaseSetup(mus=mus, gamma=0.5, delta=bad, t=1.0)
+            with pytest.raises(ValueError, match="t must"):
+                WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-4, t=bad)
+            with pytest.raises(ValueError, match="mus"):
+                WorstCaseSetup(mus=np.array([1.0, bad, 0.1]), gamma=0.5, delta=1e-4, t=1.0)
+            with pytest.raises(ValueError, match="mus"):
+                ConeSpec(mus=np.array([1.0, bad, 0.1]), x=np.ones(3), gamma=0.5)
+            with pytest.raises(ValueError, match="x must"):
+                ConeSpec(mus=mus, x=np.array([1.0, bad, 0.1]), gamma=0.5)
 
 
 class TestEllipseQuantities:

@@ -414,6 +414,13 @@ class TestGenerateProblem:
         oracle = 4.0 * np.sin(np.arange(1, 5) * np.pi / 10.0) ** 2 / 0.25
         np.testing.assert_allclose(lam, oracle, rtol=1e-12)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("kind, size", [("laplacian1d", {"n": 5}),
+                                            ("laplacian2d", {"nx": 3})])
+    def test_bad_grid_spacing_rejected(self, kind, size, h):
+        with pytest.raises(ValueError, match="grid spacing h"):
+            generate_problem(kind, h=h, **size)
+
     def test_diagonal(self):
         p = generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0])
         np.testing.assert_array_equal(np.diag(p.a), [1.0, 2.0, 4.0])

@@ -5,11 +5,14 @@ target, or a driver that stops calling through the traced names, would
 only surface when the benchmark runs.  This loads the tracer by path,
 resolves every entry of its table, and runs it around a tiny certify
 sweep.  It also loads ``perfbench/workloads.py`` and holds one pass of
-the fast workloads to their own correctness gates.
+the fast workloads to their own correctness gates, and runs the
+benchmark's ``--smoke`` check end to end.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,13 @@ def test_workload_pass_meets_its_gates(workload, size, k):
     outcome = w.run_pass(w.default_seed + k * w.seed_stride, size)
     assert outcome.attempted > 0
     assert outcome.failed == 0, outcome.problems
+
+
+def test_benchmark_smoke_run_passes():
+    # every workload once on tiny inputs, traced and untraced, through the
+    # benchmark's own entry point: a changed signature of a traced function
+    # or a lost metric fails here rather than in a timed run
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "smoke: ok", proc.stdout

@@ -16,6 +16,7 @@ from psdlab import (
     psd_step,
     rescale,
     synthetic_gamma_preconditioner,
+    worst_aligned_preconditioner,
     worst_direction,
 )
 
@@ -79,14 +80,11 @@ class TestSyntheticPreconditioner:
 
     def test_worst_aligned_hits_cone_boundary_direction(self):
         mus = np.array([1.0, 0.5, 0.1])
-        form = diag_form_for_mus(mus)
         x = np.array([1.0, 0.8, 0.6])
         gamma = 0.4
         cone = ConeSpec(mus=mus, x=x, gamma=gamma)
         d = worst_direction(cone)
-        t = synthetic_gamma_preconditioner(
-            form, gamma, mode="worst_aligned", x=x, target=d
-        )
+        t = worst_aligned_preconditioner(cone, d)
         tr = t.matrix @ cone.r
         want = d - cone.mu_x * x
         # angle via its sine: well conditioned for nearly collinear vectors
@@ -98,16 +96,24 @@ class TestSyntheticPreconditioner:
         # the aligned preconditioner stays admissible
         assert power_iteration_norm(np.eye(3) - t.matrix) <= gamma + 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_worst_aligned_quality_and_identity_at_gamma_zero(self, gamma):
+        cone = ConeSpec(mus=np.array([1.0, 0.5, 0.1]), x=np.array([1.0, 0.8, 0.6]),
+                        gamma=gamma)
+        t = worst_aligned_preconditioner(cone, worst_direction(cone))
+        assert t.coords == "diagonal"
+        assert (t.quality.gamma, t.quality.gamma1, t.quality.gamma2) == (
+            gamma, 1.0 - gamma, 1.0 + gamma)
+        if gamma == 0.0:
+            np.testing.assert_array_equal(t.matrix, np.eye(3))
+
     def test_target_outside_ball_rejected(self):
         mus = np.array([1.0, 0.5, 0.1])
-        form = diag_form_for_mus(mus)
         x = np.array([1.0, 0.8, 0.6])
         cone = ConeSpec(mus=mus, x=x, gamma=0.4)
         far = cone.center + 2.0 * cone.radius * np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="outside the admissible ball"):
-            synthetic_gamma_preconditioner(
-                form, 0.4, seed=0, mode="worst_aligned", x=x, target=far
-            )
+            worst_aligned_preconditioner(cone, far)
 
     def test_invalid_gamma(self):
         form = diag_form_for_mus([1.0, 0.5, 0.25])
