@@ -52,21 +52,40 @@ __all__ = [
 ]
 
 
-def _cone_disc(mus, x, gamma):
-    """``mu(x)``, ``r = Bx - mu(x) x``, ``||r||`` and the cone's disc center and radius.
+def _colsum(a):
+    """Sum of ``a`` over axis 0, in index order.
 
-    Raises :class:`StationaryPointError` when ``||r|| < 1e-13 ||Bx||``,
-    where ``x`` is numerically an eigenvector and the cone is empty.
+    A column's bits depend on its own entries only, never on how many
+    columns there are (numpy's own reduction sums a single column
+    pairwise once it has 9 or more entries).
     """
-    bx = mus * x
-    mu_x = float(x @ bx) / float(x @ x)
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def _components_first(a):
+    """View of ``a`` with its last (component) axis moved to the front."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _cone_disc(mus, x, gamma):
+    """``mu(x)``, ``r = Bx - mu(x) x``, ``||r||``, the disc center and radius, and ``empty``.
+
+    ``x`` is one iterate ``(n,)`` or one iterate per column ``(n, m)``;
+    every result has its trailing shape.  ``empty`` flags where
+    ``||r|| < 1e-13 ||Bx||``: ``x`` is numerically an eigenvector and the
+    cone is empty.
+    """
+    bx = mus.reshape(mus.shape + (1,) * (x.ndim - 1)) * x
+    mu_x = _colsum(x * bx) / _colsum(x * x)
     r = bx - mu_x * x
-    r_norm = np.linalg.norm(r)
-    if r_norm < 1e-13 * np.linalg.norm(bx):
-        raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+    r_norm = np.sqrt(_colsum(r * r))
+    empty = r_norm < 1e-13 * np.sqrt(_colsum(bx * bx))
     center = mu_x * x + (1.0 - gamma * gamma) * r
     radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
-    return mu_x, r, r_norm, center, radius
+    return mu_x, r, r_norm, center, radius, empty
 
 
 @dataclass
@@ -102,9 +121,12 @@ class ConeSpec:
             raise ValueError("x must be finite and nonzero")
         self.mus = mus
         self.x = x
-        self.mu_x, self.r, r_norm, _, _ = _cone_disc(mus, x, self.gamma)
+        mu_x, self.r, _, _, _, empty = _cone_disc(mus, x, self.gamma)
+        if empty:
+            raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+        self.mu_x = float(mu_x)
         self.center = mus * x
-        self.radius = self.gamma * r_norm
+        self.radius = self.gamma * np.linalg.norm(self.r)
 
 
 @dataclass(frozen=True)
@@ -124,7 +146,7 @@ class CrossSection:
 
 
 def cross_section(cone):
-    _, r, r_norm, center, radius = _cone_disc(cone.mus, cone.x, cone.gamma)
+    _, r, r_norm, center, radius, _ = _cone_disc(cone.mus, cone.x, cone.gamma)
     axis = r / r_norm
     v = np.cross(cone.x, r)
     v_norm = np.linalg.norm(v)
@@ -167,36 +189,47 @@ def ritz_gap(mus, x, directions):
     """Distance ``mus[0] - theta`` for each row ``d`` of ``directions``.
 
     ``theta`` is the larger reciprocal-form Ritz value of ``span{x, d}``
-    for the pencil ``(I, diag(mus))``; ``mus`` and ``x`` are arrays and
-    ``mus[0]`` must be the largest entry of ``mus``.  ``d`` is orthogonalized against ``x`` by
+    for the pencil ``(I, diag(mus))``; ``mus`` is an array whose first
+    entry is its largest.  ``x`` is one iterate ``(n,)`` shared by every
+    row, or one iterate per row: ``x`` and ``directions`` broadcast
+    against each other over their leading (row) axes, and the result has
+    their broadcast row shape.  ``d`` is orthogonalized against ``x`` by
     two Gram-Schmidt passes, and the projected 2x2 problem is solved
     relative to ``mus[0]``: with ``S = diag(mus[0] - mus)`` (nonnegative),
     ``p``, ``q`` and ``c`` the entries of ``S`` on the orthonormal pair,
     the gap is the smaller eigenvalue of ``[[p, c], [c, q]]`` from the
     step kernel's 2x2 routine, accurate as ``theta`` approaches
-    ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).
-    Rows (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``.
-    Vectorized over rows and value-only; the tests check it against
-    :func:`psdlab.pencil.rayleigh_ritz` and against LAPACK's generalized
-    symmetric-definite solver.
+    ``mus[0]`` (``mus[0] - theta`` would lose ``eps / gap``).  Rows
+    (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``; an
+    ``x`` in the eigenspace of ``mus[0]`` yields 0.
+
+    Value-only, and computed component-major: every product is
+    elementwise and every sum runs over the components in index order,
+    so a row's bits do not depend on the batch it comes in.  The tests
+    check it against :func:`psdlab.pencil.rayleigh_ritz` and against
+    LAPACK's generalized symmetric-definite solver.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    s = mus[0] - mus
-    xh = x / math.sqrt(x.dot(x))
+    x = np.asarray(x, dtype=float)
+    dt = _components_first(d)
+    xt = _components_first(x)
+    xt = xt.reshape(xt.shape[:1] + (1,) * (d.ndim - x.ndim) + xt.shape[1:])
+    s = (mus[0] - mus).reshape((-1,) + (1,) * (max(d.ndim, x.ndim) - 1))
+    xh = xt / np.sqrt(_colsum(xt * xt))
     sxh = s * xh
-    p = float(xh.dot(sxh))
-    if p == 0.0:  # x lies in the eigenspace of mus[0], so theta = mus[0]
-        return np.zeros(d.shape[0])
-    w = d - (d @ xh)[:, None] * xh
-    w -= (w @ xh)[:, None] * xh
+    p = _colsum(xh * sxh)
+    w = dt - _colsum(dt * xh) * xh
+    w -= _colsum(w * xh) * xh
     ww = w * w
-    w_sq = ww.sum(axis=1)
-    degenerate = w_sq <= 1e-30 * (d * d).sum(axis=1)
+    w_sq = _colsum(ww)
+    degenerate = w_sq <= 1e-30 * _colsum(dt * dt)
     w_sq = np.where(degenerate, 1.0, w_sq)
     # The entries of S on the unit vector w / |w|.
-    q = (ww @ s) / w_sq
-    c = (w @ sxh) / np.sqrt(w_sq)
-    return np.where(degenerate, p, _shifted_ritz_2x2(p, q, c)[0])
+    q = _colsum(ww * s) / w_sq
+    c = _colsum(w * sxh) / np.sqrt(w_sq)
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 only where p = 0
+        gap = _shifted_ritz_2x2(p, q, c)[0]
+    return np.where(p == 0.0, 0.0, np.where(degenerate, p, gap))
 
 
 def ritz_on_segment(cone, t):
@@ -217,17 +250,42 @@ def ritz_on_segment(cone, t):
     return float(values[0]) if scalar else values
 
 
-def _disc_min(mus, x, center, radius, basis, ys):
-    """Smallest larger Ritz value over the disc points ``center + radius * basis @ y``.
+def _disc_points(center, radius, basis, ys):
+    """The disc points ``center + radius * basis @ y`` of every column, as ``(n, m, P)``.
 
-    ``ys`` holds unit-ball points ``y`` as rows; all go through one
-    :func:`ritz_gap` call.  Returns the value, its direction, its ``y``
-    and its row index in ``ys``.
+    ``center`` is ``(n, m)``, ``radius`` ``(m,)`` and ``basis``
+    ``(n, k, m)``, one disc per column; ``ys`` holds ``P`` unit-ball
+    points per column as ``(k, m, P)``, or one pattern for all as
+    ``(k, 1, P)``.
     """
-    d = center + radius * (ys @ basis.T)
-    values = mus[0] - ritz_gap(mus, x, d)
-    idx = int(np.argmin(values))
-    return float(values[idx]), d[idx].copy(), ys[idx], idx
+    scaled = radius * basis
+    d = scaled[:, 0, :, None] * ys[0]
+    term = np.empty_like(d)
+    for j in range(1, basis.shape[1]):
+        d += np.multiply(scaled[:, j, :, None], ys[j], out=term)
+    d += center[:, :, None]
+    return d
+
+
+def _larger_ritz(mus, x, d):
+    """Larger Ritz values of ``span{x[:, i], d[:, i, p]}`` as ``(m, P)``, by one :func:`ritz_gap`."""
+    return mus[0] - ritz_gap(mus, x.T[:, None, :], d.transpose(1, 2, 0))
+
+
+def _disc_min(mus, x, center, radius, basis, ys):
+    """Smallest larger Ritz value over the disc points of each column ``x[:, i]``.
+
+    Shapes as in :func:`_disc_points`, with ``x`` ``(n, m)``; all points
+    go through one :func:`ritz_gap` call.  Returns per column the value
+    ``(m,)``, its direction ``(n, m)``, its ``y`` ``(k, m)`` and its
+    index among the column's points ``(m,)``.
+    """
+    d = _disc_points(center, radius, basis, ys)
+    values = _larger_ritz(mus, x, d)
+    idx = np.argmin(values, axis=1)
+    cols = np.arange(idx.size)
+    ys = np.broadcast_to(ys, (ys.shape[0],) + values.shape)
+    return values[cols, idx], d[:, cols, idx], ys[:, cols, idx], idx
 
 
 def brute_force_cone_min(cone, n_samples):
@@ -246,8 +304,10 @@ def brute_force_cone_min(cone, n_samples):
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
     basis = np.column_stack([cs.v, cone.x / np.linalg.norm(cone.x)])
-    value, direction, _, _ = _disc_min(cone.mus, cone.x, cs.center, cs.radius, basis, ys)
-    return value, direction
+    value, direction, _, _ = _disc_min(cone.mus, cone.x[:, None], cs.center[:, None],
+                                       np.array([cs.radius]), basis[:, :, None],
+                                       ys.T[:, None, :])
+    return float(value[0]), direction[:, 0]
 
 
 # -- worst-case instances attaining the sharp factor -------------------------
@@ -570,84 +630,134 @@ class ConcentrationReport:
 
 
 def _worst_value_3d(mu_triple, gamma, mu0):
-    """Closed-form worst larger Ritz value over a 3-D level set."""
-    import scipy.optimize  # loaded on first use: no command path needs it
+    """Closed-form worst larger Ritz value over a 3-D level set.
 
+    Minimizes the worst-case instance's value over the level-set
+    parameter ``t``: a 61-point grid of ``log10 t`` over ``[-3, 3]``,
+    then 9-point grids zooming on the best point, each spanning two
+    spacings of the one before, while their spacing is above 1e-8.
+    """
     mu_j, mu_k, mu_l = mu_triple
     delta0 = (mu_j - mu0) / (mu0 - mu_k)
 
-    def value_at(t):
+    def value_at(u):
         setup = WorstCaseSetup(mus=np.asarray(mu_triple), gamma=gamma,
-                               delta=delta0, t=t)
+                               delta=delta0, t=10.0 ** u)
         return worst_case_instance(setup).mu_after
 
-    ts = np.logspace(-3.0, 3.0, 181)
-    values = np.array([value_at(t) for t in ts])
-    idx = int(np.argmin(values))
-    lo = ts[max(idx - 1, 0)]
-    hi = ts[min(idx + 1, ts.size - 1)]
-    res = scipy.optimize.minimize_scalar(
-        value_at, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(min(res.fun, values[idx]))
+    us = np.linspace(-3.0, 3.0, 61)
+    spacing = us[1] - us[0]
+    best, center = math.inf, 0.0
+    while spacing > 1e-8:
+        values = [value_at(u) for u in us]
+        idx = int(np.argmin(values))
+        if values[idx] < best:
+            best, center = values[idx], us[idx]
+        spacing /= 4.0
+        # the next grid less its center, whose value is already known
+        us = center + spacing * np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+    return float(best)
 
 
 def _perp_basis(r):
-    """Orthonormal basis of the hyperplane orthogonal to ``r``.
+    """Orthonormal basis of the hyperplane orthogonal to each column of ``r``.
 
-    Columns 2..n of the Householder reflector mapping ``r`` onto the
-    first coordinate axis; much cheaper than an SVD null space and
-    deterministic in ``r``.
+    ``r`` is ``(n, m)``; returns ``(n, n - 1, m)``: columns 2..n of the
+    Householder reflector mapping ``r[:, i]`` onto the first coordinate
+    axis.  Much cheaper than an SVD null space and deterministic in ``r``.
     """
-    n = r.size
-    h = r / np.linalg.norm(r)
-    h[0] += math.copysign(1.0, h[0])
-    reflector = np.eye(n) - 2.0 * np.outer(h, h) / (h @ h)
-    return reflector[:, 1:]
+    n = r.shape[0]
+    h = r / np.sqrt(_colsum(r * r))
+    h[0] += np.copysign(1.0, h[0])
+    basis = -2.0 * (h[:, None] * h[None, 1:]) / _colsum(h * h)
+    basis[np.arange(1, n), np.arange(n - 1)] += 1.0
+    return basis
+
+
+# The stencil scales of one compass round, the largest step, and the step
+# at which the concentration check's search on the sampled cone minimum stops.
+_SCALES = 0.5 ** np.arange(4)
+_MAX_STEP = 0.25
+_SAMPLED_FLOOR = 1e-4
+
+
+def _compass(objective, y, value, moves, step, floor, project=None):
+    """Multi-scale compass descent of every column of ``y`` in lockstep.
+
+    ``y`` is ``(k, m)`` with objective values ``value`` ``(m,)``;
+    ``moves`` ``(k, M)`` is the stencil at unit scale.  A round takes,
+    for every live column, the stencil around its point at the four
+    scales ``step``, ``step/2``, ``step/4`` and ``step/8`` (mapped by
+    ``project``, if given) through one ``objective(cols, ys)`` call,
+    with ``ys`` ``(k, len(cols), 4M)`` returning ``(len(cols), 4M)``
+    values, and moves each column to its best point if that wins.  A
+    point wins only if it beats the column's value by more than
+    ``1e-15`` relative: where the landscape is flat, strict ``<`` would
+    keep accepting gains at the rounding level, each doubling the step.
+    A win at a smaller scale sets ``step`` to that scale, a win at
+    ``step`` itself doubles it (at most 0.25), and a round without a win
+    divides it by 16.  Every column starts at ``step`` and stops once its
+    step falls below ``floor``.  Returns the final points and values.
+    """
+    y, value = y.copy(), value.copy()
+    scaled = np.concatenate([scale * moves for scale in _SCALES], axis=1)
+    step = np.full(value.shape, float(step))
+    live = np.arange(value.size)
+    while live.size:
+        ys = y[:, live, None] + step[live, None] * scaled[:, None, :]
+        if project is not None:
+            ys = project(ys)
+        values = objective(live, ys)
+        idx = np.argmin(values, axis=1)
+        rows = np.arange(live.size)
+        best = values[rows, idx]
+        win = value[live] - best > 1e-15 * np.abs(value[live])
+        won = live[win]
+        y[:, won] = ys[:, rows[win], idx[win]]
+        value[won] = best[win]
+        scale = _SCALES[idx[win] // moves.shape[1]]
+        step[won] = np.where(scale == 1.0, np.minimum(2.0 * step[won], _MAX_STEP),
+                             step[won] * scale)
+        step[live[~win]] /= 16.0
+        live = live[step[live] >= floor]
+    return y, value
 
 
 def _disc_worst(mus, x, gamma, samples, refine=True):
-    """Inner level: smallest larger Ritz value over the cone at ``x``.
+    """Inner level: smallest larger Ritz value over the cone of each column of ``x``.
 
+    ``x`` is ``(n, m)``; returns the values ``(m,)`` and their
+    directions ``(n, m)``, ``inf`` and NaN where the cone is empty.
     ``samples`` is a fixed pattern of points of the unit ball in
-    dimension ``k = n - 1`` (so the outer objective is deterministic).
-    ``refine`` polishes the best sample by multi-scale compass rounds:
-    the ``3^k - 1`` stencil around the best ``y`` at the four scales
-    ``step``, ``step/2``, ``step/4`` and ``step/8``, projected into the
-    unit ball, is one :func:`_disc_min` call per round, and the round
-    moves to its best point.  A win at a smaller scale sets ``step`` to
-    that scale, a win at ``step`` itself doubles it (at most 0.25), and a
-    round without a win divides it by 16, down to 1e-10.  A point wins
-    only if it beats the best value by more than ``1e-15`` relative:
-    where the disc landscape is flat, strict ``<`` would keep accepting
-    gains at the rounding level, each doubling the step.
+    dimension ``k = n - 1``, as rows (so the outer objective is
+    deterministic); every column's samples go through one
+    :func:`ritz_gap` call.  ``refine`` polishes each column's best sample
+    by :func:`_compass` over the ``3^k - 1`` stencil, projected into the
+    unit ball, down to a step of 1e-10; the columns are polished in
+    lockstep, one :func:`ritz_gap` call per round.
     """
-    try:
-        _, r, _, center, radius = _cone_disc(mus, x, gamma)
-    except StationaryPointError:
-        return math.inf, None
-    basis = _perp_basis(r)  # (n, n-1)
-    best_val, best_d, best_y, _ = _disc_min(mus, x, center, radius, basis, samples)
-    if not refine:
-        return best_val, best_d
-    k = samples.shape[1]
-    stencil = np.indices((3,) * k).reshape(k, -1).T - 1.0
-    stencil = stencil[np.any(stencil, axis=1)]
-    scales = 0.5 ** np.arange(4)
-    moves = np.concatenate([scale * stencil for scale in scales])
-    step = 0.25  # the spacing of the sample rings
-    while step >= 1e-10:
-        ys = best_y + step * moves
-        ys /= np.maximum(1.0, np.linalg.norm(ys, axis=1))[:, None]
-        value, d, y, idx = _disc_min(mus, x, center, radius, basis, ys)
-        if best_val - value > 1e-15 * abs(best_val):
-            best_val, best_d, best_y = value, d, y
-            scale = scales[idx // len(stencil)]
-            step = min(2.0 * step, 0.25) if scale == 1.0 else step * scale
-        else:
-            step /= 16.0
-    return best_val, best_d
+    n, m = x.shape
+    value = np.full(m, math.inf)
+    direction = np.full((n, m), math.nan)
+    _, r, _, center, radius, empty = _cone_disc(mus, x, gamma)
+    ok = np.flatnonzero(~empty)
+    x, center, radius = x[:, ok], center[:, ok], radius[ok]
+    basis = _perp_basis(r[:, ok])
+    best, _, y, _ = _disc_min(mus, x, center, radius, basis, samples.T[:, None, :])
+    if refine:
+        k = n - 1
+        stencil = np.indices((3,) * k).reshape(k, -1) - 1.0
+        stencil = stencil[:, np.any(stencil, axis=0)]
+
+        def disc_values(cols, ys):
+            return _larger_ritz(mus, x[:, cols],
+                                _disc_points(center[:, cols], radius[cols], basis[:, :, cols], ys))
+
+        y, best = _compass(disc_values, y, best, stencil, _MAX_STEP, 1e-10,
+                           project=lambda ys: ys / np.maximum(1.0, np.sqrt(_colsum(ys * ys))))
+    value[ok] = best
+    direction[:, ok] = _disc_points(center, radius, basis, y[:, :, None])[:, :, 0]
+    return value, direction
 
 
 def _is_int(value):
@@ -657,19 +767,25 @@ def _is_int(value):
 def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     """Empirical check that the two-level worst case lives in 3 coordinates.
 
-    Runs ``n_outer`` seeded Nelder-Mead descents over the level set
-    ``mu(x) = mu0`` in dimension 3, 4 or 5, with the cone minimum at each
-    iterate evaluated by assumption-free disc sampling; the best descent
-    is polished with the multi-scale compass rounds of :func:`_disc_worst`.
-    The optimizer is then hard-thresholded coordinate by coordinate (a
-    zeroed coordinate is kept only if it does not worsen the objective),
-    and the report compares the best value against the closed-form worst
-    value of every admissible invariant triple.  Report-only: the caller
-    decides what to do with a discordant outcome.  scipy's optimizers are
-    imported here, on first use, so that no command path loads scipy.
-    ``n_outer`` must be an integer of at least 1, ``seed`` a nonnegative
-    integer and ``gamma`` and ``mu0`` real numbers (bools are none of
-    these); anything else raises ``ValueError`` before the search starts.
+    Searches the level set ``mu(x) = mu0`` in dimension 3, 4 or 5 for
+    the poorest cone minimum, which each iterate's disc sampling
+    (:func:`_disc_worst`) evaluates without assumptions.  The outer search
+    is :func:`_compass` over coordinate moves of the parameters, whose
+    entries for eigenvalues above and below ``mu0`` are each kept at unit
+    norm (the iterate ignores both scales): ``n_outer`` seeded starts
+    descend in lockstep on the sampled cone minimum down to a step of
+    1e-4, and the best start is polished on the refined minimum down to
+    1e-10.  The optimizer is then
+    hard-thresholded coordinate by coordinate (a zeroed coordinate is
+    kept only if re-optimizing the others on the refined minimum does not
+    worsen the objective), and the report compares the best value
+    against the closed-form worst value of every admissible invariant
+    triple.  Report-only: the caller decides what to do with a discordant
+    outcome.  ``mu0`` must lie above ``mus[-2]``, where some triple
+    brackets it.  ``n_outer`` must be an integer of at least 1, ``seed`` a
+    nonnegative integer and ``gamma`` and ``mu0`` real numbers (bools are
+    none of these); anything else raises ``ValueError`` before the search
+    starts.
     """
     if not _is_int(n_outer) or n_outer < 1:
         raise ValueError(f"n_outer must be an integer of at least 1, got {n_outer!r}")
@@ -686,7 +802,9 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
         raise ValueError("gamma must lie in (0, 1)")
     if np.any(mus == mu0) or not mus[-1] < mu0 < mus[0]:
         raise ValueError("mu0 must lie strictly inside an eigenvalue interval")
-    import scipy.optimize
+    if not mu0 > mus[-2]:
+        raise ValueError("mu0 must lie above the second smallest mu: "
+                         "the bottom interval has no invariant triple")
 
     rng = np.random.default_rng(seed)
 
@@ -700,82 +818,85 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     samples = np.concatenate([frac * dirs for frac in (1.0, 0.75, 0.5, 0.25)])
 
     def x_of(params):
+        """The level-set iterates of parameter columns ``(n, m)``, and which are valid."""
         p = params[pos]
         q = params[neg]
-        wp = float(np.sum((mus[pos] - mu0) * p * p))
-        wq = float(np.sum((mu0 - mus[neg]) * q * q))
-        if wp <= 0.0 or wq <= 0.0:
-            return None
-        x = np.zeros(n)
+        wp = _colsum((mus[pos] - mu0)[:, None] * p * p)
+        wq = _colsum((mu0 - mus[neg])[:, None] * q * q)
+        valid = (wp > 0.0) & (wq > 0.0)
+        x = np.empty_like(params)
         x[pos] = p
-        x[neg] = math.sqrt(wp / wq) * q
-        return x / np.linalg.norm(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x[neg] = np.sqrt(wp / wq) * q
+            x /= np.sqrt(_colsum(x * x))
+        return x, valid
 
-    def objective(params, refine=False):
-        x = x_of(params)
-        if x is None:
-            return 1e3 * mus[0]
-        return _disc_worst(mus, x, gamma, samples, refine=refine)[0]
+    def objective(refine):
+        def evaluate(cols, params):
+            x, valid = x_of(params.reshape(n, -1))
+            values = np.full(valid.size, 1e3 * mus[0])
+            values[valid] = _disc_worst(mus, x[:, valid], gamma, samples, refine=refine)[0]
+            return values.reshape(params.shape[1:])
+        return evaluate
 
-    best_params = None
-    best_value = math.inf
-    for _ in range(n_outer):
-        start = rng.standard_normal(n)
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-12},
-        )
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_params = res.x
+    def unit_blocks(params):
+        """``params`` with its ``pos`` and its ``neg`` entries each scaled to unit norm.
 
+        ``x_of`` ignores both scales; left free, a search can spend
+        endless rounds growing one entry to shrink the others' share.
+        An all-zero block gives NaN, which ``x_of`` flags invalid.
+        """
+        out = np.empty_like(params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for block in (pos, neg):
+                out[block] = params[block] / np.sqrt(_colsum(params[block] * params[block]))
+        return out
+
+    def descend(evaluate, params, free, step, floor):
+        moves = np.eye(n)[:, free]
+        moves = np.concatenate([moves, -moves], axis=1)
+        params = unit_blocks(params)
+        start = evaluate(None, params[:, :, None])[:, 0]
+        return _compass(evaluate, params, start, moves, step, floor, project=unit_blocks)
+
+    sampled, refined = objective(refine=False), objective(refine=True)
+    every = np.ones(n, dtype=bool)
+    params, values = descend(sampled, rng.standard_normal((n_outer, n)).T, every,
+                             _MAX_STEP, _SAMPLED_FLOOR)
+    best = int(np.argmin(values))
     # Polish with the refined inner solver (the sampled objective carries a
     # per-x discretization bias that would drown the comparisons below).
-    refined = lambda params: objective(params, refine=True)
-    res = scipy.optimize.minimize(
-        refined, best_params, method="Nelder-Mead",
-        options={"maxfev": 300, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    best_value = float(res.fun)
-    best_params = res.x
+    # The refined searches start at the sampled search's floor: their starts
+    # are near an optimum already, where a step of 0.25 mostly rescales a
+    # block and so shrinks its entries bound for 0 by only a fifth a round.
+    best_params, (best_value,) = descend(refined, params[:, best:best + 1], every,
+                                         _SAMPLED_FLOOR, 1e-10)
 
     # Hard-threshold trial moves: a coordinate joins the persistent zero
     # mask only when re-optimizing without it (and everything already
     # zeroed) does not worsen the value beyond the search tolerance.
-    zeroed = set()
-
-    def masked(params):
-        out = np.asarray(params, dtype=float).copy()
-        out[list(zeroed)] = 0.0
-        return out
-
+    free = every.copy()
     changed = True
     while changed:
         changed = False
-        magnitudes = np.abs(x_of(masked(best_params)))
+        magnitudes = np.abs(x_of(best_params)[0][:, 0])
         for coord in np.argsort(magnitudes):
-            coord = int(coord)
-            if coord in zeroed:
+            if not free[coord]:
                 continue
-            zeroed.add(coord)
-            trial = masked(best_params)
-            if x_of(trial) is None:
-                zeroed.discard(coord)
+            trial = best_params.copy()
+            trial[coord] = 0.0
+            if not x_of(trial)[1][0]:
                 continue
-            res = scipy.optimize.minimize(
-                lambda prm: refined(masked(prm)), trial,
-                method="Nelder-Mead",
-                options={"maxfev": 300, "xatol": 1e-10, "fatol": 1e-14},
-            )
-            if res.fun <= best_value + 1e-6:
-                best_value = float(min(res.fun, best_value))
-                best_params = masked(res.x)
+            free[coord] = False
+            trial, (value,) = descend(refined, trial, free, _SAMPLED_FLOOR, 1e-10)
+            if value <= best_value + 1e-6:
+                best_value = min(value, best_value)
+                best_params = trial
                 changed = True
                 break
-            zeroed.discard(coord)
+            free[coord] = True
 
-    best_x = x_of(masked(best_params))
-    best_value = min(best_value, refined(best_params))
+    best_x = x_of(best_params)[0][:, 0]
     significant = tuple(int(i) for i in np.nonzero(np.abs(best_x) > _SIGNIFICANCE)[0])
 
     i = int(np.nonzero(mus > mu0)[0][-1])  # mu0 in (mus[i+1], mus[i])
@@ -803,5 +924,3 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
         reference_value=float(reference_value),
         triple_values=triple_values,
     )
-
-

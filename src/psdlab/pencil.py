@@ -328,13 +328,12 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     This is the general reference path, kept as the oracle of the
     solvers' O(n) step kernel in :mod:`psdlab.iterate`.  It shares no
     code with the kernel, which does the two-dimensional projection
-    without forming matrices and solves it in closed form.  Its LAPACK
-    calls (``scipy.linalg.eigh`` on the projected pencil, a triangular
-    solve for the coefficients) import scipy here, on first use, so that
-    no command path loads it.
+    without forming matrices and solves it in closed form.  The projected
+    pencil goes through LAPACK by ``numpy.linalg``: a Cholesky factor
+    ``L`` of the projected A block, ``eigh`` of ``L^-1 (projected B) L^-T``
+    and a back-solve with ``L^T``; the caller-basis coefficients come from
+    a solve with the triangular ``R`` of the orthonormalization.
     """
-    import scipy.linalg
-
     if form not in ("lambda", "mu"):
         raise ValueError(f"unknown Ritz value form {form!r}")
     q, r = orthonormalize(basis_vectors)
@@ -343,19 +342,23 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     pb = q.T @ (pencil.b @ q)
     pa = (pa + pa.T) / 2.0
     pb = (pb + pb.T) / 2.0
-    try:  # mu ascending, pa-normalized eigenvectors in the orthonormal basis
-        mu_vals, z = scipy.linalg.eigh(pb, pa)
-    except np.linalg.LinAlgError as exc:  # cannot happen for s.p.d. A and full rank
+    try:  # pa = L L^T; cannot fail for s.p.d. A and full rank
+        chol = np.linalg.cholesky(pa)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateSubspaceError(
             "projected A block is numerically singular", rank=k - 1
         ) from exc
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, pb).T)
+    # mu ascending, pa-normalized eigenvectors in the orthonormal basis
+    mu_vals, v = np.linalg.eigh(reduced)
+    z = np.linalg.solve(chol.T, v)
 
     pairs = []
     for idx in range(k - 1, -1, -1):  # descending mu == ascending lambda
         coeff_orth = z[:, idx]
         vec = q @ coeff_orth
         vec = vec / np.linalg.norm(vec)
-        raw = scipy.linalg.solve_triangular(r, coeff_orth, lower=False)
+        raw = np.linalg.solve(r, coeff_orth)
         scale = np.max(np.abs(raw))
         raw = raw / scale
         nonzero = np.nonzero(np.abs(raw) > 1e-14)[0]
@@ -413,8 +416,9 @@ def generate_problem(kind, **params):
         lambdas = np.asarray(params["lambdas"], dtype=float)
         if lambdas.size < 3:
             raise ValueError("diagonal problems need at least 3 eigenvalues")
-        if np.any(lambdas <= 0):
-            raise ValueError("diagonal entries must be positive")
+        if not np.all((lambdas > 0) & (lambdas < np.inf)):
+            raise ValueError(
+                f"diagonal entries must be finite and positive, got {lambdas.tolist()}")
         return SymmetricPencil(np.diag(lambdas), np.eye(lambdas.size))
 
     if kind == "laplacian1d":

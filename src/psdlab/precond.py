@@ -98,8 +98,8 @@ class Preconditioner:
 
     def scaled(self, factor):
         """The preconditioner ``factor * T`` with consistently scaled quality."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < factor < np.inf:
+            raise ValueError(f"scale factor must be finite and positive, got {factor!r}")
         q = self.quality
         if q.gamma1 is not None:
             quality = PrecondQuality(

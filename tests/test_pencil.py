@@ -421,6 +421,11 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match="grid spacing h"):
             generate_problem(kind, h=h, **size)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_diagonal_needs_finite_positive_entries(self, bad):
+        with pytest.raises(ValueError, match="diagonal entries"):
+            generate_problem("diagonal", lambdas=[1.0, 2.0, bad])
+
     def test_diagonal(self):
         p = generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0])
         np.testing.assert_array_equal(np.diag(p.a), [1.0, 2.0, 4.0])

@@ -217,6 +217,12 @@ class TestRescale:
         with pytest.raises(ValueError, match="equivalence constants"):
             rescale(t)
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0, -1.0])
+    def test_scaled_needs_finite_positive_factor(self, factor):
+        t = exact_inverse_preconditioner(SymmetricPencil(np.diag([1.0, 2.0, 4.0]), np.eye(3)))
+        with pytest.raises(ValueError, match="scale factor"):
+            t.scaled(factor)
+
 
 class TestPsdScaleInvariance:
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
