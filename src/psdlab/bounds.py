@@ -86,18 +86,29 @@ def locate_interval(spectrum, value):
     value = float(value)
     if not math.isfinite(value):
         raise IntervalError(f"value {value} is not finite")
-    if value < lam[0] * (1.0 - 1e-12) or value >= lam[-1]:
+    bottom, top = float(lam[0]), float(lam[-1])
+    if value < bottom * (1.0 - 1e-12) or value >= top:
         raise IntervalError(
-            f"value {value!r} outside the open spectral range [{lam[0]!r}, {lam[-1]!r})"
+            f"value {value!r} outside the open spectral range [{bottom!r}, {top!r})"
         )
     # Values a roundoff below lambda_1 count as lambda_1, whose interval
     # starts at its last copy when lambda_1 is repeated.
-    return int(lam.searchsorted(max(value, lam[0]), side="right")) - 1
+    return int(lam.searchsorted(max(value, bottom), side="right")) - 1
 
 
 def _check_index(lam, i):
     if not 0 <= i <= len(lam) - 2:
         raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
+
+
+def _interval_ends(lam, i):
+    """``(lambda_i, lambda_{i+1}, lambda_n)`` as Python floats, ``i`` checked.
+
+    Python float arithmetic gives the bits of numpy's scalar arithmetic
+    at a fraction of its cost, which the per-step :func:`certify_step` pays.
+    """
+    _check_index(lam, i)
+    return float(lam[i]), float(lam[i + 1]), float(lam[-1])
 
 
 def delta(spectrum, i, xi):
@@ -124,27 +135,27 @@ def kappa(spectrum, i):
     the ratio degenerate and raises, as do vanishing gaps.  The factors
     themselves use the limit ``kappa = 0`` there.
     """
-    lam = spectrum.lambdas
-    _check_index(lam, i)
-    if lam[i + 1] == lam[-1]:
+    ends = _interval_ends(spectrum.lambdas, i)
+    if ends[1] == ends[2]:
         raise ValueError(
             "kappa is undefined on the topmost interval (lambda_{i+1} = lambda_n); "
             "the steepest-descent factor degenerates there"
         )
-    return _kappa_lenient(lam, i)
+    return _kappa_lenient(*ends)
 
 
-def _kappa_lenient(lam, i):
-    """kappa on interval ``i`` with the topmost interval mapped to its limit 0.
+def _kappa_lenient(lo, hi, top):
+    """kappa of the interval ``[lo, hi)`` with the topmost one mapped to its limit 0.
 
-    The topmost interval is the one whose upper end is ``lambda_n`` by
-    value, so a repeated largest eigenvalue also maps to the limit.
+    The topmost interval is the one whose upper end ``hi`` is
+    ``lambda_n = top`` by value, so a repeated largest eigenvalue also
+    maps to the limit.
     """
-    if lam[i + 1] == lam[-1]:
+    if hi == top:
         return 0.0
-    if not lam[i] < lam[i + 1]:
+    if not lo < hi:
         raise ValueError("kappa needs strict gaps lambda_i < lambda_{i+1} < lambda_n")
-    return float(lam[i] * (lam[-1] - lam[i + 1]) / (lam[i + 1] * (lam[-1] - lam[i])))
+    return lo * (top - hi) / (hi * (top - lo))
 
 
 def _factor(kind, q, k, gamma):
@@ -174,10 +185,9 @@ def sigma(kind, spectrum, i, gamma=0.0):
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     kind = SolverKind.parse(kind)
-    lam = spectrum.lambdas
-    _check_index(lam, i)
-    k = _kappa_lenient(lam, i) if kind.line_search else None
-    return float(_factor(kind, float(lam[i] / lam[i + 1]), k, gamma))
+    lo, hi, top = _interval_ends(spectrum.lambdas, i)
+    k = _kappa_lenient(lo, hi, top) if kind.line_search else None
+    return float(_factor(kind, lo / hi, k, gamma))
 
 
 @dataclass(frozen=True)
@@ -198,10 +208,9 @@ def factors(spectrum, i, gamma=0.0):
 
     On the topmost interval ``kappa`` is its limit 0, as in :func:`sigma`.
     """
-    lam = spectrum.lambdas
-    _check_index(lam, i)
-    k = _kappa_lenient(lam, i)
-    q = float(lam[i] / lam[i + 1])
+    lo, hi, top = _interval_ends(spectrum.lambdas, i)
+    k = _kappa_lenient(lo, hi, top)
+    q = lo / hi
     return BoundFactors(
         interval_index=i,
         gamma=float(gamma),
@@ -255,7 +264,7 @@ def certify_step(spectrum, gamma, i, deltas, kind="psd"):
     kind = SolverKind.parse(kind)
     gamma = 0.0 if kind.exact_inverse else float(gamma)
     sig_sq = sigma(kind, spectrum, i, gamma) ** 2
-    d_before, d_after = (float(d) for d in deltas)
+    d_before, d_after = map(float, deltas)
     ratio = slack = None
     note = ""
     if d_after <= 0.0:

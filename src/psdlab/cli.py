@@ -132,9 +132,8 @@ class ExperimentReport:
 
     def to_json(self):
         return json.dumps(
-            {"config": _jsonable(self.config), "records": _jsonable(self.records),
-             "summary": _jsonable(self.summary)},
-            indent=2, allow_nan=True,
+            {"config": self.config, "records": self.records, "summary": self.summary},
+            indent=2, allow_nan=True, default=_json_scalar,
         ) + "\n"
 
     def to_csv(self):
@@ -152,14 +151,15 @@ class ExperimentReport:
         return EXIT_OK
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+def _json_scalar(obj):
+    """``json.dumps``'s hook for what it cannot write: numpy scalars as Python ones.
+
+    ``np.float64`` is a ``float`` and never gets here; it is written by
+    ``float.__repr__``, as its ``.item()`` would be.
+    """
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_cell(value):

@@ -14,10 +14,19 @@ coordinates) and the shifted 2x2 Ritz routine that
 :func:`psdlab.conelab.ritz_gap` shares.  :func:`run` maps a dense
 :class:`SymmetricPencil` and its ``T`` there once;
 :func:`psdlab.pencil.rayleigh_ritz` is the kernel's test oracle.
+
+Each iterate is measured once.  A step takes a vector or the previous
+:class:`StepResult`, which carries what that step measured of its new
+iterate: ``Bx``, and for the fixed step also ``x.x``, the Rayleigh
+value, the residual and its norm.  :func:`run` hands every step its
+predecessor, reads the record's residual from that measure, and keeps
+the per-eigenvalue distance rows of each interval it visits; a chained
+step gives the same bits as a step from the bare vector.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,19 +60,38 @@ _DEGENERATE_DIRECTION_TOL = 1e-14
 _MONOTONE_TOL = 1e-12
 
 
+class _Measure(NamedTuple):
+    """What a step measured of its new iterate ``x``, in the coordinates ``mus``.
+
+    ``bx = mus * x`` always; the fixed step also keeps ``xx = x.x``, the
+    Rayleigh value, the residual ``r = x - rho Bx`` and ``|r|``, which the
+    next step and :func:`run` would otherwise form again with the same bits.
+    """
+
+    mus: np.ndarray
+    bx: np.ndarray
+    xx: float = None
+    value: RayleighValue = None
+    r: np.ndarray = None
+    r_norm: float = None
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of a single solver step.
 
     ``converged`` is set when the input was already (numerically) an
     eigenvector or the search subspace degenerated; the iterate is then
-    returned unchanged (up to normalization).
+    returned unchanged (up to normalization).  A step result may stand in
+    for its ``x`` as the next step's input: what the step measured of its
+    new iterate then goes along, and the next step skips forming it again.
     """
 
     x: np.ndarray
     rho: RayleighValue
     theta_opt: float = None
     converged: bool = False
+    _measured: _Measure = field(default=None, repr=False, compare=False)
 
 
 # Vector products use ndarray.dot: the same BLAS result as ``@``, at about
@@ -96,12 +124,25 @@ def _as_operator(precond):
     return precond.apply
 
 
-def _rayleigh_value(x, bx):
-    num = float(x.dot(x))
-    if num == 0.0:
+def _residual(x, bx):
+    """``(x.x, value, r, |r|)`` of ``x`` given ``bx = mus * x``.
+
+    The Rayleigh value is ``x.x / x.Bx`` and ``r = x - rho Bx``; the zero
+    vector raises ValueError.
+    """
+    xx = float(x.dot(x))
+    if xx == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
     den = float(x.dot(bx))
-    return RayleighValue(rho=num / den, mu=den / num)
+    value = RayleighValue(rho=xx / den, mu=den / xx)
+    r = x - value.rho * bx
+    return xx, value, r, _norm(r)
+
+
+def _measure(mus, x):
+    """The full :class:`_Measure` of ``x``."""
+    bx = mus * x
+    return _Measure(mus, bx, *_residual(x, bx))
 
 
 def _converged_result(x, value):
@@ -120,6 +161,10 @@ def _step(form, precond, x, line_search):
     solved on ``S = mus[0] - B`` by :func:`_shifted_ritz_2x2`.  The
     checks, tolerances and sign conventions are those of
     :func:`psdlab.pencil.rayleigh_ritz` on the basis ``[x, T r]``.
+
+    ``x`` may be the previous :class:`StepResult`: its measure of ``x``
+    replaces the same products taken again, so the result is bit for bit
+    that of its ``x``.
     """
     if not isinstance(form, DiagonalForm):
         raise TypeError(
@@ -128,19 +173,27 @@ def _step(form, precond, x, line_search):
         )
     apply_t = _as_operator(precond)
     mus = form.mus
-    x = np.asarray(x, dtype=float)
-    bx = mus * x
-    value = _rayleigh_value(x, bx)
-    r = x - value.rho * bx
-    if _norm(r) < _EIGENVECTOR_TOL * _norm(x):
+    m = None
+    if isinstance(x, StepResult):
+        m = x._measured
+        x = x.x
+        if m is not None and m.mus is not mus:
+            m = None
+    else:
+        x = np.asarray(x, dtype=float)
+    if m is not None and m.value is not None:
+        xx, value, r, r_norm = m.xx, m.value, m.r, m.r_norm
+    else:
+        xx, value, r, r_norm = _residual(x, mus * x if m is None else m.bx)
+    x_norm = math.sqrt(xx)
+    if r_norm < _EIGENVECTOR_TOL * x_norm:
         return _converged_result(x, value)
     d = apply_t(r)
     if not line_search:
         x_next = _unit(x - d)
-        rho = _rayleigh_value(x_next, mus * x_next)
-        return StepResult(x=x_next, rho=rho, theta_opt=1.0)
+        m_next = _measure(mus, x_next)
+        return StepResult(x=x_next, rho=m_next.value, theta_opt=1.0, _measured=m_next)
 
-    x_norm = _norm(x)
     d_norm = _norm(d)
     if d_norm < _DEGENERATE_DIRECTION_TOL * x_norm:
         return _converged_result(x, value)
@@ -158,7 +211,7 @@ def _step(form, precond, x, line_search):
     q2 = w / w_norm
     # S on [q1, q2]: its smaller eigenvalue g gives the larger mu, i.e. the
     # smaller lambda, and (z1, z2) its eigenvector.
-    s = mus[0] - mus
+    s = form.shift
     sq1 = s * q1
     c = float(q2.dot(sq1))
     g, half, root = _shifted_ritz_2x2(float(q1.dot(sq1)), float(q2.dot(s * q2)), c)
@@ -177,7 +230,8 @@ def _step(form, precond, x, line_search):
         f = -f
     vec = (f * z1) * q1 + (f * z2) * q2
     theta = math.inf if abs(c_x) < 1e-14 else -c_d / c_x
-    return StepResult(x=vec, rho=RayleighValue.from_rho(1.0 / mu), theta_opt=theta)
+    return StepResult(x=vec, rho=RayleighValue.from_rho(1.0 / mu), theta_opt=theta,
+                      _measured=_Measure(mus, mus * vec))
 
 
 def pinvit1_step(form, precond, x):
@@ -188,7 +242,9 @@ def pinvit1_step(form, precond, x):
     ``None`` (``T = I``) or a :class:`Preconditioner` in diagonal
     coordinates.  A :class:`SymmetricPencil`, a matrix or a callable
     raises :class:`TypeError` (step a pencil through :func:`run`), a
-    preconditioner in pencil coordinates :class:`ValueError`.
+    preconditioner in pencil coordinates :class:`ValueError`.  ``x`` may
+    also be the previous step's :class:`StepResult`; the step then takes
+    what that step measured of its iterate and gives the same bits.
     """
     return _step(form, precond, x, line_search=False)
 
@@ -268,7 +324,12 @@ class RunResult:
         ]
 
 
-def _delta(lam, mus, z, i):
+def _delta_row(lam, mus, i):
+    """Interval ``i``'s distance rows ``mus[i] - mus``, ``mus - mus[i + 1]`` and its ends."""
+    return mus[i] - mus, mus - mus[i + 1], float(lam[i]), float(lam[i + 1])
+
+
+def _delta(lam, mus, z, i, row=None):
     """Interval-relative error of ``z`` on interval ``i``, lambda form, cancellation free.
 
     Evaluated in the diagonalized coordinates from per-eigenvalue
@@ -277,11 +338,27 @@ def _delta(lam, mus, z, i):
     times ``lam[i] / lam[i + 1]``.  It keeps full relative accuracy even
     when the iterate is within roundoff of an eigenvector, and may come
     out at or below zero when the value sits at ``lambda_i`` or beyond.
+    ``row`` is interval ``i``'s :func:`_delta_row` when the caller keeps it.
     """
+    up, down, lo, hi = _delta_row(lam, mus, i) if row is None else row
     w = z * z
-    p = float((mus[i] - mus).dot(w))
-    q = float((mus - mus[i + 1]).dot(w))
-    return p / q * lam[i] / lam[i + 1]
+    return float(up.dot(w)) / float(down.dot(w)) * lo / hi
+
+
+# A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
+# is: the square of that entry neither overflows nor underflows in its norm.
+_POW2_SAFE_EXP = 400
+
+
+def _pow2_scaled(v):
+    """``v``, brought by a power of two into a range where its norm is safe.
+
+    Outside ``2**±_POW2_SAFE_EXP`` the max-abs entry is scaled into
+    [0.5, 1).  That scaling is exact unless it pushes an entry below the
+    normal range; a vector inside the range is returned unchanged.
+    """
+    _, e = np.frexp(np.max(np.abs(v)))
+    return v if abs(e) <= _POW2_SAFE_EXP else np.ldexp(v, -e)
 
 
 def _certification_gamma(kind, quality):
@@ -323,14 +400,21 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     the line-search kinds and certified runs, nonincreasing up to
     ``_MONOTONE_TOL``; a failure raises :class:`NumericFailure`.  Each
     certified step is judged by :func:`psdlab.bounds.certify_step`.
+    ``x0`` must be a finite, nonzero vector of the pencil's size, else
+    :class:`ValueError`; any such vector runs, entries near the overflow
+    or underflow threshold included.
     """
     kind = SolverKind.parse(kind)
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 has a non-finite entry")
     if not np.any(x0):
         raise ValueError("x0 must be nonzero")
     form = diagonalize(pencil)
+    if x0.shape != (form.n,):
+        raise ValueError(f"x0 must be a vector of length {form.n}, got shape {x0.shape}")
     spectrum = form.spectrum()
 
     if kind.exact_inverse:
@@ -350,20 +434,35 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
 
     mus = form.mus
     lam = spectrum.lambdas
-    z = _unit(form.to_diagonal(x0))
-    value = _rayleigh_value(z, mus * z)
-    step = bound = certified = None
+    lam_top = float(lam[-1])
+    # The delta rows of each interval the run visits, built on the first visit.
+    rows = {}
+    # Scaled by powers of two on both sides of the map, so that entries near
+    # the overflow or underflow threshold still give a unit start.
+    z = _unit(_pow2_scaled(form.to_diagonal(_pow2_scaled(x0))))
+    m = _measure(mus, z)
+    # The start as a step that measured its iterate; each step is handed on
+    # to the next, which takes that measure instead of forming it again.
+    step = StepResult(x=z, rho=m.value, _measured=m)
+    bound = certified = None
     records = []
     status = "max_steps"
     for step_index in range(max_steps + 1):
         # Measure: residual, interval (None at or above lambda_n) and delta.
-        # A certified step already took the delta on its interval.
-        res_norm = _norm(z - value.rho * (mus * z))
-        i = None if value.rho >= lam[-1] else bounds.locate_interval(spectrum, value.rho)
+        # The fixed step measured its residual already, a certified step the
+        # delta on its interval.
+        z, value, m = step.x, step.rho, step._measured
+        if m is not None and m.value is value:
+            res_norm = m.r_norm
+        else:
+            res_norm = _norm(z - value.rho * (mus * z if m is None else m.bx))
+        i = None if value.rho >= lam_top else bounds.locate_interval(spectrum, value.rho)
+        if i is not None and i not in rows:
+            rows[i] = _delta_row(lam, mus, i)
         if certified is not None and certified[0] == i:
             delta = certified[1]
         else:
-            delta = None if i is None else _delta(lam, mus, z, i)
+            delta = None if i is None else _delta(lam, mus, z, i, rows[i])
         delta_now = None if delta is None else max(0.0, delta)
         records.append(
             IterationRecord(
@@ -372,12 +471,12 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
                 residual_norm=res_norm,
                 delta=delta_now,
                 bound=bound,
-                theta_opt=None if step is None else step.theta_opt,
+                theta_opt=step.theta_opt,
             )
         )
         # delta_tol is a distance to lambda_1, so only the first interval
         # (from the last copy of lambda_1) can meet it.
-        if ((step is not None and step.converged) or res_norm < residual_tol
+        if (step.converged or res_norm < residual_tol
                 or (delta_tol is not None and i is not None and lam[i] == lam[0]
                     and delta_now < delta_tol)):
             status = "converged"
@@ -385,22 +484,21 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         if step_index == max_steps:
             break
 
-        step = psd_step(form, t, z) if kind.line_search else pinvit1_step(form, t, z)
-        rho_prev = value.rho
-        z, value = step.x, step.rho
-        if not math.isfinite(value.rho):
+        step = psd_step(form, t, step) if kind.line_search else pinvit1_step(form, t, step)
+        rho_prev, rho = value.rho, step.rho.rho
+        if not math.isfinite(rho):
             raise NumericFailure(
                 f"step {step_index + 1} produced a non-finite Rayleigh quotient "
-                f"({value.rho!r}); aborting"
+                f"({rho!r}); aborting"
             )
-        if monotone_guaranteed and value.rho > rho_prev * (1.0 + _MONOTONE_TOL):
+        if monotone_guaranteed and rho > rho_prev * (1.0 + _MONOTONE_TOL):
             raise NumericFailure(
                 f"step {step_index + 1} increased the Rayleigh quotient from "
-                f"{rho_prev!r} to {value.rho!r}"
+                f"{rho_prev!r} to {rho!r}"
             )
         bound = certified = None
         if certifying and not step.converged and i is not None:
-            certified = (i, _delta(lam, mus, z, i))
+            certified = (i, _delta(lam, mus, step.x, i, rows[i]))
             bound = bounds.certify_step(spectrum, cert_gamma, i, (delta, certified[1]), kind=kind)
 
     return RunResult(

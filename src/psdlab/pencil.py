@@ -206,6 +206,7 @@ class DiagonalForm:
     basis: np.ndarray
     inverse_basis: np.ndarray
     _spectrum: Spectrum = field(default=None, repr=False)
+    _shift: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -226,6 +227,13 @@ class DiagonalForm:
         if self._spectrum is None:
             self._spectrum = Spectrum(lambdas=1.0 / self.mus)
         return self._spectrum
+
+    @property
+    def shift(self):
+        """``mus[0] - mus``: the ``S = mus[0] - B`` of the line-search step's 2x2 problem."""
+        if self._shift is None:
+            self._shift = self.mus[0] - self.mus
+        return self._shift
 
 
 def diagonalize(pencil):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from psdlab import (
     IntervalError,
@@ -267,3 +269,66 @@ class TestCertifyStep:
         check = certify_step(spec124, 0.5, *_step(spec124, 1.5, 1.3), kind="pinvit1")
         assert check.sigma_squared == pytest.approx(0.75**2, rel=1e-12)
         assert check.verdict == HOLDS
+
+
+def numpy_scalar_sigma(kind, spectrum, i, gamma):
+    """sigma() from the interval ends as numpy scalars, the reference for its bits."""
+    lam = spectrum.lambdas
+    if kind.exact_inverse:
+        gamma = 0.0
+    if not kind.line_search:
+        return float(gamma + (1.0 - gamma) * float(lam[i] / lam[i + 1]))
+    k = 0.0 if lam[i + 1] == lam[-1] else float(
+        lam[i] * (lam[-1] - lam[i + 1]) / (lam[i + 1] * (lam[-1] - lam[i])))
+    return float((k + gamma * (2.0 - k)) / ((2.0 - k) + gamma * k))
+
+
+class TestCertifiedSigmaSquared:
+    # certify_step takes sigma^2 per step from Python floats; every factor
+    # must keep the bits of the numpy-scalar formula.
+    LAMBDAS = [1.0, 1.5, 2.0, 4.0, 7.0, 7.0]  # a repeated lambda_n
+
+    def test_factor_is_sigma_squared_under_interleaving(self):
+        spec = Spectrum(lambdas=np.array(self.LAMBDAS))
+        calls = [(kind, gamma, i)
+                 for gamma in (0.0, 0.3, 0.9, 0.3, 0.55, 0.0)
+                 for i in (4, 0, 2, 3, 1)
+                 for kind in (SolverKind.PSD, SolverKind.INVIT1, SolverKind.PINVIT1,
+                              SolverKind.INVIT2)]
+        for kind, gamma, i in calls + calls[::-1]:
+            check = certify_step(spec, gamma, i, (0.5, 0.1), kind=kind)
+            effective = 0.0 if kind.exact_inverse else gamma
+            expected = sigma(kind, spec, i, effective) ** 2
+            assert check.sigma_squared.hex() == expected.hex(), (kind, gamma, i)
+            assert expected.hex() == (numpy_scalar_sigma(kind, spec, i, gamma) ** 2).hex()
+            assert check.gamma == effective
+            if kind.exact_inverse:  # the exact inverse is gamma 0 whatever is passed
+                assert expected == sigma(kind, spec, i, gamma) ** 2
+
+    @given(lams=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=8),
+           gamma=st.floats(0.0, 1.0), data=st.data())
+    def test_sigma_keeps_the_bits_of_numpy_scalars(self, lams, gamma, data):
+        spec = Spectrum(lambdas=np.sort(np.array(lams)))
+        i = data.draw(st.integers(0, len(lams) - 2))
+        lam = spec.lambdas
+        for kind in SolverKind:
+            if kind.line_search and lam[i + 1] != lam[-1] and not lam[i] < lam[i + 1]:
+                continue  # kappa needs a strict gap there
+            assert (sigma(kind, spec, i, gamma).hex()
+                    == numpy_scalar_sigma(kind, spec, i, gamma).hex())
+
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_repeated_largest_eigenvalue_takes_the_kappa_zero_limit(self, i):
+        # lambda_{i+1} == lambda_n by value on both top intervals
+        spec = Spectrum(lambdas=np.array(self.LAMBDAS))
+        check = certify_step(spec, 0.3, i, (0.5, 0.1), kind="psd")
+        assert check.sigma_squared == 0.3 ** 2
+        check = certify_step(spec, 0.3, i, (0.5, 0.1), kind="invit2")
+        assert check.sigma_squared == 0.0
+
+    @pytest.mark.parametrize("i", [-1, 5, 6])
+    def test_out_of_range_raises_interval_error(self, i):
+        spec = Spectrum(lambdas=np.array(self.LAMBDAS))
+        certify_step(spec, 0.3, 0, (0.5, 0.1), kind="psd")
+        with pytest.raises(IntervalError):
+            certify_step(spec, 0.3, i, (0.5, 0.1), kind="psd")

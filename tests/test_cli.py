@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -393,6 +394,59 @@ class TestSolveReproducible:
         assert summary["violations"] == 0
         exact = 8.0 * np.sin(np.pi / 34.0) ** 2
         assert summary["final_rho"] == pytest.approx(exact, rel=1e-10)
+
+
+# sha256 of the JSON reports of three seeded runs, taken before run() handed
+# each step's measure of its iterate on to the next step.  Any change of a
+# bit in a record, a verdict or a ratio shows here.  The values hold for
+# the numpy and LAPACK builds the suite runs on; another BLAS may round a
+# dot product differently.
+PINNED_REPORTS = [
+    pytest.param(
+        ExperimentConfig(command="certify", trials=20, n=20, gammas="0,0.3,0.6,0.9",
+                         solvers="psd,pinvit1,invit1,invit2", seed=20260101, format="json"),
+        "a8c7d2f6d95afc768363c67051004d5c5b74d47ec45cc6f89c40f43ee76e54ad",
+        id="certify-20-trials",
+    ),
+    pytest.param(
+        ExperimentConfig(command="solve", problem="laplacian1d:64", solver="pinvit1",
+                         precond="jacobi", seed=3, delta_tol=5e-7, max_steps=8000,
+                         format="json"),
+        "51c186253daa64ae3ebbcd173a6809a4a86771fc9e0f5a30da24be2597858519",
+        id="solve-laplacian1d-64-jacobi",
+    ),
+    pytest.param(
+        ExperimentConfig(command="solve", problem="laplacian2d:8", solver="psd",
+                         gamma=0.5, seed=7, format="json"),
+        "3d807a8897d6e2183faa53a2dc333e4a376840cf1f3f86d452c8703e01232538",
+        id="solve-laplacian2d-8-psd",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, sha256", PINNED_REPORTS)
+def test_report_bytes_are_pinned(config, sha256):
+    command = cmd_certify if config.command == "certify" else cmd_solve
+    text = command(config).to_json()
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == sha256
+
+
+def test_to_json_writes_numpy_scalars_as_python_ones():
+    records = [{"n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5),
+                "ok": np.bool_(True), "pair": (1, np.int32(2)), "none": None,
+                "nan": np.float64("nan")}]
+    text = ExperimentReport(config={"seed": np.int64(7)}, records=records,
+                            summary={"gap": np.float64(-0.0)}).to_json()
+    expected = json.dumps(
+        {"config": {"seed": 7},
+         "records": [{"n": 3, "x": 0.1, "y": 0.5, "ok": True, "pair": [1, 2],
+                      "none": None, "nan": float("nan")}],
+         "summary": {"gap": -0.0}},
+        indent=2, allow_nan=True,
+    ) + "\n"
+    assert text == expected
+    with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+        ExperimentReport(config={}, records=[{"v": np.zeros(2)}], summary={}).to_json()
 
 
 class TestConfigFile:

@@ -433,8 +433,10 @@ class TestRunGuards:
     # steps are replaced by fakes that report a chosen Rayleigh quotient.
     @staticmethod
     def _fake_step(monkeypatch, name, rho_of):
-        def step(form, t, z):
-            rho = iterate._rayleigh_value(z, form.mus * z).rho
+        def step(form, t, prev):
+            # run() hands each step the previous StepResult
+            z = prev.x
+            rho = iterate._measure(form.mus, z).value.rho
             return StepResult(x=z, rho=RayleighValue.from_rho(rho_of(rho)), theta_opt=1.0)
         monkeypatch.setattr(iterate, name, step)
 
@@ -481,3 +483,59 @@ class TestRunGuards:
         # the fake step keeps the iterate, so every step reports 1.5 rho(x0)
         rhos = [rec.rho.rho for rec in result.records]
         assert rhos[1:] == [1.5 * rhos[0]] * 3
+
+
+class TestRunStart:
+    # x0 is checked; a start whose max-abs entry is near the overflow or
+    # underflow threshold is scaled by a power of two on either side of the
+    # map to diagonal coordinates, an ordinary start is left as it is.
+    @staticmethod
+    def _setup():
+        pencil = generate_problem("laplacian1d", n=4)
+        t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.4, seed=8)
+        return pencil, t
+
+    @staticmethod
+    def _bits(result):
+        return [
+            (rec.step_index, rec.rho.rho.hex(), rec.rho.mu.hex(), rec.residual_norm.hex(),
+             None if rec.delta is None else float(rec.delta).hex(), rec.bound, rec.theta_opt)
+            for rec in result.records
+        ] + [result.status, result.x.tobytes()]
+
+    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                                    [[1.0, 2.0, 3.0, 4.0]]])
+    def test_wrong_shape_names_x0(self, x0):
+        pencil, t = self._setup()
+        with pytest.raises(ValueError, match="x0 must be a vector of length 4"):
+            run(pencil, t, x0, "psd")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_x0(self, bad):
+        pencil, t = self._setup()
+        with pytest.raises(ValueError, match="x0 has a non-finite entry"):
+            run(pencil, t, [1.0, bad, 0.5, 0.25], "psd")
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    @pytest.mark.parametrize("power", [1000, -1000])
+    def test_power_of_two_scaling_keeps_every_bit(self, kind, power):
+        pencil, t = self._setup()
+        x0 = np.random.default_rng(2).standard_normal(4)
+        base = run(pencil, t, x0, kind, max_steps=30)
+        scaled = run(pencil, t, x0 * 2.0 ** power, kind, max_steps=30)
+        assert self._bits(scaled) == self._bits(base)
+
+    @pytest.mark.parametrize("x0, direction", [
+        ([1e300, 1e300, 1.0, 1.0], [1.0, 1.0, 1e-300, 1e-300]),
+        ([1e-320, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([-1e308, 1.7e308, 1e308, 0.0], [-1.0, 1.7, 1.0, 0.0]),
+    ])
+    def test_extreme_entries_run_like_their_direction(self, x0, direction):
+        pencil, t = self._setup()
+        result = run(pencil, t, x0, "psd", max_steps=20)
+        reference = run(pencil, t, direction, "psd", max_steps=20)
+        assert len(result.records) == len(reference.records)
+        for rec, ref in zip(result.records, reference.records):
+            assert rec.rho.rho == pytest.approx(ref.rho.rho, rel=1e-12)
+            assert np.isfinite(rec.residual_norm)
+        assert np.all(np.isfinite(result.x))
