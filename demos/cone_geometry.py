@@ -13,9 +13,7 @@ import numpy as np
 from psdlab import (
     ConeSpec,
     brute_force_cone_min,
-    cross_section,
     extremal_directions,
-    householder_reduce,
     ritz_gap,
     ritz_on_segment,
     worst_direction,
@@ -33,8 +31,7 @@ def main():
     print(f"residual norm ||r|| = {r_norm:.6f}; ball radius gamma||r|| = {cone.radius:.6f}")
     print(f"cone opening angle arcsin(gamma) = {np.degrees(np.arcsin(GAMMA)):.2f} deg")
 
-    cs = cross_section(cone)
-    print(f"\ncross-section disc radius f = {cs.radius:.6f} "
+    print(f"\ncross-section disc radius f = {cone.disc_radius:.6f} "
           f"(= gamma sqrt(1-gamma^2) ||r||)")
 
     d1, d2 = extremal_directions(cone)
@@ -60,7 +57,7 @@ def main():
     print(f"difference               : {brute - closed:.3e}")
 
     flipped = X * np.array([1.0, -1.0, 1.0])
-    reduced, signs = householder_reduce(flipped)
+    reduced, signs = np.abs(flipped), np.sign(flipped)
     brute_flip, _ = brute_force_cone_min(ConeSpec(mus=MUS, x=flipped, gamma=GAMMA), 100_000)
     print(f"\nsign-flipped iterate {flipped} reduces to {reduced} (signs {signs})")
     print(f"its cone minimum {brute_flip:.15f} matches the original to "

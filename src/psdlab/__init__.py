@@ -21,15 +21,11 @@ from .bounds import (
 )
 from .conelab import (
     ConeSpec,
-    CrossSection,
     WorstCaseResult,
     WorstCaseSetup,
     axis_ratio_closed_form,
     brute_force_cone_min,
-    cross_section,
-    ellipse_quantities,
     extremal_directions,
-    householder_reduce,
     ritz_gap,
     ritz_on_segment,
     t_star,
@@ -49,8 +45,6 @@ from .iterate import (
     IterationRecord,
     RunResult,
     StepResult,
-    invit1_step,
-    invit2_step,
     pinvit1_step,
     psd_step,
     run,

@@ -255,13 +255,7 @@ def cmd_solve(config):
         residual_tol=config.residual_tol,
         delta_tol=config.delta_tol,
     )
-    rows = _record_rows(result.records)
-    violations = sum(1 for row in rows if row["verdict"] == bounds.VIOLATED)
-    ratios = [
-        row["ratio"] / row["sigma_sq"]
-        for row in rows
-        if row["ratio"] is not None and row["sigma_sq"]
-    ]
+    verdicts, max_ratio = _checks(result)
     summary = {
         "status": result.status,
         "steps": result.records[-1].step_index,
@@ -270,20 +264,30 @@ def cmd_solve(config):
         "certified": result.certified,
         "certify_gamma": result.certify_gamma,
         "certify_note": result.certify_note,
-        "max_ratio_over_sigma_sq": max(ratios) if ratios else None,
-        "violations": violations,
-        "verdicts": _verdict_counts(rows),
+        "max_ratio_over_sigma_sq": max_ratio,
+        "violations": verdicts.get(bounds.VIOLATED, 0),
+        "verdicts": verdicts,
     }
-    return ExperimentReport(config=config.echo(), records=rows, summary=summary)
+    return ExperimentReport(config=config.echo(), records=_record_rows(result.records),
+                            summary=summary)
 
 
-def _verdict_counts(rows):
+def _checks(result):
+    """The verdict counts of a run's checked steps and their largest ``ratio / sigma^2``.
+
+    The counts are keyed in order of first appearance; the ratio is
+    ``None`` when no step has one.
+    """
     counts = {}
-    for row in rows:
-        v = row.get("verdict")
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
-    return counts
+    ratios = []
+    for rec in result.records:
+        check = rec.bound
+        if check is None:
+            continue
+        counts[check.verdict] = counts.get(check.verdict, 0) + 1
+        if check.ratio is not None and check.sigma_squared:
+            ratios.append(check.ratio / check.sigma_squared)
+    return counts, max(ratios, default=None)
 
 
 _SPECTRUM_LOW = 1.0
@@ -340,25 +344,20 @@ def cmd_certify(config):
                 residual_tol=config.residual_tol,
                 delta_tol=config.delta_tol,
             )
-            n_violated = len(result.violations())
+            verdicts, max_ratio = _checks(result)
+            n_violated = verdicts.get(bounds.VIOLATED, 0)
             violations += n_violated
             if not result.certified:
                 skipped += 1
             max_steps_runs += result.status == "max_steps"
-            checked = [r for r in result.records if r.bound is not None]
-            ratios = [
-                r.bound.ratio / r.bound.sigma_squared
-                for r in checked
-                if r.bound.ratio is not None and r.bound.sigma_squared
-            ]
             rows.append({
                 "trial": trial,
                 "solver": kind.value,
                 "gamma": gamma,
                 "steps": result.records[-1].step_index,
                 "final_rho": result.records[-1].rho.rho,
-                "checked_steps": len(checked),
-                "max_ratio_over_sigma_sq": max(ratios) if ratios else None,
+                "checked_steps": sum(verdicts.values()),
+                "max_ratio_over_sigma_sq": max_ratio,
                 "violated": n_violated,
                 "certified": result.certified,
                 "note": result.certify_note,

@@ -43,8 +43,6 @@ __all__ = [
     "RunResult",
     "pinvit1_step",
     "psd_step",
-    "invit1_step",
-    "invit2_step",
     "run",
 ]
 
@@ -76,7 +74,7 @@ class _Measure(NamedTuple):
     r_norm: float = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepResult:
     """Outcome of a single solver step.
 
@@ -91,7 +89,7 @@ class StepResult:
     rho: RayleighValue
     theta_opt: float = None
     converged: bool = False
-    _measured: _Measure = field(default=None, repr=False, compare=False)
+    _measured: _Measure = field(default=None, repr=False)
 
 
 # Vector products use ndarray.dot: the same BLAS result as ``@``, at about
@@ -262,16 +260,6 @@ def psd_step(form, precond, x):
     return _step(form, precond, x, line_search=True)
 
 
-def invit1_step(form, x):
-    """Fixed-step update with the exact inverse, ``T = A^-1 = I`` in ``form``'s coordinates."""
-    return pinvit1_step(form, None, x)
-
-
-def invit2_step(form, x):
-    """Steepest descent with the exact inverse (optimal line search), ``T = I``."""
-    return psd_step(form, None, x)
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """One row of a solver run.
@@ -293,7 +281,7 @@ class IterationRecord:
     theta_opt: float = None
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Records of one run plus its termination status.
 

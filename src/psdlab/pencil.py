@@ -96,7 +96,7 @@ class SymmetricPencil:
         return f"SymmetricPencil(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Generalized eigenvalues of a pencil and their reciprocals.
 
@@ -137,29 +137,24 @@ class RayleighValue:
         return cls(rho=float(rho), mu=1.0 / float(rho))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzPair:
     """One Ritz approximation from a projected pencil.
 
-    ``value`` is the Ritz value in the convention named by ``form``
-    (``"lambda"`` or ``"mu"``); ``vector`` has unit Euclidean norm;
+    ``mu`` is the reciprocal-form Ritz value and ``rho = 1/mu`` the
+    lambda-form one; ``vector`` has unit Euclidean norm;
     ``basis_coefficients`` are the coordinates of ``vector`` in the
     caller's (non-orthonormalized) basis, sign-fixed so that the first
     nonzero coefficient is positive.
     """
 
-    value: float
-    form: str
+    mu: float
     vector: np.ndarray
     basis_coefficients: np.ndarray
 
     @property
     def rho(self):
-        return self.value if self.form == "lambda" else 1.0 / self.value
-
-    @property
-    def mu(self):
-        return self.value if self.form == "mu" else 1.0 / self.value
+        return 1.0 / self.mu
 
 
 def rayleigh(pencil, x):
@@ -177,23 +172,15 @@ def rayleigh(pencil, x):
     return RayleighValue(rho=num / den, mu=den / num)
 
 
-def residual(pencil, x, value=None, form="lambda"):
-    """Eigen-residual of ``x``: ``Ax - rho(x) Bx`` or ``Bx - mu(x) Ax``.
-
-    The ``"mu"`` form is the one used in the diagonalized coordinates
-    (where ``A = I`` and the residual is orthogonal to ``x``).
-    """
+def residual(pencil, x, value=None):
+    """Eigen-residual ``Ax - rho(x) Bx`` of ``x``; ``value`` is its :func:`rayleigh` if known."""
     x = np.asarray(x, dtype=float)
     if value is None:
         value = rayleigh(pencil, x)
-    if form == "lambda":
-        return pencil.a @ x - value.rho * (pencil.b @ x)
-    if form == "mu":
-        return pencil.b @ x - value.mu * (pencil.a @ x)
-    raise ValueError(f"unknown residual form {form!r}")
+    return pencil.a @ x - value.rho * (pencil.b @ x)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagonalForm:
     """Congruence carrying a pencil to ``A = I``, ``B = diag(mus)``.
 
@@ -206,7 +193,7 @@ class DiagonalForm:
     basis: np.ndarray
     inverse_basis: np.ndarray
     _spectrum: Spectrum = field(default=None, repr=False)
-    _shift: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+    _shift: np.ndarray = field(init=False, default=None, repr=False)
 
     @property
     def n(self):
@@ -325,7 +312,7 @@ def _shifted_ritz_2x2(p, q, c):
     return (p * q - c * c) / (0.5 * (p + q) + root), half, root
 
 
-def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
+def rayleigh_ritz(pencil, basis_vectors):
     """Ritz pairs of the pencil over the span of ``basis_vectors``.
 
     The basis is orthonormalized (Euclidean) and the projected pencil is
@@ -342,8 +329,6 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
     and a back-solve with ``L^T``; the caller-basis coefficients come from
     a solve with the triangular ``R`` of the orthonormalization.
     """
-    if form not in ("lambda", "mu"):
-        raise ValueError(f"unknown Ritz value form {form!r}")
     q, r = orthonormalize(basis_vectors)
     k = q.shape[1]
     pa = q.T @ (pencil.a @ q)
@@ -373,11 +358,7 @@ def rayleigh_ritz(pencil, basis_vectors, form="lambda"):
         if nonzero.size and raw[nonzero[0]] < 0:
             raw = -raw
             vec = -vec
-        mu_i = mu_vals[idx]
-        value = mu_i if form == "mu" else 1.0 / mu_i
-        pairs.append(
-            RitzPair(value=float(value), form=form, vector=vec, basis_coefficients=raw)
-        )
+        pairs.append(RitzPair(mu=float(mu_vals[idx]), vector=vec, basis_coefficients=raw))
     return pairs
 
 

@@ -67,7 +67,7 @@ class PrecondQuality:
         return self.gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
     """A symmetric positive definite operator with quality metadata.
 

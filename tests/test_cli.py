@@ -421,12 +421,26 @@ PINNED_REPORTS = [
         "3d807a8897d6e2183faa53a2dc333e4a376840cf1f3f86d452c8703e01232538",
         id="solve-laplacian2d-8-psd",
     ),
+    pytest.param(
+        ExperimentConfig(command="sharpness", mus="1,0.5,0.1", gamma=0.5,
+                         deltas="1e-2,1e-4,1e-6,1e-8", t_mode="grid", t_grid=41,
+                         format="json"),
+        "d28c34e8c6555086d971893f302bcda1898a7e268c433b0d208516ded1c63436",
+        id="sharpness-t-grid-41",
+    ),
+    pytest.param(
+        ExperimentConfig(command="sharpness", mus="1,0.5,0.1", gamma=0.5,
+                         deltas="1e-2,1e-4,1e-6,1e-8,1e-12,1e-16,1e-18", format="json"),
+        "c8f24f42d40f7bb8802fe71d7824b7b66a8459eeb63d62607affc7375818e1a6",
+        id="sharpness-deltas-to-1e-18",
+    ),
 ]
 
 
 @pytest.mark.parametrize("config, sha256", PINNED_REPORTS)
 def test_report_bytes_are_pinned(config, sha256):
-    command = cmd_certify if config.command == "certify" else cmd_solve
+    command = {"certify": cmd_certify, "solve": cmd_solve,
+               "sharpness": cmd_sharpness}[config.command]
     text = command(config).to_json()
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == sha256
 

@@ -1,6 +1,7 @@
 """Cone geometry: extremal directions, worst case, algebraic identities."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +19,9 @@ from psdlab import (
     WorstCaseSetup,
     axis_ratio_closed_form,
     brute_force_cone_min,
-    cross_section,
     diagonalize,
-    ellipse_quantities,
     extremal_directions,
     generate_problem,
-    householder_reduce,
     rayleigh_ritz,
     ritz_gap,
     ritz_on_segment,
@@ -36,7 +34,7 @@ from psdlab import (
 )
 from psdlab.bounds import HOLDS
 import psdlab.conelab as conelab
-from psdlab.conelab import _cone_disc, _disc_min, _disc_worst, _intercepts, _perp_basis
+from psdlab.conelab import _cone_disc, _disc_min, _disc_worst, _perp_basis
 
 MUS = np.array([1.0, 0.5, 0.25])
 
@@ -178,6 +176,21 @@ class TestConeSpec:
         with pytest.raises(StationaryPointError):
             ConeSpec(mus=MUS, x=np.array([0.0, 1.0, 0.0]), gamma=0.5)
 
+    def test_disc_is_the_one_cone_disc(self):
+        # the cone keeps the disc of its one _cone_disc call, bit for bit
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            cone = random_cone(rng, nonnegative=False)
+            _, r, _, center, radius, _ = _cone_disc(cone.mus, cone.x, cone.gamma)
+            np.testing.assert_array_equal(cone.r, r)
+            np.testing.assert_array_equal(cone.disc_center, center)
+            assert cone.disc_radius == radius
+            v = np.cross(cone.x, r)
+            np.testing.assert_array_equal(cone.v, v / np.linalg.norm(v))
+        for name in ("disc_center", "disc_radius", "v"):
+            with pytest.raises(TypeError):
+                ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5, **{name: 0.0})
+
     def test_opening_angle_is_arcsin_gamma(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -201,8 +214,7 @@ class TestExtremalDirections:
         g = 1.0 / math.sqrt(2.0)
         cone = ConeSpec(mus=MUS, x=np.array([1.0, 1.0, 1.0]), gamma=g)
         r_norm = np.linalg.norm(cone.r)
-        cs = cross_section(cone)
-        assert cs.radius == pytest.approx(r_norm / 2.0, rel=1e-14)
+        assert cone.disc_radius == pytest.approx(r_norm / 2.0, rel=1e-14)
         for d in extremal_directions(cone):
             assert np.linalg.norm(d - cone.mu_x * cone.x) == pytest.approx(
                 r_norm / math.sqrt(2.0), rel=1e-13
@@ -230,11 +242,10 @@ class TestExtremalDirections:
         rng = np.random.default_rng(3)
         for _ in range(20):
             cone = random_cone(rng)
-            cs = cross_section(cone)
-            assert np.linalg.norm(cs.v) == pytest.approx(1.0, abs=1e-12)
-            assert abs(cs.v @ cone.x) <= 1e-12
-            assert abs(cs.v @ cone.r) <= 1e-12 * np.linalg.norm(cone.r)
-            assert cs.radius == pytest.approx(
+            assert np.linalg.norm(cone.v) == pytest.approx(1.0, abs=1e-12)
+            assert abs(cone.v @ cone.x) <= 1e-12
+            assert abs(cone.v @ cone.r) <= 1e-12 * np.linalg.norm(cone.r)
+            assert cone.disc_radius == pytest.approx(
                 cone.gamma * math.sqrt(1 - cone.gamma**2) * np.linalg.norm(cone.r),
                 rel=1e-14,
             )
@@ -320,7 +331,7 @@ class TestRitzGap:
         for row, is_parallel, value in zip(rows, parallel, values):
             basis = [x] if is_parallel else [x, row]
             try:
-                expected = rayleigh_ritz(pencil, basis, form="mu")[0].value
+                expected = rayleigh_ritz(pencil, basis)[0].mu
             except DegenerateSubspaceError:
                 reject()  # a drawn row numerically parallel to x
             assert value == pytest.approx(expected, rel=1e-12)
@@ -442,12 +453,11 @@ class TestBruteForce:
     def test_samples_stay_in_ball(self):
         rng = np.random.default_rng(10)
         cone = random_cone(rng)
-        cs = cross_section(cone)
         xh = cone.x / np.linalg.norm(cone.x)
         angles = np.linspace(0.0, 2.0 * np.pi, 500, endpoint=False)
-        circle = np.outer(np.cos(angles), cs.v) + np.outer(np.sin(angles), xh)
+        circle = np.outer(np.cos(angles), cone.v) + np.outer(np.sin(angles), xh)
         for frac in (0.25, 0.5, 0.75, 1.0):
-            assert in_ball(cone, cs.center + cs.radius * frac * circle)
+            assert in_ball(cone, cone.disc_center + cone.disc_radius * frac * circle)
         # the directions the production searches return
         for _ in range(20):
             cone = random_cone(rng)
@@ -748,6 +758,60 @@ class TestWorstCaseInstance:
                 ConeSpec(mus=mus, x=np.array([1.0, bad, 0.1]), gamma=0.5)
 
 
+@dataclass(frozen=True)
+class EllipseQuantities:
+    """Intercepts of the tangent line and the tangent-ellipse axis ratio."""
+
+    c_k: float
+    c_l: float
+    axis_ratio: float
+    c_l_infinite: bool = False
+
+
+def _big_gamma(setup):
+    """``Gamma = sqrt(1 - gamma^2) / gamma`` of an instance with ``gamma > 0``."""
+    return math.sqrt(1.0 - setup.gamma * setup.gamma) / setup.gamma
+
+
+def _intercepts(setup, big_gamma):
+    mu_j, mu_k, mu_l = setup.mus
+    delta, alpha0, beta0 = setup.delta, setup.alpha0, setup.beta0
+    x_norm = math.sqrt(1.0 + alpha0 * alpha0 + beta0 * beta0)
+    # mu_j - mu and mu - mu_k in closed form, as in WorstCaseSetup.b.
+    num = (x_norm * delta * (mu_j - mu_k) / (1.0 + delta)
+           + big_gamma * alpha0 * beta0 * (mu_k - mu_l))
+    den_k = (x_norm * alpha0 * (mu_j - mu_k) / (1.0 + delta)
+             + big_gamma * beta0 * (mu_j - mu_l))
+    den_l = x_norm * beta0 * (setup.mu - mu_l) + big_gamma * alpha0 * (mu_k - mu_j)
+    return num, den_k, den_l
+
+
+def ellipse_quantities(setup):
+    """Tangent-line intercepts and tangent-ellipse axis ratio of one instance.
+
+    The oracle of :func:`axis_ratio_closed_form`: the line through
+    ``S1 = (1, c_k, 0)`` and ``S2 = (1, 0, c_l)`` is the trace of the
+    worst search plane, and ``axis_ratio = c_k^2 c_l^2 / (b^2 c_k^2 +
+    a^2 c_l^2)``.  When the ``c_l`` denominator vanishes the line is
+    parallel to the third axis and the limit ``axis_ratio = c_k^2 / a^2``
+    is used (flagged).
+    """
+    num, den_k, den_l = _intercepts(setup, _big_gamma(setup))
+    c_k = num / den_k
+    a_sq = setup.a * setup.a
+    b_sq = setup.b * setup.b
+    if abs(den_l) < 1e-12 * abs(num):
+        return EllipseQuantities(
+            c_k=c_k,
+            c_l=math.inf,
+            axis_ratio=c_k * c_k / a_sq,
+            c_l_infinite=True,
+        )
+    c_l = num / den_l
+    axis_ratio = (c_k * c_k * c_l * c_l) / (b_sq * c_k * c_k + a_sq * c_l * c_l)
+    return EllipseQuantities(c_k=c_k, c_l=c_l, axis_ratio=axis_ratio)
+
+
 class TestEllipseQuantities:
     def test_tangent_line_orthogonal_to_ball_radius(self):
         rng = np.random.default_rng(12)
@@ -835,7 +899,7 @@ class TestEllipseQuantities:
 
         def den_l(t):
             s = WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t)
-            return _intercepts(s, s.Gamma)[2]
+            return _intercepts(s, _big_gamma(s))[2]
 
         t0 = brentq(den_l, 1.0, 2.0, xtol=1e-15)
         flagged = ellipse_quantities(WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t0))
@@ -847,17 +911,13 @@ class TestEllipseQuantities:
 
 
 class TestHouseholderReduce:
-    def test_identity_on_nonnegative(self):
-        x = np.array([1.0, 0.5, 0.0])
-        reduced, signs = householder_reduce(x)
-        np.testing.assert_array_equal(reduced, x)
-        np.testing.assert_array_equal(signs, [1.0, 1.0, 1.0])
+    """Reflections through the coordinate planes: ``x -> np.abs(x)``."""
 
     def test_sign_flip_preserves_mu(self):
         x = np.array([1.0, -1.0, 1.0])
-        reduced, signs = householder_reduce(x)
+        reduced = np.abs(x)
         np.testing.assert_array_equal(reduced, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(reduced * signs, x)
+        np.testing.assert_array_equal(reduced * np.sign(x), x)
         mu = lambda v: (v @ (MUS * v)) / (v @ v)
         assert mu(x) == mu(reduced)
 

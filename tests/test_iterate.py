@@ -12,8 +12,6 @@ from psdlab import (
     bounds,
     diagonalize,
     generate_problem,
-    invit1_step,
-    invit2_step,
     pinvit1_step,
     psd_step,
     rayleigh,
@@ -158,7 +156,7 @@ class TestInvitSteps:
         pencil = diag_pencil([1.0, 2.0])
         form = diagonalize(pencil)
         z = form.to_diagonal([1.0, 1.0])
-        res = invit1_step(form, z)
+        res = pinvit1_step(form, None, z)
         t = exact_inverse_preconditioner(pencil).in_coords("diagonal", form)
         ref = pinvit1_step(form, t, z)
         np.testing.assert_allclose(res.x, ref.x, rtol=1e-14)
@@ -166,7 +164,7 @@ class TestInvitSteps:
 
     def test_invit1_fixed_point(self):
         form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
-        res = invit1_step(form, form.to_diagonal([1.0, 0.0, 0.0]))
+        res = pinvit1_step(form, None, form.to_diagonal([1.0, 0.0, 0.0]))
         assert res.converged
 
     def test_invit1_asymptotic_factor(self):
@@ -179,7 +177,7 @@ class TestInvitSteps:
         for x, attained in ((np.array([1.0, 1e-4, 1e-4]), False),
                             (np.array([1.0, 1e-4, 0.0]), True)):
             rho = rayleigh(pencil, x).rho
-            res = invit1_step(form, form.to_diagonal(x))
+            res = pinvit1_step(form, None, form.to_diagonal(x))
             ratio = (bounds.delta(spectrum, 0, res.rho.rho)
                      / bounds.delta(spectrum, 0, rho))
             assert ratio <= 0.25 * (1.0 + 1e-6)
@@ -194,7 +192,7 @@ class TestInvitSteps:
         form = diagonalize(pencil)
         x = form.to_diagonal(rng.standard_normal(4))
         t = exact_inverse_preconditioner(pencil).in_coords("diagonal", form)
-        res = invit2_step(form, x)
+        res = psd_step(form, None, x)
         ref = psd_step(form, t, x)
         np.testing.assert_allclose(res.x, ref.x, atol=1e-13)
         assert res.rho.rho == pytest.approx(ref.rho.rho, rel=1e-13)

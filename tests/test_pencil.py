@@ -107,7 +107,7 @@ class TestResidual:
         x = np.array([1.0, 1.0, 0.0])
         value = rayleigh(p, x)
         assert value.mu == pytest.approx(0.75, abs=1e-15)
-        r = residual(p, x, form="mu")
+        r = -value.mu * residual(p, x)  # Bx - mu(x) Ax
         np.testing.assert_allclose(r, [0.25, -0.25, 0.0], atol=1e-15)
         assert abs(r @ x) < 1e-14  # mu-form residual orthogonal to x
 
@@ -329,16 +329,14 @@ class TestOrthonormalize:
 class TestRayleighRitz:
     def test_invariant_subspace_exact(self):
         p = SymmetricPencil(np.eye(3), np.diag([1.0, 0.5, 0.25]))
-        pairs = rayleigh_ritz(p, [np.eye(3)[0], np.eye(3)[1]], form="mu")
-        values = sorted(pair.value for pair in pairs)
+        pairs = rayleigh_ritz(p, [np.eye(3)[0], np.eye(3)[1]])
+        values = sorted(pair.mu for pair in pairs)
         np.testing.assert_allclose(values, [0.5, 1.0], atol=1e-14)
 
     def test_basis_independence(self):
         p = SymmetricPencil(np.eye(3), np.diag([1.0, 0.5, 0.25]))
-        pairs = rayleigh_ritz(
-            p, [np.array([1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0])], form="mu"
-        )
-        values = sorted(pair.value for pair in pairs)
+        pairs = rayleigh_ritz(p, [np.array([1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0])])
+        values = sorted(pair.mu for pair in pairs)
         np.testing.assert_allclose(values, [0.5, 1.0], atol=1e-14)
 
     def test_sorted_lambda_ascending(self):
@@ -346,7 +344,7 @@ class TestRayleighRitz:
         p = random_pencil(rng, 6)
         basis = rng.standard_normal((3, 6))
         pairs = rayleigh_ritz(p, basis)
-        values = [pair.value for pair in pairs]
+        values = [pair.rho for pair in pairs]
         assert values == sorted(values)
 
     def test_residual_orthogonality_mu_form(self):
@@ -355,8 +353,8 @@ class TestRayleighRitz:
         p = SymmetricPencil(np.eye(6), b)
         basis = rng.standard_normal((3, 6))
         q, _ = orthonormalize(basis)
-        for pair in rayleigh_ritz(p, basis, form="mu"):
-            res = b @ pair.vector - pair.value * pair.vector
+        for pair in rayleigh_ritz(p, basis):
+            res = b @ pair.vector - pair.mu * pair.vector
             for j in range(q.shape[1]):
                 assert abs(res @ q[:, j]) <= 1e-10 * np.linalg.norm(b @ pair.vector)
 
@@ -372,7 +370,7 @@ class TestRayleighRitz:
         v = np.cross(x, r)
         v /= np.linalg.norm(v)
         u = np.sqrt(1 - gamma**2) * r / np.linalg.norm(r) + gamma * v
-        pair = rayleigh_ritz(p, [x, u], form="mu")[0]
+        pair = rayleigh_ritz(p, [x, u])[0]
         xh = x / np.linalg.norm(x)
         c = u @ (mus * xh)
         assert c == pytest.approx(
@@ -382,7 +380,7 @@ class TestRayleighRitz:
         direct = 0.5 * (value.mu + mu_u) + np.sqrt(
             0.25 * (value.mu - mu_u) ** 2 + c * c
         )
-        assert pair.value == pytest.approx(direct, rel=1e-12)
+        assert pair.mu == pytest.approx(direct, rel=1e-12)
 
     def test_rank_deficient_basis_raises(self):
         p = SymmetricPencil(np.eye(3), np.eye(3))
@@ -395,7 +393,7 @@ class TestRayleighRitz:
         p = random_pencil(rng, 5)
         for pair in rayleigh_ritz(p, rng.standard_normal((2, 5))):
             assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-13)
-            assert rayleigh(p, pair.vector).rho == pytest.approx(pair.value, rel=1e-12)
+            assert rayleigh(p, pair.vector).rho == pytest.approx(pair.rho, rel=1e-12)
 
 
 class TestGenerateProblem:
