@@ -21,8 +21,10 @@ observed step against the appropriate factor.
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
+from ._frozen import positional_maker
 from .errors import IntervalError
 
 __all__ = [
@@ -81,34 +83,36 @@ class SolverKind(enum.Enum):
 
 
 def locate_interval(spectrum, value):
-    """Index ``i`` with ``lambda_i <= value < lambda_{i+1}`` (0-based, left closed)."""
-    lam = spectrum.lambdas
+    """Index ``i`` with ``lambda_i <= value < lambda_{i+1}`` (0-based, left closed).
+
+    A value a roundoff below ``lambda_1`` counts as ``lambda_1``, and a
+    repeated eigenvalue's interval starts at its last copy.  The lookup
+    bisects the spectrum's eigenvalues as Python floats, which
+    :class:`~psdlab.pencil.Spectrum` keeps finite and sorted.
+    """
+    lam = spectrum._lam
     value = float(value)
     if not math.isfinite(value):
         raise IntervalError(f"value {value} is not finite")
-    bottom, top = float(lam[0]), float(lam[-1])
+    bottom, top = lam[0], lam[-1]
     if value < bottom * (1.0 - 1e-12) or value >= top:
         raise IntervalError(
             f"value {value!r} outside the open spectral range [{bottom!r}, {top!r})"
         )
-    # Values a roundoff below lambda_1 count as lambda_1, whose interval
-    # starts at its last copy when lambda_1 is repeated.
-    return int(lam.searchsorted(max(value, bottom), side="right")) - 1
+    return bisect_right(lam, max(value, bottom)) - 1
 
 
-def _check_index(lam, i):
-    if not 0 <= i <= len(lam) - 2:
-        raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
-
-
-def _interval_ends(lam, i):
+def _interval_ends(spectrum, i):
     """``(lambda_i, lambda_{i+1}, lambda_n)`` as Python floats, ``i`` checked.
 
-    Python float arithmetic gives the bits of numpy's scalar arithmetic
-    at a fraction of its cost, which the per-step :func:`certify_step` pays.
+    They are read from the spectrum's float tuple: Python float arithmetic
+    gives the bits of numpy's scalar arithmetic at a fraction of its cost,
+    which the per-step :func:`certify_step` pays.
     """
-    _check_index(lam, i)
-    return float(lam[i]), float(lam[i + 1]), float(lam[-1])
+    lam = spectrum._lam
+    if not 0 <= i <= len(lam) - 2:
+        raise IntervalError(f"interval index {i} out of range for n={len(lam)}")
+    return lam[i], lam[i + 1], lam[-1]
 
 
 def delta(spectrum, i, xi):
@@ -117,14 +121,11 @@ def delta(spectrum, i, xi):
     Zero exactly at ``xi = lambda_i`` and unbounded as ``xi`` approaches
     ``lambda_{i+1}`` from the left.
     """
-    lam = spectrum.lambdas
-    _check_index(lam, i)
+    lo, hi, _ = _interval_ends(spectrum, i)
     xi = float(xi)
-    if not lam[i] <= xi < lam[i + 1]:
-        raise IntervalError(
-            f"value {xi!r} outside [{lam[i]!r}, {lam[i + 1]!r})"
-        )
-    return (xi - lam[i]) / (lam[i + 1] - xi)
+    if not lo <= xi < hi:
+        raise IntervalError(f"value {xi!r} outside [{lo!r}, {hi!r})")
+    return (xi - lo) / (hi - xi)
 
 
 def kappa(spectrum, i):
@@ -135,7 +136,7 @@ def kappa(spectrum, i):
     the ratio degenerate and raises, as do vanishing gaps.  The factors
     themselves use the limit ``kappa = 0`` there.
     """
-    ends = _interval_ends(spectrum.lambdas, i)
+    ends = _interval_ends(spectrum, i)
     if ends[1] == ends[2]:
         raise ValueError(
             "kappa is undefined on the topmost interval (lambda_{i+1} = lambda_n); "
@@ -182,12 +183,16 @@ def sigma(kind, spectrum, i, gamma=0.0):
     topmost interval the steepest-descent kinds take the limit
     ``kappa = 0``, as :func:`certify_step` does.
     """
+    return float(_sigma(SolverKind.parse(kind), spectrum, i, gamma))
+
+
+def _sigma(kind, spectrum, i, gamma):
+    """:func:`sigma` of a parsed ``kind``, ``gamma`` checked."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    kind = SolverKind.parse(kind)
-    lo, hi, top = _interval_ends(spectrum.lambdas, i)
+    lo, hi, top = _interval_ends(spectrum, i)
     k = _kappa_lenient(lo, hi, top) if kind.line_search else None
-    return float(_factor(kind, lo / hi, k, gamma))
+    return _factor(kind, lo / hi, k, gamma)
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,7 @@ def factors(spectrum, i, gamma=0.0):
 
     On the topmost interval ``kappa`` is its limit 0, as in :func:`sigma`.
     """
-    lo, hi, top = _interval_ends(spectrum.lambdas, i)
+    lo, hi, top = _interval_ends(spectrum, i)
     k = _kappa_lenient(lo, hi, top)
     q = lo / hi
     return BoundFactors(
@@ -243,6 +248,9 @@ class BoundCheck:
     note: str = ""
 
 
+_bound_check = positional_maker(BoundCheck)
+
+
 def certify_step(spectrum, gamma, i, deltas, kind="psd"):
     """Check one solver step on interval ``i`` against its sharp bound.
 
@@ -263,8 +271,9 @@ def certify_step(spectrum, gamma, i, deltas, kind="psd"):
     """
     kind = SolverKind.parse(kind)
     gamma = 0.0 if kind.exact_inverse else float(gamma)
-    sig_sq = sigma(kind, spectrum, i, gamma) ** 2
-    d_before, d_after = map(float, deltas)
+    sig_sq = _sigma(kind, spectrum, i, gamma) ** 2
+    d_before, d_after = deltas
+    d_before, d_after = float(d_before), float(d_after)
     ratio = slack = None
     note = ""
     if d_after <= 0.0:
@@ -278,8 +287,6 @@ def certify_step(spectrum, gamma, i, deltas, kind="psd"):
         verdict = HOLDS if ratio <= sig_sq * (1.0 + RATIO_TOL) else VIOLATED
         if verdict == VIOLATED:
             note = f"ratio {ratio!r} exceeds sigma^2 {sig_sq!r} beyond tolerance"
-    return BoundCheck(
-        kind=kind.value, gamma=gamma, interval_index=i, delta_before=d_before,
-        delta_after=d_after, ratio=ratio, sigma_squared=sig_sq, slack=slack,
-        verdict=verdict, note=note,
-    )
+    # _value_ is kind.value without the enum property's descriptor call
+    return _bound_check(kind._value_, gamma, i, d_before, d_after, ratio, sig_sq, slack,
+                        verdict, note)

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
+from ._frozen import positional_maker
 from .bounds import SolverKind
 from .errors import NumericFailure
 from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, diagonalize
@@ -92,6 +93,11 @@ class StepResult:
     _measured: _Measure = field(default=None, repr=False)
 
 
+# The per-step path builds its results by field order; see _frozen.
+_step_result = positional_maker(StepResult)
+_rayleigh_value = positional_maker(RayleighValue)
+
+
 # Vector products use ndarray.dot: the same BLAS result as ``@``, at about
 # half the call overhead on vectors of the sizes the solvers run.
 def _norm(v):
@@ -132,9 +138,9 @@ def _residual(x, bx):
     if xx == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
     den = float(x.dot(bx))
-    value = RayleighValue(rho=xx / den, mu=den / xx)
-    r = x - value.rho * bx
-    return xx, value, r, _norm(r)
+    rho = xx / den
+    r = x - rho * bx
+    return xx, _rayleigh_value(rho, den / xx), r, math.sqrt(r.dot(r))
 
 
 def _measure(mus, x):
@@ -144,7 +150,7 @@ def _measure(mus, x):
 
 
 def _converged_result(x, value):
-    return StepResult(x=_unit(x), rho=value, theta_opt=None, converged=True)
+    return _step_result(_unit(x), value, None, True, None)
 
 
 def _step(form, precond, x, line_search):
@@ -190,9 +196,9 @@ def _step(form, precond, x, line_search):
     if not line_search:
         x_next = _unit(x - d)
         m_next = _measure(mus, x_next)
-        return StepResult(x=x_next, rho=m_next.value, theta_opt=1.0, _measured=m_next)
+        return _step_result(x_next, m_next.value, 1.0, False, m_next)
 
-    d_norm = _norm(d)
+    d_norm = math.sqrt(d.dot(d))
     if d_norm < _DEGENERATE_DIRECTION_TOL * x_norm:
         return _converged_result(x, value)
     # Orthonormal basis [q1, q2] = [x, d] R^-1 with R = [[x_norm, r12], [0, w_norm]].
@@ -202,7 +208,7 @@ def _step(form, precond, x, line_search):
     h2 = float(q1.dot(w))
     w = w - h2 * q1
     r12 = h + h2
-    w_norm = _norm(w)
+    w_norm = math.sqrt(w.dot(w))
     if w_norm < _RANK_TOL * d_norm:  # the rank test of pencil.orthonormalize
         # T r parallel to x: stationary for the line search.
         return _converged_result(x, value)
@@ -214,7 +220,7 @@ def _step(form, precond, x, line_search):
     c = float(q2.dot(sq1))
     g, half, root = _shifted_ritz_2x2(float(q1.dot(sq1)), float(q2.dot(s * q2)), c)
     z1, z2 = (half + root, -c) if half >= 0.0 else (c, half - root)
-    mu = mus[0] - g
+    mu = float(mus[0]) - g
     # Its coordinates in [x, d] scaled to max-norm 1 and signed so that the
     # first non-negligible one is positive.
     c_d = z2 / w_norm
@@ -228,8 +234,9 @@ def _step(form, precond, x, line_search):
         f = -f
     vec = (f * z1) * q1 + (f * z2) * q2
     theta = math.inf if abs(c_x) < 1e-14 else -c_d / c_x
-    return StepResult(x=vec, rho=RayleighValue.from_rho(1.0 / mu), theta_opt=theta,
-                      _measured=_Measure(mus, mus * vec))
+    rho = 1.0 / mu
+    return _step_result(vec, _rayleigh_value(rho, 1.0 / rho), theta, False,
+                        _Measure(mus, mus * vec))
 
 
 def pinvit1_step(form, precond, x):
@@ -279,6 +286,9 @@ class IterationRecord:
     delta: float = None
     bound: bounds.BoundCheck = None
     theta_opt: float = None
+
+
+_record = positional_maker(IterationRecord)
 
 
 @dataclass(eq=False)
@@ -373,6 +383,12 @@ def _certification_gamma(kind, quality):
     return gamma, ""
 
 
+def _check_tolerance(name, tol):
+    # NaN fails the comparison: a stopping test against it never fires.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         delta_tol=None):
     """Drive a solver to convergence, recording and certifying every step.
@@ -390,11 +406,16 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     certified step is judged by :func:`psdlab.bounds.certify_step`.
     ``x0`` must be a finite, nonzero vector of the pencil's size, else
     :class:`ValueError`; any such vector runs, entries near the overflow
-    or underflow threshold included.
+    or underflow threshold included.  ``max_steps`` must be nonnegative
+    and ``residual_tol`` and ``delta_tol`` finite and nonnegative, else
+    :class:`ValueError`; ``residual_tol = 0`` turns that test off.
     """
     kind = SolverKind.parse(kind)
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    _check_tolerance("residual_tol", residual_tol)
+    if delta_tol is not None:
+        _check_tolerance("delta_tol", delta_tol)
     x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError("x0 has a non-finite entry")
@@ -421,8 +442,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     monotone_guaranteed = kind.line_search or certifying
 
     mus = form.mus
-    lam = spectrum.lambdas
-    lam_top = float(lam[-1])
+    lam = spectrum._lam
+    lam_top = lam[-1]
     # The delta rows of each interval the run visits, built on the first visit.
     rows = {}
     # Scaled by powers of two on both sides of the map, so that entries near
@@ -451,17 +472,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
             delta = certified[1]
         else:
             delta = None if i is None else _delta(lam, mus, z, i, rows[i])
-        delta_now = None if delta is None else max(0.0, delta)
-        records.append(
-            IterationRecord(
-                step_index=step_index,
-                rho=value,
-                residual_norm=res_norm,
-                delta=delta_now,
-                bound=bound,
-                theta_opt=step.theta_opt,
-            )
-        )
+        delta_now = None if delta is None else (delta if delta > 0.0 else 0.0)
+        records.append(_record(step_index, value, res_norm, delta_now, bound, step.theta_opt))
         # delta_tol is a distance to lambda_1, so only the first interval
         # (from the last copy of lambda_1) can meet it.
         if (step.converged or res_norm < residual_tol

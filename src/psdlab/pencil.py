@@ -100,17 +100,25 @@ class SymmetricPencil:
 class Spectrum:
     """Generalized eigenvalues of a pencil and their reciprocals.
 
-    ``lambdas`` is nondecreasing; ``mus = 1/lambdas`` is derived from it,
-    nonincreasing and paired with ``lambdas`` by index.
+    ``lambdas`` is finite, positive and nondecreasing; ``mus = 1/lambdas``
+    is derived from it, nonincreasing and paired with ``lambdas`` by index.
+    ``_lam`` holds the same values as a tuple of Python floats, which the
+    per-step interval lookup bisects and indexes without numpy's scalar
+    overhead.
     """
 
     lambdas: np.ndarray
     mus: np.ndarray = field(init=False)
+    _lam: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = np.array(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("lambdas must be a nonempty 1-D sequence")
+        finite = np.isfinite(lam)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"lambdas must be finite, got lambdas[{k}] = {float(lam[k])!r}")
         if np.any(lam <= 0):
             raise ValueError("all eigenvalues must be positive")
         if np.any(np.diff(lam) < 0):
@@ -120,6 +128,7 @@ class Spectrum:
         mus.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "_lam", tuple(lam.tolist()))
 
     def __len__(self):
         return self.lambdas.size

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdlab import (
@@ -71,6 +71,50 @@ class TestLocateInterval:
             locate_interval(spec124, 4.0)
         with pytest.raises(IntervalError):
             locate_interval(spec124, 0.99)
+
+    @staticmethod
+    def _oracle(lam, value):
+        """The index the numpy lookup gave before locate_interval bisected floats."""
+        return int(np.searchsorted(lam, max(value, lam[0]), side="right")) - 1
+
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        log10_cond=st.floats(min_value=0.0, max_value=12.0),
+        shape=st.sampled_from(["random", "repeated", "lambda1_repeated", "clustered"]),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_searchsorted_oracle(self, n, log10_cond, shape, fractions, seed):
+        rng = np.random.default_rng(seed)
+        lam = np.sort(10.0 ** rng.uniform(0.0, log10_cond, size=n))
+        lam[0], lam[-1] = 1.0, max(10.0 ** log10_cond, 1.0)
+        if shape == "repeated":
+            lam[rng.integers(1, n)] = lam[rng.integers(0, n)]
+        elif shape == "lambda1_repeated":
+            lam[1] = lam[0]
+        elif shape == "clustered":  # all within 1e-8 relative of lambda_1
+            lam = lam[0] * (1.0 + 1e-8 * np.sort(rng.uniform(0.0, 1.0, size=n)))
+        lam.sort()
+        spec = Spectrum(lambdas=lam)
+        lam = spec.lambdas
+        bottom, top = lam[0], lam[-1]
+        values = [bottom * (1.0 - 1e-13), np.nextafter(top, 0.0)]
+        values += [bottom + f * (top - bottom) for f in fractions]
+        for v in lam:
+            values += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+        for v in map(float, values):
+            if bottom * (1.0 - 1e-12) <= v < top:
+                assert locate_interval(spec, v) == self._oracle(lam, v), (lam.tolist(), v)
+            else:
+                with pytest.raises(IntervalError):
+                    locate_interval(spec, v)
+
+    def test_repeated_lambda1_starts_at_its_last_copy(self):
+        spec = Spectrum(lambdas=[1.0, 1.0, 1.0, 2.0, 4.0])
+        assert locate_interval(spec, 1.0) == 2
+        assert locate_interval(spec, 1.0 - 1e-13) == 2
+        assert locate_interval(spec, np.nextafter(4.0, 0.0)) == 3
 
 
 class TestKappa:

@@ -136,6 +136,10 @@ class TestSolveCommand:
         ["--problem", "laplacian1d:5", "--h", "0"],
         ["--problem", "diagonal:1,2,nan"],
         ["--problem", "laplacian1d:5", "--precond-scale", "nan"],
+        ["--residual-tol", "nan"],
+        ["--residual-tol=-1e-3"],
+        ["--delta-tol", "nan"],
+        ["--delta-tol", "inf"],
     ])
     def test_bad_input_exits_with_message(self, args, capsys):
         code = main(["solve", "--problem", "diagonal:1,2,4", "--solver", "psd",
@@ -144,6 +148,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("psdlab: error: ")
         assert "Traceback" not in err
+
+    def test_nan_residual_tol_named_in_certify_message(self, capsys):
+        code = main(["certify", "--trials", "2", "--n", "5", "--seed", "1",
+                     "--residual-tol", "nan"])
+        assert code == EXIT_ERROR
+        assert "residual_tol must be finite and nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("h", ["0", "nan", "inf"])
     def test_bad_grid_spacing_named_in_message(self, h, capsys):

@@ -514,6 +514,20 @@ class TestRunStart:
         with pytest.raises(ValueError, match="x0 has a non-finite entry"):
             run(pencil, t, [1.0, bad, 0.5, 0.25], "psd")
 
+    @pytest.mark.parametrize("name", ["residual_tol", "delta_tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_bad_tolerance_names_its_parameter(self, name, bad):
+        # A NaN tolerance would never stop the run: res_norm < nan is false.
+        pencil, t = self._setup()
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            run(pencil, t, [1.0, 0.5, 0.5, 0.25], "psd", **{name: bad})
+
+    def test_zero_tolerances_run(self):
+        pencil, t = self._setup()
+        result = run(pencil, t, [1.0, 0.5, 0.5, 0.25], "psd", max_steps=3,
+                     residual_tol=0.0, delta_tol=0.0)
+        assert result.status == "max_steps"
+
     @pytest.mark.parametrize("kind", list(SolverKind))
     @pytest.mark.parametrize("power", [1000, -1000])
     def test_power_of_two_scaling_keeps_every_bit(self, kind, power):

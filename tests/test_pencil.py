@@ -468,3 +468,17 @@ class TestSpectrum:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Spectrum(lambdas=np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("lambdas", [[1.0, 2.0, np.inf], [np.nan] * 3, [1.0, np.nan, 3.0],
+                                         [-np.inf, 1.0, 2.0]])
+    def test_rejects_non_finite(self, lambdas):
+        # NaN slips past the positivity and order tests, and an infinite
+        # lambda_n makes every factor on its interval NaN.
+        with pytest.raises(ValueError, match=r"lambdas must be finite, got lambdas\[\d\] = "):
+            Spectrum(lambdas=lambdas)
+
+    def test_float_tuple_matches_lambdas(self):
+        s = Spectrum(lambdas=[1, 2.5, 2.5, 7])
+        assert s._lam == (1.0, 2.5, 2.5, 7.0)
+        assert all(type(v) is float for v in s._lam)
+        assert "_lam" not in repr(s)

@@ -1,6 +1,7 @@
 """The package's public names, and how its array-holding dataclasses compare."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -10,10 +11,13 @@ import pytest
 
 import psdlab
 from psdlab import (
+    BoundCheck,
     ConeSpec,
     DiagonalForm,
+    IterationRecord,
     PrecondQuality,
     Preconditioner,
+    RayleighValue,
     RitzPair,
     RunResult,
     Spectrum,
@@ -22,6 +26,10 @@ from psdlab import (
     WorstCaseSetup,
     diagonalize,
     generate_problem,
+    pinvit1_step,
+    psd_step,
+    run,
+    synthetic_gamma_preconditioner,
 )
 from psdlab.conelab import ConcentrationReport
 
@@ -88,3 +96,75 @@ def test_equality_answers_and_hashing_works():
         assert (a == b) is False
         assert (a == a) is True
         assert a in [a]
+
+
+# The per-step path builds these by field order, so names and order are
+# part of their contract; a swap of two same-typed fields would pass every
+# byte pin whose output omits them.
+STEP_TYPES = {
+    StepResult: ("x", "rho", "theta_opt", "converged", "_measured"),
+    RayleighValue: ("rho", "mu"),
+    IterationRecord: ("step_index", "rho", "residual_norm", "delta", "bound", "theta_opt"),
+    BoundCheck: ("kind", "gamma", "interval_index", "delta_before", "delta_after", "ratio",
+                 "sigma_squared", "slack", "verdict", "note"),
+}
+
+
+def _hot_path_objects():
+    """Objects of each per-step type as run() and the steps build them."""
+    pencil = generate_problem("laplacian1d", n=6)
+    form = diagonalize(pencil)
+    t = synthetic_gamma_preconditioner(form, 0.3, seed=3)
+    x0 = np.random.default_rng(3).standard_normal(6)
+    objs = []
+    for kind in ("psd", "pinvit1"):
+        result = run(pencil, t, x0, kind, max_steps=4, residual_tol=0.0)
+        before, rec = result.records[1:3]
+        check = rec.bound
+        # each value sits in its own field
+        assert rec.step_index == 2 and rec.residual_norm > 0.0
+        assert rec.rho.mu == 1.0 / rec.rho.rho
+        assert (check.kind, check.gamma, check.note) == (kind, result.certify_gamma, "")
+        assert check.interval_index == 0 and check.verdict == "holds"
+        assert (check.delta_before, check.delta_after) == (before.delta, rec.delta)
+        assert check.ratio == check.delta_after / check.delta_before
+        assert check.slack == check.sigma_squared - check.ratio
+        assert rec.theta_opt == 1.0 if kind == "pinvit1" else rec.theta_opt != 1.0
+        objs += [rec, rec.rho, check]
+    td = t.in_coords("diagonal", form)
+    first = psd_step(form, td, form.to_diagonal(x0))
+    fixed = pinvit1_step(form, td, first)
+    assert (fixed.theta_opt, fixed.converged) == (1.0, False)
+    assert fixed.rho.rho == fixed._measured.value.rho and fixed._measured.bx is not None
+    stationary = psd_step(form, None, np.eye(6)[0])  # an eigenvector
+    assert (stationary.theta_opt, stationary.converged, stationary._measured) == (None, True, None)
+    return objs + [first, psd_step(form, td, first), fixed, stationary]
+
+
+@pytest.mark.parametrize("cls", list(STEP_TYPES), ids=lambda cls: cls.__name__)
+def test_step_types_keep_fields_frozenness_and_equality(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == STEP_TYPES[cls]
+    assert cls.__dataclass_params__.frozen
+    if cls is StepResult:
+        assert cls.__eq__ is object.__eq__
+    else:
+        assert cls.__dataclass_params__.eq
+        assert cls.__hash__ is not None and cls.__hash__ is not object.__hash__
+
+
+def test_hot_path_objects_match_keyword_construction():
+    seen = set()
+    for obj in _hot_path_objects():
+        cls = type(obj)
+        seen.add(cls)
+        values = {name: getattr(obj, name) for name in STEP_TYPES[cls]}
+        twin = cls(**values)
+        assert vars(obj) == vars(twin)
+        assert list(vars(obj)) == list(STEP_TYPES[cls])
+        assert repr(obj) == repr(twin)
+        if cls is not StepResult:
+            assert obj == twin
+            assert hash(obj) == hash(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.rho = 1.0
+    assert seen == set(STEP_TYPES)
