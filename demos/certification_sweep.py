@@ -33,13 +33,10 @@ def main():
             result = run(pencil, t, x0, kind, max_steps=200)
             key = (kind.value, gamma)
             slot = counts.setdefault(key, {"holds": 0, "passed_lambda_i": 0, "violated": 0})
-            for rec in result.records:
-                if rec.bound is None:
-                    continue
-                slot[rec.bound.verdict] += 1
-                if rec.bound.ratio is not None:
-                    frac = rec.bound.ratio / rec.bound.sigma_squared
-                    worst[key] = max(worst.get(key, 0.0), frac)
+            for verdict, count in result.verdicts.items():
+                slot[verdict] += count
+            if result.max_ratio_over_sigma_sq is not None:
+                worst[key] = max(worst.get(key, 0.0), result.max_ratio_over_sigma_sq)
 
     print(f"{TRIALS} trials, n={N}, spectra log-uniform in [1, 1e3]\n")
     print(f"{'solver':>8} {'gamma':>6} {'holds':>7} {'passed':>7} "

@@ -46,14 +46,10 @@ def main():
                  SolverKind.PSD):
         precond = None if kind.exact_inverse else t
         result = run(pencil, precond, x0, kind, max_steps=2000, delta_tol=1e-12)
-        checked = [r.bound for r in result.records if r.bound is not None]
-        ratios = [b.ratio / b.sigma_squared for b in checked if b.ratio is not None]
-        counts = {}
-        for b in checked:
-            counts[b.verdict] = counts.get(b.verdict, 0) + 1
+        worst = result.max_ratio_over_sigma_sq
         print(f"{kind.value:>10} {result.final.step_index:>6} "
               f"{result.final.rho.rho - lam1:>18.3e} "
-              f"{max(ratios) if ratios else float('nan'):>18.6f} {counts}")
+              f"{float('nan') if worst is None else worst:>18.6f} {result.verdicts}")
 
     print("\nEvery certified step stayed at or below its sharp factor; the")
     print("line-search kinds needed no preconditioner scaling to do so.")

@@ -54,8 +54,9 @@ SOLVE_CSV_COLUMNS = ("step", "rho", "mu", "residual_norm", "delta", "ratio",
 class ExperimentConfig:
     """Flat key=value configuration shared by all subcommands.
 
-    Parseable both from command-line flags and from a config file via
-    :meth:`from_file`; :meth:`to_file` round-trips.
+    Each field is an option: a flag of the subcommands that ``_COMMANDS``
+    lists it for, and a key that :meth:`from_file` holds to the flag's
+    type and choices; :meth:`to_file` round-trips.
     """
 
     command: str = "solve"
@@ -107,18 +108,29 @@ class ExperimentConfig:
                 value = value.strip()
                 if key not in field_types:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
-                values[key] = _coerce(field_types[key], value)
+                values[key] = _coerce(key, field_types[key], value, lineno)
         return cls(**values)
 
     def echo(self):
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _coerce(kind, value):
-    """Parse a config-file value as the ``ExperimentConfig`` field type ``kind``."""
-    if kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
-    return kind(value)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key, kind, value, lineno):
+    """Parse a config-file value of field ``key``, of type ``kind``, as its flag would."""
+    try:
+        parsed = _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"config line {lineno}: {key}: invalid {kind.__name__} value: "
+                         f"{value!r}") from None
+    choices = _CHOICES.get(key)
+    if choices is not None and parsed not in choices:
+        raise ValueError(f"config line {lineno}: {key}: invalid choice: {parsed!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return parsed
 
 
 @dataclass
@@ -200,22 +212,21 @@ def _parse_problem(config):
 def _build_preconditioner(config, pencil, kind):
     if kind.exact_inverse:
         return None
-    name = config.precond.lower()
-    if name == "synthetic":
+    if config.precond == "synthetic":
         if config.gamma is None:
             raise ValueError("synthetic preconditioner needs --gamma")
         if config.seed is None:
             raise ValueError("synthetic preconditioner needs --seed")
         form = diagonalize(pencil)
         t = synthetic_gamma_preconditioner(form, config.gamma, seed=config.seed)
-    elif name == "jacobi":
+    elif config.precond == "jacobi":
         t = jacobi_preconditioner(pencil)
-    elif name == "exact":
+    elif config.precond == "exact":
         t = exact_inverse_preconditioner(pencil)
-    elif name == "identity":
+    elif config.precond == "identity":
         t = identity_preconditioner(pencil)
     else:
-        raise ValueError(f"unknown preconditioner kind {name!r}")
+        raise ValueError(f"unknown preconditioner kind {config.precond!r}")
     if config.precond_scale != 1.0:
         t = t.scaled(config.precond_scale)
     if config.rescale:
@@ -255,7 +266,6 @@ def cmd_solve(config):
         residual_tol=config.residual_tol,
         delta_tol=config.delta_tol,
     )
-    verdicts, max_ratio = _checks(result)
     summary = {
         "status": result.status,
         "steps": result.records[-1].step_index,
@@ -264,30 +274,12 @@ def cmd_solve(config):
         "certified": result.certified,
         "certify_gamma": result.certify_gamma,
         "certify_note": result.certify_note,
-        "max_ratio_over_sigma_sq": max_ratio,
-        "violations": verdicts.get(bounds.VIOLATED, 0),
-        "verdicts": verdicts,
+        "max_ratio_over_sigma_sq": result.max_ratio_over_sigma_sq,
+        "violations": result.verdicts.get(bounds.VIOLATED, 0),
+        "verdicts": result.verdicts,
     }
     return ExperimentReport(config=config.echo(), records=_record_rows(result.records),
                             summary=summary)
-
-
-def _checks(result):
-    """The verdict counts of a run's checked steps and their largest ``ratio / sigma^2``.
-
-    The counts are keyed in order of first appearance; the ratio is
-    ``None`` when no step has one.
-    """
-    counts = {}
-    ratios = []
-    for rec in result.records:
-        check = rec.bound
-        if check is None:
-            continue
-        counts[check.verdict] = counts.get(check.verdict, 0) + 1
-        if check.ratio is not None and check.sigma_squared:
-            ratios.append(check.ratio / check.sigma_squared)
-    return counts, max(ratios, default=None)
 
 
 _SPECTRUM_LOW = 1.0
@@ -344,8 +336,7 @@ def cmd_certify(config):
                 residual_tol=config.residual_tol,
                 delta_tol=config.delta_tol,
             )
-            verdicts, max_ratio = _checks(result)
-            n_violated = verdicts.get(bounds.VIOLATED, 0)
+            n_violated = result.verdicts.get(bounds.VIOLATED, 0)
             violations += n_violated
             if not result.certified:
                 skipped += 1
@@ -356,8 +347,8 @@ def cmd_certify(config):
                 "gamma": gamma,
                 "steps": result.records[-1].step_index,
                 "final_rho": result.records[-1].rho.rho,
-                "checked_steps": sum(verdicts.values()),
-                "max_ratio_over_sigma_sq": max_ratio,
+                "checked_steps": sum(result.verdicts.values()),
+                "max_ratio_over_sigma_sq": result.max_ratio_over_sigma_sq,
                 "violated": n_violated,
                 "certified": result.certified,
                 "note": result.certify_note,
@@ -436,6 +427,37 @@ def cmd_sharpness(config):
     )
 
 
+_COMMON = ("seed", "output", "format", "max_steps", "residual_tol", "delta_tol")
+
+# Each subcommand's function, help and flags, in the order it lists them.  A
+# flag is --field-name of an ExperimentConfig field, with the field's type and
+# the choices below; a bool field is a switch.
+_COMMANDS = {
+    "solve": (cmd_solve, "run one solver on one problem",
+              _COMMON + ("problem", "mass", "h", "solver", "precond", "gamma",
+                         "precond_scale", "rescale")),
+    "certify": (cmd_certify, "randomized bound certification sweep",
+                _COMMON + ("trials", "n", "gammas", "solvers", "precond_scale")),
+    "sharpness": (cmd_sharpness, "worst-case sharpness limit",
+                  _COMMON + ("mus", "gamma", "deltas", "t_mode", "t_grid")),
+}
+
+_CHOICES = {
+    "format": ("csv", "json"),
+    "mass": ("identity", "fem"),
+    "solver": tuple(k.value for k in SolverKind),
+    "precond": ("synthetic", "jacobi", "exact", "identity"),
+    "t_mode": ("t1", "grid"),
+}
+
+_HELP = {
+    "config": "key=value config file; flags override",
+    "output": "output path (default stdout)",
+    "problem": "diagonal:l1,l2,... | laplacian1d:n | "
+               "laplacian2d:nx[xny] | matrix_market:a.mtx[,b.mtx]",
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="psdlab",
@@ -443,58 +465,23 @@ def _build_parser():
                     "and sharpness experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--max-steps", type=int, dest="max_steps")
-        p.add_argument("--residual-tol", type=float, dest="residual_tol")
-        p.add_argument("--delta-tol", type=float, dest="delta_tol")
-
-    p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    add_common(p_solve)
-    p_solve.add_argument("--problem", help="diagonal:l1,l2,... | laplacian1d:n | "
-                                           "laplacian2d:nx[xny] | matrix_market:a.mtx[,b.mtx]")
-    p_solve.add_argument("--mass", choices=("identity", "fem"))
-    p_solve.add_argument("--h", type=float)
-    p_solve.add_argument("--solver", choices=[k.value for k in SolverKind])
-    p_solve.add_argument("--precond", choices=("synthetic", "jacobi", "exact", "identity"))
-    p_solve.add_argument("--gamma", type=float)
-    p_solve.add_argument("--precond-scale", type=float, dest="precond_scale")
-    p_solve.add_argument("--rescale", action="store_true", default=None)
-
-    p_cert = sub.add_parser("certify", help="randomized bound certification sweep")
-    add_common(p_cert)
-    p_cert.add_argument("--trials", type=int)
-    p_cert.add_argument("--n", type=int)
-    p_cert.add_argument("--gammas")
-    p_cert.add_argument("--solvers")
-    p_cert.add_argument("--precond-scale", type=float, dest="precond_scale")
-
-    p_sharp = sub.add_parser("sharpness", help="worst-case sharpness limit")
-    add_common(p_sharp)
-    p_sharp.add_argument("--mus")
-    p_sharp.add_argument("--gamma", type=float)
-    p_sharp.add_argument("--deltas")
-    p_sharp.add_argument("--t-mode", choices=("t1", "grid"), dest="t_mode")
-    p_sharp.add_argument("--t-grid", type=int, dest="t_grid")
-
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help=_HELP["config"])
+        for name in flags:
+            kind = types[name]
+            how = ({"action": "store_true", "default": None} if kind is bool
+                   else {"type": kind, "choices": _CHOICES.get(name)})
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_HELP.get(name), **how)
     return parser
 
 
 def _config_from_args(args):
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
-    config.command = args.command
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        setattr(config, key, value)
-    return config
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    flags = {key: value for key, value in vars(args).items()
+             if key != "config" and value is not None}
+    return dataclasses.replace(config, **flags)
 
 
 def _emit(report, config):
@@ -509,10 +496,9 @@ def _emit(report, config):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    dispatch = {"solve": cmd_solve, "certify": cmd_certify, "sharpness": cmd_sharpness}
     try:
         config = _config_from_args(args)
-        report = dispatch[args.command](config)
+        report = _COMMANDS[args.command][0](config)
         _emit(report, config)
     except (ValueError, OSError, MatrixMarketError) as exc:
         print(f"psdlab: error: {exc}", file=sys.stderr)

@@ -300,7 +300,9 @@ class RunResult:
     is the final iterate in the pencil's original coordinates (unit
     length in the diagonalized ones).  ``certified`` tells whether
     per-step bound checks ran; ``certify_note`` explains when they were
-    skipped.
+    skipped.  ``verdicts`` counts the checks' verdicts in order of first
+    appearance; ``max_ratio_over_sigma_sq`` is their largest ``ratio /
+    sigma_squared`` (the first of equals), ``None`` when none has a ratio.
     """
 
     records: list
@@ -310,16 +312,12 @@ class RunResult:
     certified: bool
     certify_gamma: float = None
     certify_note: str = ""
+    verdicts: dict = field(default_factory=dict)
+    max_ratio_over_sigma_sq: float = None
 
     @property
     def final(self):
         return self.records[-1]
-
-    def violations(self):
-        return [
-            rec for rec in self.records
-            if rec.bound is not None and rec.bound.verdict == bounds.VIOLATED
-        ]
 
 
 def _delta_row(lam, mus, i):
@@ -403,7 +401,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     record, the initial one included.  ``rho`` must stay finite and, for
     the line-search kinds and certified runs, nonincreasing up to
     ``_MONOTONE_TOL``; a failure raises :class:`NumericFailure`.  Each
-    certified step is judged by :func:`psdlab.bounds.certify_step`.
+    certified step is judged by :func:`psdlab.bounds.certify_step`, and
+    its verdict and ratio are counted into the result as they come.
     ``x0`` must be a finite, nonzero vector of the pencil's size, else
     :class:`ValueError`; any such vector runs, entries near the overflow
     or underflow threshold included.  ``max_steps`` must be nonnegative
@@ -453,8 +452,9 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     # The start as a step that measured its iterate; each step is handed on
     # to the next, which takes that measure instead of forming it again.
     step = StepResult(x=z, rho=m.value, _measured=m)
-    bound = certified = None
+    bound = certified = max_ratio = None
     records = []
+    verdicts = {}
     status = "max_steps"
     for step_index in range(max_steps + 1):
         # Measure: residual, interval (None at or above lambda_n) and delta.
@@ -500,6 +500,11 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         if certifying and not step.converged and i is not None:
             certified = (i, _delta(lam, mus, step.x, i, rows[i]))
             bound = bounds.certify_step(spectrum, cert_gamma, i, (delta, certified[1]), kind=kind)
+            verdicts[bound.verdict] = verdicts.get(bound.verdict, 0) + 1
+            if bound.ratio is not None and bound.sigma_squared:
+                ratio = bound.ratio / bound.sigma_squared
+                if max_ratio is None or ratio > max_ratio:
+                    max_ratio = ratio
 
     return RunResult(
         records=records,
@@ -509,4 +514,6 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         certified=certifying,
         certify_gamma=cert_gamma,
         certify_note=cert_note,
+        verdicts=verdicts,
+        max_ratio_over_sigma_sq=max_ratio,
     )

@@ -181,12 +181,10 @@ def rayleigh(pencil, x):
     return RayleighValue(rho=num / den, mu=den / num)
 
 
-def residual(pencil, x, value=None):
-    """Eigen-residual ``Ax - rho(x) Bx`` of ``x``; ``value`` is its :func:`rayleigh` if known."""
+def residual(pencil, x):
+    """Eigen-residual ``Ax - rho(x) Bx`` of ``x``."""
     x = np.asarray(x, dtype=float)
-    if value is None:
-        value = rayleigh(pencil, x)
-    return pencil.a @ x - value.rho * (pencil.b @ x)
+    return pencil.a @ x - rayleigh(pencil, x).rho * (pencil.b @ x)
 
 
 @dataclass(eq=False)
@@ -213,11 +211,6 @@ class DiagonalForm:
 
     def from_diagonal(self, z):
         return self.inverse_basis.dot(np.asarray(z, dtype=float))
-
-    def transform_operator(self, t):
-        """Conjugate an operator given in pencil coordinates into diagonal ones."""
-        m = self.basis @ np.asarray(t, dtype=float) @ self.basis.T
-        return (m + m.T) / 2.0
 
     def spectrum(self):
         if self._spectrum is None:

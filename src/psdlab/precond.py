@@ -114,13 +114,14 @@ class Preconditioner:
         )
 
     def in_coords(self, coords, diag_form):
-        """Conjugate the operator into diagonal coordinates, the one direction in use."""
+        """Conjugate into diagonal coordinates, the one direction in use: ``basis T basis^T``."""
         if coords == self.coords:
             return self
         if coords != "diagonal":
             raise ValueError(f"cannot conjugate into {coords!r} coordinates")
-        m = diag_form.transform_operator(self.matrix)
-        return Preconditioner(matrix=m, quality=self.quality, coords=coords)
+        basis = diag_form.basis
+        m = basis @ self.matrix @ basis.T
+        return Preconditioner(matrix=(m + m.T) / 2.0, quality=self.quality, coords=coords)
 
 
 def synthetic_gamma_preconditioner(diag_form, gamma, seed=None):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psdlab import cli
 from psdlab.cli import (
     EXIT_ERROR,
     EXIT_MAX_STEPS,
@@ -455,6 +457,48 @@ def test_report_bytes_are_pinned(config, sha256):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == sha256
 
 
+def _checks(result):
+    """A walk of a run's records: its verdict counts and largest ``ratio / sigma^2``.
+
+    The counts are keyed in order of first appearance; the ratio is
+    ``None`` when no step has one.
+    """
+    counts = {}
+    ratios = []
+    for rec in result.records:
+        check = rec.bound
+        if check is None:
+            continue
+        counts[check.verdict] = counts.get(check.verdict, 0) + 1
+        if check.ratio is not None and check.sigma_squared:
+            ratios.append(check.ratio / check.sigma_squared)
+    return counts, max(ratios, default=None)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(p.values[0], id=p.id) for p in PINNED_REPORTS
+    if p.values[0].command != "sharpness"
+])
+def test_run_counts_match_a_walk_of_its_records(config, monkeypatch):
+    # run() counts each verdict and keeps the largest ratio as the checks
+    # come; the report reads those counts, the walk is their oracle.
+    results = []
+    run = cli.run
+
+    def recording_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    command = {"certify": cmd_certify, "solve": cmd_solve}[config.command]
+    command(config)
+    assert len(results) == (80 if config.command == "certify" else 1)
+    for result in results:
+        counts, max_ratio = _checks(result)
+        assert list(result.verdicts.items()) == list(counts.items())
+        assert repr(result.max_ratio_over_sigma_sq) == repr(max_ratio)
+
+
 def test_to_json_writes_numpy_scalars_as_python_ones():
     records = [{"n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5),
                 "ok": np.bool_(True), "pair": (1, np.int32(2)), "none": None,
@@ -488,6 +532,8 @@ class TestConfigFile:
         loaded = ExperimentConfig.from_file(path)
         assert (loaded.trials, loaded.residual_tol, loaded.rescale) == (12, 1e-8, True)
         assert type(loaded.trials) is int and type(loaded.residual_tol) is float
+        path.write_text("rescale=Off\n")
+        assert ExperimentConfig.from_file(path).rescale is False
 
     def test_flags_override_config(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
@@ -507,6 +553,84 @@ class TestConfigFile:
         code = main(["solve", "--config", str(path)])
         assert code == EXIT_ERROR
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("format=xml", "format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        ("format=CSV", "format: invalid choice: 'CSV' (choose from 'csv', 'json')"),
+        ("precond=Jacobi", "precond: invalid choice: 'Jacobi' (choose from 'synthetic', "
+                           "'jacobi', 'exact', 'identity')"),
+        ("seed=abc", "seed: invalid int value: 'abc'"),
+        ("gamma=half", "gamma: invalid float value: 'half'"),
+        ("rescale=maybe", "rescale: invalid bool value: 'maybe'"),
+    ])
+    def test_values_get_the_flags_checks(self, line, message, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"problem=diagonal:1,2,4\nseed=7\n# a comment\n{line}\n")
+        output = tmp_path / "out"
+        code = main(["solve", "--config", str(path), "--gamma", "0.5", "--output", str(output)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"psdlab: error: config line 4: {message}\n"
+        assert not output.exists()
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionsDeclaredOnce:
+    FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_flags_are_the_fields(self):
+        dests = set()
+        for sub in _subparsers().values():
+            for action in sub._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                field = self.FIELDS[action.dest]
+                assert action.option_strings == ["--" + field.name.replace("_", "-")]
+                assert action.default is None
+                if field.type is bool:
+                    assert isinstance(action, argparse._StoreTrueAction)
+                else:
+                    assert action.type is field.type
+                dests.add(action.dest)
+        assert dests == set(self.FIELDS) - {"command"}
+
+    @pytest.mark.parametrize("field, command", [
+        ("format", "certify"), ("mass", "solve"), ("solver", "solve"),
+        ("precond", "solve"), ("t_mode", "sharpness"),
+    ])
+    def test_choice_rejected_as_flag_and_from_file(self, field, command, tmp_path, capsys):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "bogus"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
+        choices = next(a.choices for a in _subparsers()[command]._actions if a.dest == field)
+        allowed = ", ".join(map(repr, choices))
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{field}=bogus\n")
+        assert main([command, "--config", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"psdlab: error: config line 1: {field}: invalid choice: 'bogus' "
+            f"(choose from {allowed})\n"
+        )
+
+    # sha256 of each subcommand's --help at 80 columns: the flags generated
+    # from the fields keep the interface's text, order and metavars.
+    HELP = {
+        "solve": "adf1a341c0cf39b31c2565c97dce4df29cad0eb4467e520b83c14548f6dc2d59",
+        "certify": "4166de7731a69276810ea9eee590c875a4ebe95f1ebc7b552fa6b89c894cc872",
+        "sharpness": "1cc718c29ca36b198f5c490db38b6f8224dea78592a3acdf4d2548428fd06979",
+    }
+
+    def test_help_text_unchanged(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for command, sub in _subparsers().items():
+            text = sub.format_help()
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == self.HELP[command]
 
 
 class TestExitCodeContract:

@@ -209,7 +209,7 @@ class TestRun:
                      max_steps=200)
         assert result.status == "converged"
         assert result.final.rho.rho == pytest.approx(lam[0], abs=1e-10 * lam[0])
-        assert not result.violations()
+        assert bounds.VIOLATED not in result.verdicts
 
     def test_eigenvector_start_terminates_immediately(self):
         pencil = diag_pencil([1.0, 2.0, 4.0])
@@ -219,6 +219,8 @@ class TestRun:
         assert result.status == "converged"
         assert result.final.rho.rho == pytest.approx(2.0, abs=1e-12)
         assert result.final.step_index <= 1
+        # a step that finds the start stationary is not checked
+        assert (result.verdicts, result.max_ratio_over_sigma_sq) == ({}, None)
 
     def test_rho_monotone_along_records(self):
         rng = np.random.default_rng(8)
@@ -267,7 +269,7 @@ class TestRun:
                      max_steps=50)
         assert result.certified
         assert result.certify_gamma == pytest.approx(0.3, abs=1e-12)
-        assert not result.violations()
+        assert bounds.VIOLATED not in result.verdicts
 
     def test_invit_kinds_need_no_preconditioner(self):
         pencil = diag_pencil([1.0, 2.0, 4.0, 7.0])
@@ -393,7 +395,7 @@ class TestRepeatedEigenvalues:
         assert result.status == "converged"
         assert result.certified
         assert result.final.rho.rho == pytest.approx(1.0, rel=1e-12)
-        assert not result.violations()
+        assert bounds.VIOLATED not in result.verdicts
         assert sum(rec.bound is not None for rec in result.records) >= 1
 
 
@@ -415,6 +417,7 @@ class TestUncertifiedRuns:
         assert result.certify_gamma is None
         assert result.certify_note == "preconditioner quality unknown"
         assert all(rec.bound is None for rec in result.records)
+        assert (result.verdicts, result.max_ratio_over_sigma_sq) == ({}, None)
 
     @pytest.mark.parametrize("kind", [SolverKind.PSD, SolverKind.PINVIT1])
     def test_gamma_only_quality_certifies(self, kind):
@@ -423,7 +426,7 @@ class TestUncertifiedRuns:
         assert result.certify_gamma == 0.3
         assert result.certify_note == ""
         assert any(rec.bound is not None for rec in result.records)
-        assert not result.violations()
+        assert bounds.VIOLATED not in result.verdicts
 
 
 class TestRunGuards:
