@@ -17,6 +17,7 @@ configurations produce byte-identical output.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -143,10 +144,25 @@ class ExperimentReport:
     columns: tuple = SOLVE_CSV_COLUMNS
 
     def to_json(self):
-        return json.dumps(
-            {"config": self.config, "records": self.records, "summary": self.summary},
-            indent=2, allow_nan=True, default=_json_scalar,
-        ) + "\n"
+        """The report as ``json.dumps(..., indent=2, allow_nan=True)`` writes it, plus a newline.
+
+        Records that are all non-empty dicts of ``_SCALARS`` go through one
+        C-encoder call, a key per line.  JSON escapes newlines in strings, so
+        ``},\\n      {`` occurs only between two records, and indenting there
+        gives the ``indent=2`` bytes.  Any other report gets the plain call.
+        """
+        records = self.records
+        flat = bool(records) and all(isinstance(rec, dict) and rec for rec in records) and all(
+            issubclass(t, _SCALARS) for t in {type(v) for rec in records for v in rec.values()})
+        if not flat:
+            doc = {"config": self.config, "records": records, "summary": self.summary}
+            return _dumps(doc) + "\n"
+        rows = json.dumps(records, separators=(",\n      ", ": "), allow_nan=True,
+                          default=_json_scalar)
+        rows = rows.replace("},\n      {", "\n    },\n    {\n      ")[2:-2]
+        # {"config": ...} without its closing "\n}", and {"summary": ...} without its "{".
+        return "".join([_dumps({"config": self.config})[:-2], ',\n  "records": [\n    {\n      ',
+                        rows, "\n    }\n  ],", _dumps({"summary": self.summary})[1:], "\n"])
 
     def to_csv(self):
         lines = [",".join(self.columns)]
@@ -174,10 +190,16 @@ def _json_scalar(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# What a record may hold for to_json's one-call path, and its plain call.
+_SCALARS = (str, int, float, type(None), np.number, np.bool_)
+_dumps = functools.partial(json.dumps, indent=2, allow_nan=True, default=_json_scalar)
+
+
 def _csv_cell(value):
+    value = value.item() if isinstance(value, np.generic) else value  # as JSON writes it
     if value is None:
         return ""
-    if isinstance(value, float):  # includes numpy scalars, hence the cast
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
@@ -458,8 +480,13 @@ _HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as main's other ValueErrors do
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psdlab",
         description="Gradient eigensolver runs, bound certification, "
                     "and sharpness experiments.",
@@ -494,11 +521,9 @@ def _emit(report, config):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report = _COMMANDS[args.command][0](config)
+        config = _config_from_args(_build_parser().parse_args(argv))
+        report = _COMMANDS[config.command][0](config)
         _emit(report, config)
     except (ValueError, OSError, MatrixMarketError) as exc:
         print(f"psdlab: error: {exc}", file=sys.stderr)

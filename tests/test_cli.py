@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab import cli
 from psdlab.cli import (
@@ -517,6 +519,139 @@ def test_to_json_writes_numpy_scalars_as_python_ones():
         ExperimentReport(config={}, records=[{"v": np.zeros(2)}], summary={}).to_json()
 
 
+def _reference_json(report):
+    """The oracle of ``to_json``: one plain ``indent=2`` call on the whole report."""
+    return json.dumps(
+        {"config": report.config, "records": report.records, "summary": report.summary},
+        indent=2, allow_nan=True, default=cli._json_scalar,
+    ) + "\n"
+
+
+# Text that looks like the writer's own layout: a record boundary, the
+# records key, quotes, backslashes, newlines and non-ASCII text.
+_LAYOUT_TEXT = st.sampled_from([
+    "},\n      {", "}\n    },\n    {", '"records": []', '"records": [', 'say "x"',
+    "back\\slash\\", "\\", "ünï ✓ 日本", "\n", "",
+])
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), math.inf, -math.inf, -0.0, 5e-324, 2.2e-308 / 3,
+                     1.7976931348623157e308, 1e300, 0.1]),
+)
+_NUMPY = st.sampled_from([np.float64(0.1), np.float64("nan"), np.float64(-0.0),
+                          np.float32(0.1), np.float16(-2.5), np.int64(-3), np.int32(7),
+                          np.uint8(255), np.bool_(True), np.bool_(False)])
+_SCALAR_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), _FLOATS,
+                           _NUMPY, st.text(max_size=12), _LAYOUT_TEXT)
+_KEYS = st.one_of(st.text(max_size=8), _LAYOUT_TEXT, st.sampled_from(["step", "rho"]))
+_NESTED = st.one_of(_SCALAR_VALUES, st.lists(_SCALAR_VALUES, max_size=3),
+                    st.dictionaries(_KEYS, _SCALAR_VALUES, max_size=3))
+
+
+# Half the reports have flat records, which take the one-call path; the
+# other half may hold an empty record or a container, which the plain call
+# writes.
+@given(
+    records=st.one_of(
+        st.lists(st.dictionaries(_KEYS, _SCALAR_VALUES, min_size=1, max_size=6), max_size=6),
+        st.lists(st.dictionaries(_KEYS, _NESTED, max_size=4), max_size=4),
+    ),
+    config=st.dictionaries(_KEYS, _NESTED, max_size=4),
+    summary=st.dictionaries(_KEYS, _NESTED, max_size=4),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_to_json_matches_one_indent_2_call(records, config, summary):
+    report = ExperimentReport(config=config, records=records, summary=summary)
+    assert report.to_json() == _reference_json(report)
+
+
+@pytest.mark.parametrize("records", [
+    [], [{"step": 0}], [{"a": 1}, {}], [{"a": 1}, {"b": [1, 2]}],
+    [{"v": "},\n      {", "w": '"records": []'}, {"v": None}],
+])
+def test_to_json_matches_one_indent_2_call_at_the_edges(records, tmp_path):
+    # The config echo of a --config file, and the edges the join must get
+    # right: no records, one record, an empty record, a nested value.
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem=diagonal:1,2,4\nseed=7\ngamma=0.5\nformat=json\nrescale=yes\n")
+    report = ExperimentReport(config=ExperimentConfig.from_file(path).echo(),
+                              records=records, summary={"verdicts": {"holds": 2}, "gap": -0.0})
+    assert report.to_json() == _reference_json(report)
+
+
+def test_csv_and_json_write_numpy_scalars_alike():
+    row = {"f64": np.float64(0.1), "f32": np.float32(0.1), "f16": np.float16(0.1),
+           "nan": np.float32("nan"), "i64": np.int64(-3), "i32": np.int32(7),
+           "u8": np.uint8(255), "ok": np.bool_(False), "none": None}
+    report = ExperimentReport(config={}, records=[row], summary={}, columns=tuple(row))
+    header, line = report.to_csv().splitlines()
+    assert header.split(",") == list(row)
+    written = json.loads(report.to_json())["records"][0]
+    assert line.split(",") == ["" if v is None else repr(v) for v in written.values()]
+    assert line.split(",")[1] == "0.10000000149011612"  # float32(0.1) as a float
+
+
+_PINNED_SOLVE = next(p.values[1] for p in PINNED_REPORTS if p.id == "solve-laplacian1d-64-jacobi")
+
+
+def _psdlab(*args, cwd=None):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "psdlab", *args], capture_output=True,
+                          env=env, cwd=cwd, timeout=300)
+
+
+def test_both_output_sinks_write_the_pinned_bytes(tmp_path):
+    args = ["solve", "--problem", "laplacian1d:64", "--solver", "pinvit1", "--precond",
+            "jacobi", "--seed", "3", "--max-steps", "8000", "--delta-tol", "5e-7",
+            "--format", "json"]
+    to_stdout = _psdlab(*args)
+    assert to_stdout.returncode == EXIT_OK, to_stdout.stderr
+    to_file = _psdlab(*args, "--output", "report.json", cwd=tmp_path)
+    assert to_file.returncode == EXIT_OK, to_file.stderr
+    assert to_file.stdout == b""
+    # The file's config echo names the output path, where the pinned run has null.
+    written = (tmp_path / "report.json").read_bytes()
+    assert written.count(b'"output": "report.json"') == 1
+    written = written.replace(b'"output": "report.json"', b'"output": null')
+    for text in (to_stdout.stdout, written):
+        assert hashlib.sha256(text).hexdigest() == _PINNED_SOLVE
+
+
+class TestUsageErrors:
+    ARGS = ["solve", "--problem", "laplacian1d:8", "--seed", "1"]
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--format", "xml"], "argument --format: invalid choice: 'xml' (choose from "
+                              "'csv', 'json')"),
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["--gamma"], "argument --gamma: expected one argument"),
+        (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ])
+    def test_bad_flag_exits_1(self, bad, message, capsys):
+        assert main(self.ARGS + bad) == EXIT_ERROR
+        assert capsys.readouterr().err == f"psdlab: error: {message}\n"
+
+    def test_missing_subcommand_exits_1(self, capsys):
+        assert main([]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("psdlab: error: ")
+
+    def test_process_exit_codes(self, tmp_path):
+        # Through the interpreter: a usage error is 1, not argparse's 2,
+        # which stays the code of a run that hits --max-steps; --help is 0.
+        bad = _psdlab(*self.ARGS, "--format", "xml")
+        assert (bad.returncode, bad.stdout) == (EXIT_ERROR, b"")
+        assert bad.stderr.startswith(b"psdlab: error: argument --format: invalid choice")
+        limited = _psdlab("solve", "--problem", "laplacian1d:32", "--solver", "pinvit1",
+                          "--gamma", "0.9", "--seed", "5", "--max-steps", "2",
+                          "--output", str(tmp_path / "o.csv"))
+        assert limited.returncode == EXIT_MAX_STEPS, limited.stderr
+        shown = _psdlab("solve", "--help")
+        assert shown.returncode == EXIT_OK
+        assert shown.stdout.startswith(b"usage: psdlab solve")
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         config = ExperimentConfig(
@@ -604,12 +739,12 @@ class TestOptionsDeclaredOnce:
     ])
     def test_choice_rejected_as_flag_and_from_file(self, field, command, tmp_path, capsys):
         flag = "--" + field.replace("_", "-")
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, "bogus"])
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
         choices = next(a.choices for a in _subparsers()[command]._actions if a.dest == field)
         allowed = ", ".join(map(repr, choices))
+        assert main([command, flag, "bogus"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"psdlab: error: argument {flag}: invalid choice: 'bogus' (choose from {allowed})\n"
+        )
         path = tmp_path / "exp.cfg"
         path.write_text(f"{field}=bogus\n")
         assert main([command, "--config", str(path)]) == EXIT_ERROR
