@@ -23,8 +23,8 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ._frozen import positional_maker
 from .errors import IntervalError
 
 __all__ = [
@@ -165,8 +165,10 @@ def _factor(kind, q, k, gamma):
     ``q = lambda_i / lambda_{i+1}`` enters the fixed-step formula and
     ``k = kappa`` the line-search one; the other may be ``None``.  The
     exact-inverse kinds are their preconditioned counterparts at
-    ``gamma = 0``.
+    ``gamma = 0``; any kind raises on a ``gamma`` outside [0, 1].
     """
+    if not 0.0 <= gamma <= 1.0:  # NaN fails it too
+        raise ValueError("gamma must lie in [0, 1]")
     if kind.exact_inverse:
         gamma = 0.0
     if kind.line_search:
@@ -187,9 +189,7 @@ def sigma(kind, spectrum, i, gamma=0.0):
 
 
 def _sigma(kind, spectrum, i, gamma):
-    """:func:`sigma` of a parsed ``kind``, ``gamma`` checked."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
+    """:func:`sigma` of a parsed ``kind``."""
     lo, hi, top = _interval_ends(spectrum, i)
     k = _kappa_lenient(lo, hi, top) if kind.line_search else None
     return _factor(kind, lo / hi, k, gamma)
@@ -211,7 +211,8 @@ class BoundFactors:
 def factors(spectrum, i, gamma=0.0):
     """Bundle ``kappa`` and the four :func:`sigma` values for interval ``i``.
 
-    On the topmost interval ``kappa`` is its limit 0, as in :func:`sigma`.
+    On the topmost interval ``kappa`` is its limit 0, as in :func:`sigma`,
+    and a ``gamma`` outside [0, 1] raises as it does there.
     """
     lo, hi, top = _interval_ends(spectrum, i)
     k = _kappa_lenient(lo, hi, top)
@@ -227,13 +228,13 @@ def factors(spectrum, i, gamma=0.0):
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Verdict of one certified step.
 
     ``verdict`` is ``"violated"`` only when the ratio exceeds
     ``sigma_squared`` beyond the relative tolerance ``RATIO_TOL`` *and*
-    the new value stayed above ``lambda_i``.
+    the new value stayed above ``lambda_i``.  A named tuple: it equals,
+    hashes, orders and unpacks as the plain tuple of its fields.
     """
 
     kind: str
@@ -246,9 +247,6 @@ class BoundCheck:
     slack: float
     verdict: str
     note: str = ""
-
-
-_bound_check = positional_maker(BoundCheck)
 
 
 def certify_step(spectrum, gamma, i, deltas, kind="psd"):
@@ -288,5 +286,5 @@ def certify_step(spectrum, gamma, i, deltas, kind="psd"):
         if verdict == VIOLATED:
             note = f"ratio {ratio!r} exceeds sigma^2 {sig_sq!r} beyond tolerance"
     # _value_ is kind.value without the enum property's descriptor call
-    return _bound_check(kind._value_, gamma, i, d_before, d_after, ratio, sig_sq, slack,
-                        verdict, note)
+    return BoundCheck(kind._value_, gamma, i, d_before, d_after, ratio, sig_sq, slack,
+                      verdict, note)

@@ -225,7 +225,7 @@ def ritz_on_segment(cone, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails it too
         raise ValueError("segment parameter t must lie in [0, 1]")
     d1, d2 = extremal_directions(cone)
     d = np.outer(t_arr, d1) + np.outer(1.0 - t_arr, d2)
@@ -472,8 +472,8 @@ def axis_ratio_closed_form(delta, t, kappa, gamma):
         raise ValueError("gamma must lie in (0, 1) for the closed form")
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
-    if delta < 0.0 or t <= 0.0:
-        raise ValueError("delta must be nonnegative and t positive")
+    if not (0.0 <= delta < math.inf and 0.0 < t < math.inf):  # NaN fails it too
+        raise ValueError("delta must be finite and nonnegative and t finite and positive")
     big_gamma = math.sqrt(1.0 - gamma * gamma) / gamma
     one_m_k = 1.0 - kappa
     inv_1pt2 = 1.0 / (1.0 + t * t)

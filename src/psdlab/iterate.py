@@ -16,8 +16,8 @@ coordinates) and the shifted 2x2 Ritz routine that
 :func:`psdlab.pencil.rayleigh_ritz` is the kernel's test oracle.
 
 Each iterate is measured once.  A step takes a vector or the previous
-:class:`StepResult`, which carries what that step measured of its new
-iterate: ``Bx``, and for the fixed step also ``x.x``, the Rayleigh
+:class:`StepResult`, whose ``measure`` carries what that step measured of
+its new iterate: ``Bx``, and for the fixed step also ``x.x``, the Rayleigh
 value, the residual and its norm.  :func:`run` hands every step its
 predecessor, reads the record's residual from that measure, and keeps
 the per-eigenvalue distance rows of each interval it visits; a chained
@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
-from ._frozen import positional_maker
 from .bounds import SolverKind
 from .errors import NumericFailure
 from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, diagonalize
@@ -75,27 +74,27 @@ class _Measure(NamedTuple):
     r_norm: float = None
 
 
-@dataclass(frozen=True, eq=False)
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of a single solver step.
 
     ``converged`` is set when the input was already (numerically) an
     eigenvector or the search subspace degenerated; the iterate is then
     returned unchanged (up to normalization).  A step result may stand in
-    for its ``x`` as the next step's input: what the step measured of its
-    new iterate then goes along, and the next step skips forming it again.
+    for its ``x`` as the next step's input: ``measure``, what the step
+    measured of its new iterate, then goes along, and the next step skips
+    forming it again.  A named tuple that holds an array, so it compares
+    and hashes by identity.
     """
 
     x: np.ndarray
     rho: RayleighValue
     theta_opt: float = None
     converged: bool = False
-    _measured: _Measure = field(default=None, repr=False)
+    measure: _Measure = None
 
-
-# The per-step path builds its results by field order; see _frozen.
-_step_result = positional_maker(StepResult)
-_rayleigh_value = positional_maker(RayleighValue)
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 # Vector products use ndarray.dot: the same BLAS result as ``@``, at about
@@ -140,7 +139,7 @@ def _residual(x, bx):
     den = float(x.dot(bx))
     rho = xx / den
     r = x - rho * bx
-    return xx, _rayleigh_value(rho, den / xx), r, math.sqrt(r.dot(r))
+    return xx, RayleighValue(rho, den / xx), r, math.sqrt(r.dot(r))
 
 
 def _measure(mus, x):
@@ -150,7 +149,7 @@ def _measure(mus, x):
 
 
 def _converged_result(x, value):
-    return _step_result(_unit(x), value, None, True, None)
+    return StepResult(_unit(x), value, None, True, None)
 
 
 def _step(form, precond, x, line_search):
@@ -179,7 +178,7 @@ def _step(form, precond, x, line_search):
     mus = form.mus
     m = None
     if isinstance(x, StepResult):
-        m = x._measured
+        m = x.measure
         x = x.x
         if m is not None and m.mus is not mus:
             m = None
@@ -196,7 +195,7 @@ def _step(form, precond, x, line_search):
     if not line_search:
         x_next = _unit(x - d)
         m_next = _measure(mus, x_next)
-        return _step_result(x_next, m_next.value, 1.0, False, m_next)
+        return StepResult(x_next, m_next.value, 1.0, False, m_next)
 
     d_norm = math.sqrt(d.dot(d))
     if d_norm < _DEGENERATE_DIRECTION_TOL * x_norm:
@@ -235,8 +234,8 @@ def _step(form, precond, x, line_search):
     vec = (f * z1) * q1 + (f * z2) * q2
     theta = math.inf if abs(c_x) < 1e-14 else -c_d / c_x
     rho = 1.0 / mu
-    return _step_result(vec, _rayleigh_value(rho, 1.0 / rho), theta, False,
-                        _Measure(mus, mus * vec))
+    return StepResult(vec, RayleighValue(rho, 1.0 / rho), theta, False,
+                      _Measure(mus, mus * vec))
 
 
 def pinvit1_step(form, precond, x):
@@ -267,8 +266,7 @@ def psd_step(form, precond, x):
     return _step(form, precond, x, line_search=True)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One row of a solver run.
 
     ``residual_norm`` is the diagonal-coordinate residual of the unit
@@ -277,7 +275,8 @@ class IterationRecord:
     ``rho`` against the pencil's spectrum (``None`` outside the spectral
     range), and ``bound`` the certification verdict for the step that
     produced this record (``None`` for the initial record or when the
-    run is not certified).
+    run is not certified).  A named tuple: it equals, hashes, orders and
+    unpacks as the plain tuple of its fields.
     """
 
     step_index: int
@@ -286,9 +285,6 @@ class IterationRecord:
     delta: float = None
     bound: bounds.BoundCheck = None
     theta_opt: float = None
-
-
-_record = positional_maker(IterationRecord)
 
 
 @dataclass(eq=False)
@@ -451,7 +447,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     m = _measure(mus, z)
     # The start as a step that measured its iterate; each step is handed on
     # to the next, which takes that measure instead of forming it again.
-    step = StepResult(x=z, rho=m.value, _measured=m)
+    step = StepResult(x=z, rho=m.value, measure=m)
     bound = certified = max_ratio = None
     records = []
     verdicts = {}
@@ -460,7 +456,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         # Measure: residual, interval (None at or above lambda_n) and delta.
         # The fixed step measured its residual already, a certified step the
         # delta on its interval.
-        z, value, m = step.x, step.rho, step._measured
+        z, value, m = step.x, step.rho, step.measure
         if m is not None and m.value is value:
             res_norm = m.r_norm
         else:
@@ -473,7 +469,8 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         else:
             delta = None if i is None else _delta(lam, mus, z, i, rows[i])
         delta_now = None if delta is None else (delta if delta > 0.0 else 0.0)
-        records.append(_record(step_index, value, res_norm, delta_now, bound, step.theta_opt))
+        records.append(IterationRecord(step_index, value, res_norm, delta_now, bound,
+                                       step.theta_opt))
         # delta_tol is a distance to lambda_1, so only the first interval
         # (from the last copy of lambda_1) can meet it.
         if (step.converged or res_norm < residual_tol

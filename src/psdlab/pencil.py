@@ -10,6 +10,7 @@ coordinates.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,9 +135,12 @@ class Spectrum:
         return self.lambdas.size
 
 
-@dataclass(frozen=True)
-class RayleighValue:
-    """A Rayleigh quotient in both conventions: ``rho`` and ``mu = 1/rho``."""
+class RayleighValue(NamedTuple):
+    """A Rayleigh quotient in both conventions: ``rho`` and ``mu = 1/rho``.
+
+    A named tuple: it equals, hashes, orders and unpacks as the plain
+    tuple ``(rho, mu)``.
+    """
 
     rho: float
     mu: float

@@ -1,5 +1,7 @@
 """Convergence factors, interval-relative errors, and step certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,13 @@ class TestSigma:
 
     def test_psd_gamma_one_boundary(self, spec124):
         assert sigma(SolverKind.PSD, spec124, 0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        # beyond the boundary, and NaN, sigma and factors both refuse
+        s = Spectrum(lambdas=[1.0, 2.0, 4.0, 8.0])
+        for gamma in (1.5, math.nan, -0.2):
+            with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+                sigma(SolverKind.PSD, s, 0, gamma)
+            with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+                factors(s, 0, gamma)
 
     def test_psd_hand_value(self, spec124):
         assert sigma(SolverKind.PSD, spec124, 0, 0.5) == pytest.approx(7.0 / 11.0, rel=1e-14)

@@ -427,8 +427,9 @@ class TestRitzOnSegment:
 
     def test_out_of_range_rejected(self):
         cone = ConeSpec(mus=MUS, x=np.ones(3), gamma=0.3)
-        with pytest.raises(ValueError):
-            ritz_on_segment(cone, 1.5)
+        for t in (1.5, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="t must lie in"):
+                ritz_on_segment(cone, t)
 
     def test_matches_lapack_generalized_solver(self):
         # differential: every point against LAPACK's generalized
@@ -879,6 +880,13 @@ class TestEllipseQuantities:
         assert axis_ratio_closed_form(1e-8, t1, kappa, gamma) == pytest.approx(
             sigma_sq, rel=1e-6
         )
+
+    def test_invalid_invariants_rejected(self):
+        for args in ((math.nan, 1.0, 0.5, 0.5), (0.1, math.nan, 0.5, 0.5),
+                     (math.inf, 1.0, 0.5, 0.5), (0.1, math.inf, 0.5, 0.5),
+                     (-0.1, 1.0, 0.5, 0.5), (0.1, 0.0, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                axis_ratio_closed_form(*args)
 
     def test_reciprocal_monotone_in_delta(self):
         # finite differences of 1/axis_ratio stay positive

@@ -1,7 +1,6 @@
-"""The package's public names, and how its array-holding dataclasses compare."""
+"""The package's public names, and how its result types compare."""
 
 import ast
-import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -38,7 +37,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(psdlab.__path__)
 
 # Names deleted because their callers know everything they did.
 REMOVED = ("CrossSection", "cross_section", "householder_reduce", "invit1_step",
-           "invit2_step", "ellipse_quantities", "EllipseQuantities")
+           "invit2_step", "ellipse_quantities", "EllipseQuantities", "positional_maker")
 
 
 def _module(name):
@@ -102,7 +101,7 @@ def test_equality_answers_and_hashing_works():
 # part of their contract; a swap of two same-typed fields would pass every
 # byte pin whose output omits them.
 STEP_TYPES = {
-    StepResult: ("x", "rho", "theta_opt", "converged", "_measured"),
+    StepResult: ("x", "rho", "theta_opt", "converged", "measure"),
     RayleighValue: ("rho", "mu"),
     IterationRecord: ("step_index", "rho", "residual_norm", "delta", "bound", "theta_opt"),
     BoundCheck: ("kind", "gamma", "interval_index", "delta_before", "delta_after", "ratio",
@@ -135,21 +134,42 @@ def _hot_path_objects():
     first = psd_step(form, td, form.to_diagonal(x0))
     fixed = pinvit1_step(form, td, first)
     assert (fixed.theta_opt, fixed.converged) == (1.0, False)
-    assert fixed.rho.rho == fixed._measured.value.rho and fixed._measured.bx is not None
+    assert fixed.rho.rho == fixed.measure.value.rho and fixed.measure.bx is not None
     stationary = psd_step(form, None, np.eye(6)[0])  # an eigenvector
-    assert (stationary.theta_opt, stationary.converged, stationary._measured) == (None, True, None)
+    assert (stationary.theta_opt, stationary.converged, stationary.measure) == (None, True, None)
     return objs + [first, psd_step(form, td, first), fixed, stationary]
+
+
+_VALUE = RayleighValue(2.0, 0.5)
+# A hand-built object of each per-step type.
+EXAMPLES = {
+    StepResult: StepResult(np.ones(3), _VALUE, 1.0),
+    RayleighValue: _VALUE,
+    IterationRecord: IterationRecord(1, _VALUE, 1e-3, 0.25),
+    BoundCheck: BoundCheck("psd", 0.3, 0, 0.5, 0.1, 0.2, 0.3, 0.1, "holds"),
+}
 
 
 @pytest.mark.parametrize("cls", list(STEP_TYPES), ids=lambda cls: cls.__name__)
 def test_step_types_keep_fields_frozenness_and_equality(cls):
-    assert tuple(f.name for f in dataclasses.fields(cls)) == STEP_TYPES[cls]
-    assert cls.__dataclass_params__.frozen
+    assert cls._fields == STEP_TYPES[cls]
+    obj = EXAMPLES[cls]
+    twin = cls(*obj)
+    # FrozenInstanceError, which callers may still catch, is an AttributeError
+    with pytest.raises(AttributeError):
+        setattr(obj, cls._fields[0], None)
     if cls is StepResult:
-        assert cls.__eq__ is object.__eq__
+        assert (cls.__eq__, cls.__ne__, cls.__hash__) == (
+            object.__eq__, object.__ne__, object.__hash__)
+        assert (obj == twin, obj != twin) == (False, True)
+        assert (obj == obj, obj != obj) == (True, False)
+        assert hash(obj) == object.__hash__(obj) and len({obj, twin}) == 2
     else:
-        assert cls.__dataclass_params__.eq
-        assert cls.__hash__ is not None and cls.__hash__ is not object.__hash__
+        assert (obj == twin, obj != twin) == (True, False)
+        assert hash(obj) == hash(twin) and len({obj, twin}) == 1
+        assert obj == tuple(obj) and hash(obj) == hash(tuple(obj))
+        other = obj._replace(**{cls._fields[-1]: "other"})
+        assert (obj == other, obj != other) == (False, True)
 
 
 def test_hot_path_objects_match_keyword_construction():
@@ -157,14 +177,15 @@ def test_hot_path_objects_match_keyword_construction():
     for obj in _hot_path_objects():
         cls = type(obj)
         seen.add(cls)
-        values = {name: getattr(obj, name) for name in STEP_TYPES[cls]}
-        twin = cls(**values)
-        assert vars(obj) == vars(twin)
-        assert list(vars(obj)) == list(STEP_TYPES[cls])
+        twin = cls(**{name: getattr(obj, name) for name in STEP_TYPES[cls]})
+        assert all(a is b for a, b in zip(obj, twin, strict=True))
         assert repr(obj) == repr(twin)
+        # no per-step object carries an instance dict
+        assert not hasattr(obj, "__dict__")
+        assert all(not hasattr(part, "__dict__") for part in obj if isinstance(part, tuple))
         if cls is not StepResult:
             assert obj == twin
             assert hash(obj) == hash(twin)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            obj.rho = 1.0
+        with pytest.raises(AttributeError):
+            setattr(obj, STEP_TYPES[cls][1], 1.0)
     assert seen == set(STEP_TYPES)

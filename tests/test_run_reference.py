@@ -39,8 +39,7 @@ def bits(obj):
         return obj.tobytes()
     if isinstance(obj, (IterationRecord, StepResult, RayleighValue, bounds.BoundCheck)):
         return (type(obj).__name__,) + tuple(
-            bits(getattr(obj, name)) for name in obj.__dataclass_fields__
-            if name != "_measured"
+            bits(getattr(obj, name)) for name in obj._fields if name != "measure"
         )
     if isinstance(obj, float):
         return float(obj).hex()
