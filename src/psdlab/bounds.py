@@ -21,6 +21,7 @@ observed step against the appropriate factor.
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,6 +50,7 @@ VIOLATED = "violated"
 # Relative tolerance on the bound-ratio comparison; violations beyond it
 # are treated as genuine bugs, not floating point noise.
 RATIO_TOL = 1e-9
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # normal doubles
 
 
 class SolverKind(enum.Enum):
@@ -150,13 +152,18 @@ def _kappa_lenient(lo, hi, top):
 
     The topmost interval is the one whose upper end ``hi`` is
     ``lambda_n = top`` by value, so a repeated largest eigenvalue also
-    maps to the limit.
+    maps to the limit.  kappa is scale-invariant: where a product of the
+    direct form overflows or leaves the normal range, it is taken as a
+    product of two ratios, each at most 1.
     """
     if hi == top:
         return 0.0
     if not lo < hi:
         raise ValueError("kappa needs strict gaps lambda_i < lambda_{i+1} < lambda_n")
-    return lo * (top - hi) / (hi * (top - lo))
+    num, den = lo * (top - hi), hi * (top - lo)  # num <= den
+    if _FLOAT_MIN <= num and den <= _FLOAT_MAX:
+        return num / den
+    return (lo / hi) * ((top - hi) / (top - lo))
 
 
 def _factor(kind, q, k, gamma):

@@ -422,8 +422,8 @@ def worst_aligned_preconditioner(cone, target):
         e = np.zeros((n, n))
     else:
         e = _aligned_error_matrix(cone.r, cone.center - np.asarray(target, dtype=float), gamma)
-    quality = PrecondQuality(gamma=gamma, gamma1=1.0 - gamma, gamma2=1.0 + gamma)
-    return Preconditioner(matrix=np.eye(n) - e, quality=quality, coords="diagonal")
+    return Preconditioner(matrix=np.eye(n) - e, quality=PrecondQuality.ideal(gamma),
+                          coords="diagonal")
 
 
 def worst_case_instance(setup):
@@ -466,7 +466,9 @@ def axis_ratio_closed_form(delta, t, kappa, gamma):
     reciprocal is strictly increasing in ``delta``, so the
     ``delta -> 0`` value bounds the contraction ratio at every level,
     with the global optimum over the level set at
-    ``t = t_star(kappa, gamma)``.
+    ``t = t_star(kappa, gamma)``.  Arguments whose terms overflow raise
+    ``ValueError``: ``t`` above about 1e154, or ``(1 + delta) Gamma^2 (1 + t^2)``
+    above about 1e308, with ``Gamma = sqrt(1 - gamma^2) / gamma``.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1) for the closed form")
@@ -476,20 +478,27 @@ def axis_ratio_closed_form(delta, t, kappa, gamma):
         raise ValueError("delta must be finite and nonnegative and t finite and positive")
     big_gamma = math.sqrt(1.0 - gamma * gamma) / gamma
     one_m_k = 1.0 - kappa
-    inv_1pt2 = 1.0 / (1.0 + t * t)
-    s_level = math.sqrt(1.0 + t * t + kappa * delta)
-    s_delta = math.sqrt(1.0 + delta)
-    num = (
-        (1.0 + delta) * (big_gamma**2 * one_m_k**2 + kappa * one_m_k + big_gamma**2 * t * t)
-        + one_m_k**2
-        + t * t * one_m_k
-        + 2.0 * kappa * big_gamma * t * math.sqrt(inv_1pt2) * s_level
-        * math.sqrt(one_m_k) * s_delta
-    )
-    den = (
-        math.sqrt(one_m_k) * s_level
-        + kappa * big_gamma * t * math.sqrt(inv_1pt2) * s_delta
-    ) ** 2
+    try:
+        inv_1pt2 = 1.0 / (1.0 + t * t)
+        s_level = math.sqrt(1.0 + t * t + kappa * delta)
+        s_delta = math.sqrt(1.0 + delta)
+        num = (
+            (1.0 + delta) * (big_gamma**2 * one_m_k**2 + kappa * one_m_k + big_gamma**2 * t * t)
+            + one_m_k**2
+            + t * t * one_m_k
+            + 2.0 * kappa * big_gamma * t * math.sqrt(inv_1pt2) * s_level
+            * math.sqrt(one_m_k) * s_delta
+        )
+        den = (
+            math.sqrt(one_m_k) * s_level
+            + kappa * big_gamma * t * math.sqrt(inv_1pt2) * s_delta
+        ) ** 2
+    except OverflowError:  # a float ** 2 beyond the double range
+        num = den = math.inf
+    # Every term is nonnegative, so an overflow anywhere leaves num or den
+    # infinite or NaN (an infinite t * t turns inv_1pt2 to 0 and num to inf).
+    if not (num < math.inf and den < math.inf):
+        raise ValueError("axis ratio arguments out of range: a term overflows a double")
     return den / num
 
 

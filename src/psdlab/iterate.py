@@ -357,18 +357,16 @@ def _certification_gamma(kind, quality):
     """The gamma a certified run must use, or (None, reason) when it cannot.
 
     The steepest-descent bound is scaling invariant, so it always uses
-    the rescaled-form gamma.  The fixed-step bound needs the two-sided
-    quality of the preconditioner *as handed over*; if that exceeds 1
-    the run is not certifiable and the check is skipped rather than
-    reported as a violation.
+    the scale-invariant ``quality.gamma``.  The fixed-step bound needs the
+    two-sided quality of the preconditioner *as handed over*; if that
+    exceeds 1 the run is not certifiable and the check is skipped rather
+    than reported as a violation.  ``quality`` is ``None`` when unknown.
     """
     if kind.exact_inverse:
         return 0.0, ""
-    gamma = None
-    if quality is not None:
-        gamma = quality.scaled_gamma() if kind.line_search else quality.as_is_gamma()
-    if gamma is None:
+    if quality is None:
         return None, "preconditioner quality unknown"
+    gamma = quality.gamma if kind.line_search else quality.as_is_gamma()
     if not kind.line_search and gamma >= 1.0:
         return None, (
             f"fixed-step quality mismatch: as-handed gamma {gamma:.6g} >= 1 "

@@ -45,14 +45,20 @@ def _as_dense(m):
 class SymmetricPencil:
     """Matrix pair ``(A, B)``, both symmetric positive definite.
 
-    Symmetry must hold exactly on the stored entries; positivity is
-    checked through an attempted Cholesky factorization at construction
-    time.  Instances are immutable and safe to share.
+    Every entry must be finite and symmetry must hold exactly on the
+    stored entries; positivity is checked through an attempted Cholesky
+    factorization at construction time.  Instances are immutable and
+    safe to share.
     """
 
     def __init__(self, a, b):
         a = _as_dense(a)
         b = _as_dense(b)
+        for name, m in (("A", a), ("B", b)):
+            finite = np.isfinite(m)
+            if not finite.all():
+                at = tuple(np.argwhere(~finite)[0].tolist())
+                raise ValueError(f"{name} has a non-finite entry {float(m[at])!r} at {at}")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
         if b.shape != a.shape:

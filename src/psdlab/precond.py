@@ -1,16 +1,16 @@
 """Preconditioner construction, quality measurement, and rescaling.
 
-Quality is tracked two ways.  The spectral-equivalence pair
-``(gamma1, gamma2)`` bounds ``(z, Az)`` between ``gamma1 (z, T^-1 z)``
-and ``gamma2 (z, T^-1 z)`` and is invariant under rescaling ``T``; the
-single parameter ``gamma = (gamma2 - gamma1) / (gamma1 + gamma2)`` is
-the quality after optimal rescaling and the one entering every
-convergence factor.  The fixed-step solver PINVIT(1) needs its
-preconditioner scaled so that ``gamma1 = 1 - gamma`` and
-``gamma2 = 1 + gamma`` hold; the steepest-descent solver PSD does not,
-because its line search absorbs the scaling.
+A preconditioner's quality is one spectral-equivalence pair
+``(gamma1, gamma2)``: ``(z, Az)`` lies between ``gamma1 (z, T^-1 z)`` and
+``gamma2 (z, T^-1 z)``.  Two gammas derive from it.  The steepest-descent
+solver PSD, whose line search picks the scaling, needs only the
+scale-invariant ``gamma = (gamma2 - gamma1) / (gamma1 + gamma2)``, the
+quality of the ideally scaled ``T`` with the pair ``(1 - gamma, 1 + gamma)``.
+The fixed-step solver PINVIT(1) needs the quality of ``T`` as handed over,
+:meth:`PrecondQuality.as_is_gamma`.  An unknown quality is ``None``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,55 +29,50 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecondQuality:
-    """Quality metadata: scaled-form ``gamma`` and/or equivalence constants."""
+    """Spectral-equivalence constants with ``0 < gamma1 <= gamma2 < inf``."""
 
-    gamma: float = None
-    gamma1: float = None
-    gamma2: float = None
+    gamma1: float
+    gamma2: float
 
     def __post_init__(self):
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+        if not 0.0 < self.gamma1 <= self.gamma2 < math.inf:  # NaN fails it too
+            raise ValueError("equivalence constants must satisfy 0 < gamma1 <= gamma2 < inf, "
+                             f"got ({self.gamma1!r}, {self.gamma2!r})")
+
+    @classmethod
+    def ideal(cls, gamma):
+        """The ideally scaled quality ``(1 - gamma, 1 + gamma)``, ``gamma`` in [0, 1)."""
+        if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if (self.gamma1 is None) != (self.gamma2 is None):
-            raise ValueError("gamma1 and gamma2 must be given together")
-        if self.gamma1 is not None:
-            if self.gamma1 <= 0 or self.gamma2 <= 0:
-                raise ValueError("equivalence constants must be positive")
-            if self.gamma1 > self.gamma2:
-                raise ValueError("gamma1 must not exceed gamma2")
+        return cls(1.0 - gamma, 1.0 + gamma)
 
-    def scaled_gamma(self):
-        """Quality after optimal rescaling: ``(g2 - g1) / (g1 + g2)``.
-
-        Falls back to the stored ``gamma``; ``None`` when nothing is known.
-        """
-        if self.gamma1 is not None:
-            return (self.gamma2 - self.gamma1) / (self.gamma1 + self.gamma2)
-        return self.gamma
+    @property
+    def gamma(self):
+        """Quality after ideal rescaling: ``(g2 - g1) / (g1 + g2)``."""
+        return (self.gamma2 - self.gamma1) / (self.gamma1 + self.gamma2)
 
     def as_is_gamma(self):
         """Smallest ``g`` with ``1 - g <= gamma1 <= gamma2 <= 1 + g``.
 
         This is the quality of the preconditioner *without* rescaling,
         the one the fixed-step bound needs.  May be ``>= 1`` (then the
-        fixed-step bound does not apply); ``None`` when unknown.
+        fixed-step bound does not apply).
         """
-        if self.gamma1 is not None:
-            return max(1.0 - self.gamma1, self.gamma2 - 1.0)
-        return self.gamma
+        return max(1.0 - self.gamma1, self.gamma2 - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
     """A symmetric positive definite operator with quality metadata.
 
+    ``quality`` is a :class:`PrecondQuality`, or ``None`` when unknown.
     ``coords`` records which coordinates the stored matrix acts in:
     ``"pencil"`` (the original pair) or ``"diagonal"`` (after
     :func:`psdlab.pencil.diagonalize`, where ``A = I``).
     """
 
     matrix: np.ndarray
-    quality: PrecondQuality
+    quality: PrecondQuality | None
     coords: str = "pencil"
 
     def __post_init__(self):
@@ -89,29 +84,17 @@ class Preconditioner:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
     def apply(self, r):
         return self.matrix.dot(np.asarray(r, dtype=float))
 
     def scaled(self, factor):
-        """The preconditioner ``factor * T`` with consistently scaled quality."""
+        """The preconditioner ``factor * T``; its equivalence constants scale with it."""
         if not 0.0 < factor < np.inf:
             raise ValueError(f"scale factor must be finite and positive, got {factor!r}")
         q = self.quality
-        if q.gamma1 is not None:
-            quality = PrecondQuality(
-                gamma=q.gamma, gamma1=factor * q.gamma1, gamma2=factor * q.gamma2
-            )
-        else:
-            # Equivalence constants unknown; the scaled-form gamma survives,
-            # the as-is interpretation of plain gamma does not.
-            quality = PrecondQuality(gamma=q.gamma) if factor == 1.0 else PrecondQuality()
-        return Preconditioner(
-            matrix=factor * self.matrix, quality=quality, coords=self.coords
-        )
+        if q is not None:
+            q = PrecondQuality(factor * q.gamma1, factor * q.gamma2)
+        return Preconditioner(matrix=factor * self.matrix, quality=q, coords=self.coords)
 
     def in_coords(self, coords, diag_form):
         """Conjugate into diagonal coordinates, the one direction in use: ``basis T basis^T``."""
@@ -134,8 +117,7 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed=None):
     in ``[0, 1)``.  ``diag_form`` supplies the dimension.  ``seed`` is
     mandatory at every ``gamma``; ``gamma = 0`` gives ``T = I``.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    quality = PrecondQuality.ideal(gamma)
     if seed is None:
         raise ValueError("synthetic_gamma_preconditioner needs a seed")
     n = diag_form.n
@@ -149,9 +131,7 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed=None):
         eta[0] = gamma if rng.random() < 0.5 else -gamma  # attain the norm exactly
         e = (q * eta) @ q.T
         e = (e + e.T) / 2.0
-    t = np.eye(n) - e
-    quality = PrecondQuality(gamma=gamma, gamma1=1.0 - gamma, gamma2=1.0 + gamma)
-    return Preconditioner(matrix=t, quality=quality, coords="diagonal")
+    return Preconditioner(matrix=np.eye(n) - e, quality=quality, coords="diagonal")
 
 
 def jacobi_preconditioner(pencil):
@@ -160,7 +140,7 @@ def jacobi_preconditioner(pencil):
     if np.any(d <= 0):
         raise ValueError("A has a nonpositive diagonal entry")
     t = np.diag(1.0 / d)
-    quality = estimate_quality(pencil, Preconditioner(t, PrecondQuality(), "pencil"))
+    quality = estimate_quality(pencil, Preconditioner(t, None, "pencil"))
     return Preconditioner(matrix=t, quality=quality, coords="pencil")
 
 
@@ -168,14 +148,13 @@ def exact_inverse_preconditioner(pencil):
     """The exact inverse ``T = A^-1`` (quality ``gamma = 0``)."""
     inv = pencil.solve_a(np.eye(pencil.n))
     inv = (inv + inv.T) / 2.0
-    quality = PrecondQuality(gamma=0.0, gamma1=1.0, gamma2=1.0)
-    return Preconditioner(matrix=inv, quality=quality, coords="pencil")
+    return Preconditioner(matrix=inv, quality=PrecondQuality.ideal(0.0), coords="pencil")
 
 
 def identity_preconditioner(pencil):
     """``T = I`` in pencil coordinates with measured quality."""
     t = np.eye(pencil.n)
-    quality = estimate_quality(pencil, Preconditioner(t, PrecondQuality(), "pencil"))
+    quality = estimate_quality(pencil, Preconditioner(t, None, "pencil"))
     return Preconditioner(matrix=t, quality=quality, coords="pencil")
 
 
@@ -198,23 +177,18 @@ def estimate_quality(pencil, precond):
     gamma1, gamma2 = float(w[0]), float(w[-1])
     if gamma1 <= 0:
         raise ValueError("preconditioner is not positive definite against A")
-    gamma = (gamma2 - gamma1) / (gamma1 + gamma2)
-    return PrecondQuality(gamma=gamma, gamma1=gamma1, gamma2=gamma2)
+    return PrecondQuality(gamma1, gamma2)
 
 
 def rescale(precond):
-    """Optimally rescaled preconditioner ``(2 / (g1 + g2)) T``.
+    """Ideally rescaled preconditioner ``(2 / (g1 + g2)) T``.
 
-    The result satisfies the two-sided quality bound with
-    ``gamma = (g2 - g1) / (g1 + g2)`` and is a fixed point of this
-    function.
+    Its quality is ``PrecondQuality.ideal(gamma)`` with the same
+    ``gamma = (g2 - g1) / (g1 + g2)``, and it is a fixed point of this
+    function.  An unknown quality raises ``ValueError``.
     """
     q = precond.quality
-    if q.gamma1 is None:
+    if q is None:
         raise ValueError("rescaling needs the equivalence constants gamma1, gamma2")
-    factor = 2.0 / (q.gamma1 + q.gamma2)
-    gamma = (q.gamma2 - q.gamma1) / (q.gamma1 + q.gamma2)
-    new_quality = PrecondQuality(gamma=gamma, gamma1=1.0 - gamma, gamma2=1.0 + gamma)
-    return Preconditioner(
-        matrix=factor * precond.matrix, quality=new_quality, coords=precond.coords
-    )
+    return Preconditioner((2.0 / (q.gamma1 + q.gamma2)) * precond.matrix,
+                          PrecondQuality.ideal(q.gamma), precond.coords)

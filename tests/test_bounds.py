@@ -157,6 +157,26 @@ class TestKappa:
         with pytest.raises(ValueError, match="topmost"):
             kappa(s, 1)
 
+    def test_scale_invariant_at_extreme_scales(self):
+        # The direct form's products overflow above about 2**512 (kappa was
+        # NaN) and leave the normal range below about 2**-511 (kappa raised
+        # ZeroDivisionError); kappa must not notice.
+        lam = np.array([1.0, 1.5, 3.0, 7.0, 10.0])
+        base = Spectrum(lambdas=lam)
+        for e in range(-1000, 1001, 50):
+            scaled = Spectrum(lambdas=math.ldexp(1.0, e) * lam)
+            for i in range(len(lam) - 1):
+                if i < len(lam) - 2:
+                    assert kappa(scaled, i) == pytest.approx(kappa(base, i), rel=1e-15)
+                want, got = factors(base, i, 0.4), factors(scaled, i, 0.4)
+                for name in ("kappa", "sigma_invit1", "sigma_pinvit1", "sigma_invit2",
+                             "sigma_psd"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                               rel=1e-15), (e, i, name)
+                for kind in SolverKind:
+                    assert sigma(kind, scaled, i, 0.4) == pytest.approx(
+                        sigma(kind, base, i, 0.4), rel=1e-15), (e, i, kind)
+
 
 class TestSigma:
     def test_psd_gamma_zero(self, spec124):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdlab import cli
+from psdlab import cli, diagonalize, generate_problem, synthetic_gamma_preconditioner
 from psdlab.cli import (
     EXIT_ERROR,
     EXIT_MAX_STEPS,
@@ -106,6 +106,17 @@ class TestSolveCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    def test_non_finite_matrix_market_entry_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "a.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 2\n1 1 1.0\n2 2 nan\n")
+        code = main([
+            "solve", "--problem", f"matrix_market:{bad}", "--solver", "psd",
+            "--gamma", "0.1", "--seed", "1",
+        ])
+        assert code == EXIT_ERROR
+        assert "A has a non-finite entry nan at (1, 1)" in capsys.readouterr().err
 
     def test_max_steps_exit_code(self, tmp_path):
         code = main([
@@ -217,6 +228,47 @@ class TestSolveCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["certified"] is True
         assert payload["summary"]["violations"] == 0
+
+
+class TestSolveQualityPaths:
+    # Each preconditioner kind's quality reaches certification unchanged.
+    @staticmethod
+    def _summary(tmp_path, *args):
+        out = tmp_path / "run.json"
+        code = main(["solve", "--problem", "diagonal:1,2,4,8", "--seed", "2",
+                     "--max-steps", "200", "--format", "json", "--output", str(out), *args])
+        return code, json.loads(out.read_text())["summary"]
+
+    def test_exact_certifies_with_gamma_zero(self, tmp_path):
+        code, summary = self._summary(tmp_path, "--solver", "psd", "--precond", "exact")
+        assert code == EXIT_OK
+        assert (summary["certified"], summary["certify_gamma"]) == (True, 0.0)
+        assert summary["violations"] == 0
+
+    def test_identity_fixed_step_skips_certification(self, tmp_path):
+        # T = I against A = diag(1, 2, 4, 8) has the pair (1, 8): as-is gamma 7
+        code, summary = self._summary(tmp_path, "--solver", "pinvit1", "--precond", "identity",
+                                      "--max-steps", "30")
+        assert code == EXIT_MAX_STEPS
+        assert (summary["certified"], summary["certify_gamma"]) == (False, None)
+        assert summary["certify_note"].startswith(
+            "fixed-step quality mismatch: as-handed gamma 7 >= 1")
+        assert summary["violations"] == 0
+
+    def test_identity_fixed_step_certifies_once_rescaled(self, tmp_path):
+        code, summary = self._summary(tmp_path, "--solver", "pinvit1", "--precond", "identity",
+                                      "--rescale")
+        assert code == EXIT_OK
+        assert summary["certified"] is True
+        assert summary["certify_gamma"] == pytest.approx(7.0 / 9.0, rel=1e-15)
+        assert summary["violations"] == 0
+
+    def test_synthetic_certifies_with_its_quality_gamma(self, tmp_path):
+        _, summary = self._summary(tmp_path, "--solver", "psd", "--gamma", "0.9")
+        form = diagonalize(generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0, 8.0]))
+        quality = synthetic_gamma_preconditioner(form, 0.9, seed=2).quality
+        assert summary["certify_gamma"] == quality.gamma  # bitwise, through the JSON
+        assert summary["certify_gamma"] != 0.9  # derived from the pair, not stored
 
 
 class TestCertifyCommand:

@@ -888,6 +888,17 @@ class TestEllipseQuantities:
             with pytest.raises(ValueError, match="delta must be finite"):
                 axis_ratio_closed_form(*args)
 
+    def test_overflowing_terms_rejected(self):
+        # t * t overflows (this gave NaN), (1 + delta) times the Gamma term
+        # overflows (this gave 0.0, against a true value of about 0.268),
+        # and Gamma**2 overflows (this raised OverflowError)
+        for args in ((0.1, 1e200, 0.5, 0.5), (1e308, 1.0, 0.5, 0.5), (0.1, 1.0, 0.5, 1e-160)):
+            with pytest.raises(ValueError, match="out of range"):
+                axis_ratio_closed_form(*args)
+        # just inside the range the ratio is finite and near its limit
+        assert axis_ratio_closed_form(1e307, 1.0, 0.5, 0.5) == pytest.approx(0.268, abs=1e-3)
+        assert math.isfinite(axis_ratio_closed_form(0.1, 1e150, 0.5, 0.5))
+
     def test_reciprocal_monotone_in_delta(self):
         # finite differences of 1/axis_ratio stay positive
         kappa, gamma = 0.3, 0.6

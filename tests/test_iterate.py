@@ -33,7 +33,7 @@ def diag_pencil(lambdas):
 
 def as_preconditioner(t):
     """A matrix in diagonal coordinates as the steps take it; ``apply`` is ``t.dot``."""
-    return Preconditioner(t, PrecondQuality(), "diagonal")
+    return Preconditioner(t, None, "diagonal")
 
 
 def random_instance(rng, n, gamma, seed):
@@ -399,9 +399,19 @@ class TestRepeatedEigenvalues:
         assert sum(rec.bound is not None for rec in result.records) >= 1
 
 
+def test_overflowing_kappa_product_certifies_a_correct_step():
+    # kappa's direct form overflowed here to kappa 0, so sigma^2 = 0 turned
+    # a correct INVIT(2) step into a violation.
+    result = run(diag_pencil([1.0, 2.0, 1e308]), None, [1.0, 1.0, 1.0], "invit2",
+                 max_steps=50)
+    assert result.certified
+    assert bounds.VIOLATED not in result.verdicts
+    assert sum(rec.bound is not None for rec in result.records) >= 1
+
+
 class TestUncertifiedRuns:
     # The synthetic preconditioner's matrix with its quality metadata
-    # replaced: nothing known, or only the scaled-form gamma.
+    # replaced: nothing known, or the ideally scaled quality of a gamma.
     @staticmethod
     def _run(kind, quality):
         pencil = generate_problem("laplacian1d", n=12)
@@ -412,7 +422,7 @@ class TestUncertifiedRuns:
 
     @pytest.mark.parametrize("kind", [SolverKind.PSD, SolverKind.PINVIT1])
     def test_unknown_quality_skips_certification(self, kind):
-        result = self._run(kind, PrecondQuality())
+        result = self._run(kind, None)
         assert not result.certified
         assert result.certify_gamma is None
         assert result.certify_note == "preconditioner quality unknown"
@@ -421,9 +431,11 @@ class TestUncertifiedRuns:
 
     @pytest.mark.parametrize("kind", [SolverKind.PSD, SolverKind.PINVIT1])
     def test_gamma_only_quality_certifies(self, kind):
-        result = self._run(kind, PrecondQuality(gamma=0.3))
+        quality = PrecondQuality.ideal(0.3)
+        result = self._run(kind, quality)
         assert result.certified
-        assert result.certify_gamma == 0.3
+        assert result.certify_gamma == (quality.gamma if kind.line_search
+                                        else quality.as_is_gamma())
         assert result.certify_note == ""
         assert any(rec.bound is not None for rec in result.records)
         assert bounds.VIOLATED not in result.verdicts

@@ -48,6 +48,20 @@ class TestSymmetricPencil:
         with pytest.raises(ValueError, match="positive definite"):
             SymmetricPencil(np.eye(2), a)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries_first(self, bad):
+        # checked before symmetry and definiteness, naming the matrix
+        a = np.diag([1.0, 2.0, 4.0])
+        a[2, 1] = bad  # a NaN would otherwise read as an asymmetry
+        with pytest.raises(ValueError, match=rf"^A has a non-finite entry {bad!r} at \(2, 1\)$"):
+            SymmetricPencil(a, np.eye(3))
+        with pytest.raises(ValueError, match=rf"^B has a non-finite entry {bad!r} at \(2, 1\)$"):
+            SymmetricPencil(np.eye(3), a)
+        a[1, 2] = a[2, 1] = 0.0
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match=r"^A has a non-finite entry .* at \(1, 1\)$"):
+            SymmetricPencil(a, np.eye(3))
+
     def test_immutable(self):
         p = SymmetricPencil(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):

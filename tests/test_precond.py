@@ -1,5 +1,7 @@
 """Preconditioner construction, quality estimation, and rescaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from psdlab import (
     jacobi_preconditioner,
     psd_step,
     rescale,
+    run,
     synthetic_gamma_preconditioner,
     worst_aligned_preconditioner,
     worst_direction,
@@ -64,7 +67,7 @@ class TestSyntheticPreconditioner:
         rng = np.random.default_rng(5)
         z = form.to_diagonal(rng.standard_normal(4))
         with_t = psd_step(form, t, z)
-        plain = psd_step(form, Preconditioner(np.eye(4), PrecondQuality(), "diagonal"), z)
+        plain = psd_step(form, Preconditioner(np.eye(4), None, "diagonal"), z)
         np.testing.assert_allclose(with_t.x, plain.x, atol=1e-14)
         assert with_t.rho.rho == pytest.approx(plain.rho.rho, rel=1e-14)
 
@@ -76,7 +79,7 @@ class TestSyntheticPreconditioner:
         measured = power_iteration_norm(np.eye(8) - t.matrix)
         assert measured <= gamma + 1e-10
         assert measured == pytest.approx(gamma, abs=1e-9)
-        assert t.quality.gamma == gamma
+        assert (t.quality.gamma1, t.quality.gamma2) == (1.0 - gamma, 1.0 + gamma)
 
     def test_worst_aligned_hits_cone_boundary_direction(self):
         mus = np.array([1.0, 0.5, 0.1])
@@ -102,8 +105,7 @@ class TestSyntheticPreconditioner:
                         gamma=gamma)
         t = worst_aligned_preconditioner(cone, worst_direction(cone))
         assert t.coords == "diagonal"
-        assert (t.quality.gamma, t.quality.gamma1, t.quality.gamma2) == (
-            gamma, 1.0 - gamma, 1.0 + gamma)
+        assert (t.quality.gamma1, t.quality.gamma2) == (1.0 - gamma, 1.0 + gamma)
         if gamma == 0.0:
             np.testing.assert_array_equal(t.matrix, np.eye(3))
 
@@ -177,7 +179,7 @@ class TestEstimateQuality:
         e = (q_mat * eta) @ q_mat.T
         e = (e + e.T) / 2.0
         pencil = SymmetricPencil(np.eye(5), np.eye(5))
-        t = Preconditioner(np.eye(5) - e, PrecondQuality(), coords="pencil")
+        t = Preconditioner(np.eye(5) - e, None, coords="pencil")
         q = estimate_quality(pencil, t)
         assert q.gamma1 == pytest.approx(0.7, rel=1e-12)
         assert q.gamma2 == pytest.approx(1.3, rel=1e-12)
@@ -198,9 +200,8 @@ class TestRescale:
         t = Preconditioner(np.eye(2), PrecondQuality(gamma1=1.0, gamma2=3.0), "pencil")
         scaled = rescale(t)
         np.testing.assert_allclose(scaled.matrix, 0.5 * np.eye(2))
-        assert scaled.quality.gamma == pytest.approx(0.5)
-        assert scaled.quality.gamma1 == pytest.approx(0.5)
-        assert scaled.quality.gamma2 == pytest.approx(1.5)
+        assert (scaled.quality.gamma1, scaled.quality.gamma2) == (0.5, 1.5)
+        assert scaled.quality.gamma == 0.5
 
     def test_equal_constants_give_gamma_zero(self):
         t = Preconditioner(np.eye(2), PrecondQuality(gamma1=4.0, gamma2=4.0), "pencil")
@@ -213,7 +214,7 @@ class TestRescale:
         np.testing.assert_allclose(twice.matrix, once.matrix, rtol=1e-12)
 
     def test_missing_constants(self):
-        t = Preconditioner(np.eye(2), PrecondQuality(gamma=0.5), "pencil")
+        t = Preconditioner(np.eye(2), None, "pencil")
         with pytest.raises(ValueError, match="equivalence constants"):
             rescale(t)
 
@@ -242,16 +243,49 @@ class TestPsdScaleInvariance:
 class TestQualityViews:
     def test_scaled_and_as_is_gammas(self):
         q = PrecondQuality(gamma1=0.5, gamma2=1.5)
-        assert q.scaled_gamma() == pytest.approx(0.5)
+        assert q.gamma == pytest.approx(0.5)
         assert q.as_is_gamma() == pytest.approx(0.5)
         q = PrecondQuality(gamma1=0.5, gamma2=3.0)
-        assert q.scaled_gamma() == pytest.approx(2.5 / 3.5)
+        assert q.gamma == pytest.approx(2.5 / 3.5)
         assert q.as_is_gamma() == pytest.approx(2.0)  # not admissible as-is
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PrecondQuality(gamma=1.0)
-        with pytest.raises(ValueError):
-            PrecondQuality(gamma1=2.0, gamma2=1.0)
-        with pytest.raises(ValueError):
-            PrecondQuality(gamma1=1.0)
+        for g1, g2 in ((2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (0.5, np.nan),
+                       (0.5, np.inf), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="0 < gamma1 <= gamma2 < inf"):
+                PrecondQuality(g1, g2)
+        for gamma in (1.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+                PrecondQuality.ideal(gamma)
+
+    def test_the_pair_is_the_whole_quality(self):
+        assert [f.name for f in dataclasses.fields(PrecondQuality)] == ["gamma1", "gamma2"]
+        assert [name for name in vars(PrecondQuality) if not name.startswith("_")] == [
+            "ideal", "gamma", "as_is_gamma"]
+        assert not hasattr(Preconditioner(np.eye(2), None, "pencil"), "n")
+        q = PrecondQuality.ideal(0.3)
+        assert (q.gamma1, q.gamma2) == (1.0 - 0.3, 1.0 + 0.3)
+        assert q.gamma == (q.gamma2 - q.gamma1) / (q.gamma1 + q.gamma2)
+        with pytest.raises(AttributeError):
+            q.gamma = 0.3
+
+    def test_scaled_scales_the_pair_and_keeps_none_unknown(self):
+        t = Preconditioner(np.eye(2), PrecondQuality(0.5, 1.5), "pencil").scaled(4.0)
+        assert (t.quality.gamma1, t.quality.gamma2) == (2.0, 6.0)
+        t = Preconditioner(np.eye(2), None, "pencil").scaled(3.0)
+        assert t.quality is None
+        np.testing.assert_array_equal(t.matrix, 3.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("kind", ["psd", "pinvit1"])
+def test_synthetic_run_certifies_with_the_derived_gamma(kind, gamma):
+    # PSD takes the scale-invariant gamma, the fixed step the as-is one; both
+    # derive from the pair, bitwise.  For the ideally scaled synthetic T they
+    # agree to an ulp (at 0.9 the as-is one is 0.9, gamma 0.8999999999999999).
+    pencil = generate_problem("laplacian1d", n=10)
+    t = synthetic_gamma_preconditioner(diagonalize(pencil), gamma, seed=4)
+    result = run(pencil, t, np.random.default_rng(5).standard_normal(10), kind, max_steps=20)
+    want = t.quality.gamma if kind == "psd" else t.quality.as_is_gamma()
+    assert result.certify_gamma == want
+    assert result.certify_gamma == pytest.approx(gamma, rel=1e-15)

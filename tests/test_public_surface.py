@@ -14,7 +14,6 @@ from psdlab import (
     ConeSpec,
     DiagonalForm,
     IterationRecord,
-    PrecondQuality,
     Preconditioner,
     RayleighValue,
     RitzPair,
@@ -89,9 +88,9 @@ def test_equality_answers_and_hashing_works():
     assert spectrum in [spectrum]
     assert len({spectrum, spectrum}) == 1
     form = diagonalize(generate_problem("diagonal", lambdas=[1.0, 2.0, 4.0]))
-    precond = Preconditioner(np.eye(3), PrecondQuality(), "diagonal")
+    precond = Preconditioner(np.eye(3), None, "diagonal")
     for a, b in ((form, DiagonalForm(form.mus, form.basis, form.inverse_basis)),
-                 (precond, Preconditioner(np.eye(3), PrecondQuality(), "diagonal"))):
+                 (precond, Preconditioner(np.eye(3), None, "diagonal"))):
         assert (a == b) is False
         assert (a == a) is True
         assert a in [a]

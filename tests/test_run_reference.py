@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdlab import (
-    PrecondQuality,
     Preconditioner,
     SolverKind,
     bounds,
@@ -125,7 +124,7 @@ def test_run_matches_the_reference_loop(case):
         "diagonal", lambdas=spectrum_of(case["shape"], n, case["log10_cond"], rng))
     t = synthetic_gamma_preconditioner(diagonalize(pencil), case["gamma"], seed=case["seed"])
     if not case["known_quality"]:  # certification skipped for the preconditioned kinds
-        t = Preconditioner(t.matrix, PrecondQuality(), t.coords)
+        t = Preconditioner(t.matrix, None, t.coords)
     if case["start"] == "eigenvector":
         x0 = np.zeros(n)
         x0[rng.integers(n)] = 1.0

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import psdlab.cli as cli
 from psdlab import (
     DegenerateSubspaceError,
-    PrecondQuality,
     Preconditioner,
     SolverKind,
     SymmetricPencil,
@@ -41,7 +40,7 @@ from psdlab.pencil import _shifted_ritz_2x2
 
 def as_preconditioner(t):
     """A matrix in diagonal coordinates as the steps take it; ``apply`` is ``t.dot``."""
-    return Preconditioner(t, PrecondQuality(), "diagonal")
+    return Preconditioner(t, None, "diagonal")
 
 
 def reference_step(dense, t, x, line_search):
@@ -154,7 +153,7 @@ def test_kernel_matches_reference_on_general_pencils(step, line_search):
         pencil = SymmetricPencil(random_spd(n, 1e3), random_spd(n, 1e2))
         t = random_spd(n, 10.0)
         x = rng.standard_normal(n)
-        result = run(pencil, Preconditioner(t, PrecondQuality(), "pencil"), x, kind,
+        result = run(pencil, Preconditioner(t, None, "pencil"), x, kind,
                      max_steps=1)
         converged, rho, vec, theta = reference_step(pencil, t, x, line_search)
         assert not converged and result.final.step_index == 1
