@@ -237,8 +237,6 @@ def _build_preconditioner(config, pencil, kind):
     if config.precond == "synthetic":
         if config.gamma is None:
             raise ValueError("synthetic preconditioner needs --gamma")
-        if config.seed is None:
-            raise ValueError("synthetic preconditioner needs --seed")
         form = diagonalize(pencil)
         t = synthetic_gamma_preconditioner(form, config.gamma, seed=config.seed)
     elif config.precond == "jacobi":
@@ -407,7 +405,7 @@ def cmd_sharpness(config):
     # kappa and sigma depend on mus and gamma alone; this also validates mus.
     base = WorstCaseSetup(mus=mus, gamma=gamma, delta=1.0, t=1.0)
     kappa, sigma = base.kappa, base.sigma
-    sigma_sq = sigma * sigma
+    sigma_sq = sigma ** 2
     if config.t_mode == "t1":
         ts = [t_star(kappa, gamma)]
     elif config.t_mode == "grid":

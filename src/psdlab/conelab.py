@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import SolverKind, _factor
+from .bounds import SolverKind, _factor, _kappa_lenient
 from .errors import StationaryPointError
 from .iterate import _delta, psd_step
 from .pencil import DiagonalForm, _shifted_ritz_2x2
@@ -352,7 +352,8 @@ class WorstCaseSetup:
         self.alpha0 = self.a / root
         self.beta0 = self.b * self.t / root
         self.x = np.array([1.0, self.alpha0, self.beta0])
-        self.kappa = (mu_k - mu_l) / (mu_j - mu_l)
+        # kappa in the lambda form, as bounds.certify_step takes it
+        self.kappa = _kappa_lenient(*(1.0 / mus).tolist())
         self.sigma = _factor(SolverKind.PSD, None, self.kappa, self.gamma)
 
     def cone(self):
@@ -449,7 +450,7 @@ def worst_case_instance(setup):
         x=setup.x, d=d, mu_before=cone.mu_x, mu_after=step.rho.mu,
         delta_before=delta_before, delta_after=delta_after,
         measured_ratio=delta_after / delta_before,
-        predicted_ratio=setup.sigma * setup.sigma,
+        predicted_ratio=setup.sigma ** 2,  # as bounds.certify_step squares it
     )
 
 

@@ -15,13 +15,13 @@ coordinates) and the shifted 2x2 Ritz routine that
 :class:`SymmetricPencil` and its ``T`` there once;
 :func:`psdlab.pencil.rayleigh_ritz` is the kernel's test oracle.
 
-Each iterate is measured once.  A step takes a vector or the previous
-:class:`StepResult`, whose ``measure`` carries what that step measured of
-its new iterate: ``Bx``, and for the fixed step also ``x.x``, the Rayleigh
-value, the residual and its norm.  :func:`run` hands every step its
-predecessor, reads the record's residual from that measure, and keeps
-the per-eigenvalue distance rows of each interval it visits; a chained
-step gives the same bits as a step from the bare vector.
+Each iterate is measured once, completely: every step returns as its
+``measure`` the new iterate's ``Bx``, ``x.x``, Rayleigh value, residual
+``x - rho(x) Bx`` and residual norm.  :func:`run` hands every step its
+predecessor, whose measure the step takes instead of forming it again,
+records the residual norm the next step acts on, and keeps the
+per-eigenvalue distance rows of each interval it visits; a chained step
+gives the same bits as a step from the bare vector.
 """
 
 import math
@@ -57,21 +57,27 @@ _DEGENERATE_DIRECTION_TOL = 1e-14
 # Monotonicity slack: rho may not increase beyond this relative amount.
 _MONOTONE_TOL = 1e-12
 
+# A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
+# is: the square of that entry neither overflows nor underflows in its norm.
+# The same range bounds the entries of the line search's 2x2 problem.
+_POW2_SAFE_EXP = 400
+_POW2_SAFE_LO, _POW2_SAFE_HI = 2.0 ** -_POW2_SAFE_EXP, 2.0 ** _POW2_SAFE_EXP
+
 
 class _Measure(NamedTuple):
     """What a step measured of its new iterate ``x``, in the coordinates ``mus``.
 
-    ``bx = mus * x`` always; the fixed step also keeps ``xx = x.x``, the
-    Rayleigh value, the residual ``r = x - rho Bx`` and ``|r|``, which the
-    next step and :func:`run` would otherwise form again with the same bits.
+    ``bx = mus * x``, ``xx = x.x``, the Rayleigh value ``x.x / x.Bx``, the
+    residual ``r = x - rho Bx`` at it and ``|r|``, which the next step and
+    :func:`run` would otherwise form again with the same bits.
     """
 
     mus: np.ndarray
     bx: np.ndarray
-    xx: float = None
-    value: RayleighValue = None
-    r: np.ndarray = None
-    r_norm: float = None
+    xx: float
+    value: RayleighValue
+    r: np.ndarray
+    r_norm: float
 
 
 class StepResult(NamedTuple):
@@ -79,11 +85,11 @@ class StepResult(NamedTuple):
 
     ``converged`` is set when the input was already (numerically) an
     eigenvector or the search subspace degenerated; the iterate is then
-    returned unchanged (up to normalization).  A step result may stand in
-    for its ``x`` as the next step's input: ``measure``, what the step
-    measured of its new iterate, then goes along, and the next step skips
-    forming it again.  A named tuple that holds an array, so it compares
-    and hashes by identity.
+    returned unchanged (up to normalization).  ``measure`` is the step's
+    measure of its ``x`` (``None`` on a hand-built result).  A step result
+    may stand in for its ``x`` as the next step's input, which then skips
+    forming that measure again.  A named tuple that holds an array, so it
+    compares and hashes by identity.
     """
 
     x: np.ndarray
@@ -99,12 +105,8 @@ class StepResult(NamedTuple):
 
 # Vector products use ndarray.dot: the same BLAS result as ``@``, at about
 # half the call overhead on vectors of the sizes the solvers run.
-def _norm(v):
-    return math.sqrt(v.dot(v))
-
-
 def _unit(x):
-    return x / _norm(x)
+    return x / math.sqrt(x.dot(x))
 
 
 def _identity(v):
@@ -148,8 +150,9 @@ def _measure(mus, x):
     return _Measure(mus, bx, *_residual(x, bx))
 
 
-def _converged_result(x, value):
-    return StepResult(_unit(x), value, None, True, None)
+def _converged_result(mus, x, value):
+    x = _unit(x)
+    return StepResult(x, value, None, True, _measure(mus, x))
 
 
 def _step(form, precond, x, line_search):
@@ -166,8 +169,8 @@ def _step(form, precond, x, line_search):
     :func:`psdlab.pencil.rayleigh_ritz` on the basis ``[x, T r]``.
 
     ``x`` may be the previous :class:`StepResult`: its measure of ``x``
-    replaces the same products taken again, so the result is bit for bit
-    that of its ``x``.
+    in the same ``mus`` replaces the same products taken again, so the
+    result is bit for bit that of its ``x``.
     """
     if not isinstance(form, DiagonalForm):
         raise TypeError(
@@ -176,21 +179,18 @@ def _step(form, precond, x, line_search):
         )
     apply_t = _as_operator(precond)
     mus = form.mus
-    m = None
     if isinstance(x, StepResult):
         m = x.measure
         x = x.x
-        if m is not None and m.mus is not mus:
-            m = None
     else:
+        m = None
         x = np.asarray(x, dtype=float)
-    if m is not None and m.value is not None:
-        xx, value, r, r_norm = m.xx, m.value, m.r, m.r_norm
-    else:
-        xx, value, r, r_norm = _residual(x, mus * x if m is None else m.bx)
+    if m is None or m.mus is not mus:
+        m = _measure(mus, x)
+    _, _, xx, value, r, r_norm = m
     x_norm = math.sqrt(xx)
     if r_norm < _EIGENVECTOR_TOL * x_norm:
-        return _converged_result(x, value)
+        return _converged_result(mus, x, value)
     d = apply_t(r)
     if not line_search:
         x_next = _unit(x - d)
@@ -199,7 +199,7 @@ def _step(form, precond, x, line_search):
 
     d_norm = math.sqrt(d.dot(d))
     if d_norm < _DEGENERATE_DIRECTION_TOL * x_norm:
-        return _converged_result(x, value)
+        return _converged_result(mus, x, value)
     # Orthonormal basis [q1, q2] = [x, d] R^-1 with R = [[x_norm, r12], [0, w_norm]].
     q1 = x / x_norm
     h = float(q1.dot(d))
@@ -210,16 +210,22 @@ def _step(form, precond, x, line_search):
     w_norm = math.sqrt(w.dot(w))
     if w_norm < _RANK_TOL * d_norm:  # the rank test of pencil.orthonormalize
         # T r parallel to x: stationary for the line search.
-        return _converged_result(x, value)
+        return _converged_result(mus, x, value)
     q2 = w / w_norm
     # S on [q1, q2]: its smaller eigenvalue g gives the larger mu, i.e. the
     # smaller lambda, and (z1, z2) its eigenvector.
     s = form.shift
     sq1 = s * q1
-    c = float(q2.dot(sq1))
-    g, half, root = _shifted_ritz_2x2(float(q1.dot(sq1)), float(q2.dot(s * q2)), c)
+    p, q, c = float(q1.dot(sq1)), float(q2.dot(s * q2)), float(q2.dot(sq1))
+    # The entries scale with mus, and |c| <= (p + q) / 2.  Where their squares
+    # would leave the normal range, solve the problem scaled exactly by 2**-e.
+    e = 0
+    if not _POW2_SAFE_LO <= p + q <= _POW2_SAFE_HI:
+        e = math.frexp(p + q)[1]
+        p, q, c = math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(c, -e)
+    g, half, root = _shifted_ritz_2x2(p, q, c)
     z1, z2 = (half + root, -c) if half >= 0.0 else (c, half - root)
-    mu = float(mus[0]) - g
+    mu = float(mus[0]) - math.ldexp(g, e)
     # Its coordinates in [x, d] scaled to max-norm 1 and signed so that the
     # first non-negligible one is positive.
     c_d = z2 / w_norm
@@ -234,8 +240,7 @@ def _step(form, precond, x, line_search):
     vec = (f * z1) * q1 + (f * z2) * q2
     theta = math.inf if abs(c_x) < 1e-14 else -c_d / c_x
     rho = 1.0 / mu
-    return StepResult(vec, RayleighValue(rho, 1.0 / rho), theta, False,
-                      _Measure(mus, mus * vec))
+    return StepResult(vec, RayleighValue(rho, 1.0 / rho), theta, False, _measure(mus, vec))
 
 
 def pinvit1_step(form, precond, x):
@@ -269,14 +274,16 @@ def psd_step(form, precond, x):
 class IterationRecord(NamedTuple):
     """One row of a solver run.
 
-    ``residual_norm`` is the diagonal-coordinate residual of the unit
-    iterate, so the stopping test ``residual_norm < residual_tol`` is
-    relative to ``||Ax||``.  ``delta`` is the interval-relative error of
-    ``rho`` against the pencil's spectrum (``None`` outside the spectral
-    range), and ``bound`` the certification verdict for the step that
-    produced this record (``None`` for the initial record or when the
-    run is not certified).  A named tuple: it equals, hashes, orders and
-    unpacks as the plain tuple of its fields.
+    ``residual_norm`` is ``|x - rho(x) Bx|`` of the unit iterate ``x`` in
+    diagonal coordinates at its Rayleigh quotient ``rho(x) = x.x / x.Bx``
+    (a line-search step's ``rho``, its Ritz value, may differ from it in
+    the last bits): the residual the next step acts on, relative to
+    ``||Ax||``.  ``delta`` is the interval-relative error of ``rho``
+    against the pencil's spectrum (``None`` outside the spectral range),
+    and ``bound`` the certification verdict for the step that produced
+    this record (``None`` for the initial record or when the run is not
+    certified).  A named tuple: it equals, hashes, orders and unpacks as
+    the plain tuple of its fields.
     """
 
     step_index: int
@@ -335,11 +342,6 @@ def _delta(lam, mus, z, i, row=None):
     up, down, lo, hi = _delta_row(lam, mus, i) if row is None else row
     w = z * z
     return float(up.dot(w)) / float(down.dot(w)) * lo / hi
-
-
-# A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
-# is: the square of that entry neither overflows nor underflows in its norm.
-_POW2_SAFE_EXP = 400
 
 
 def _pow2_scaled(v):
@@ -452,13 +454,9 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     status = "max_steps"
     for step_index in range(max_steps + 1):
         # Measure: residual, interval (None at or above lambda_n) and delta.
-        # The fixed step measured its residual already, a certified step the
-        # delta on its interval.
-        z, value, m = step.x, step.rho, step.measure
-        if m is not None and m.value is value:
-            res_norm = m.r_norm
-        else:
-            res_norm = _norm(z - value.rho * (mus * z if m is None else m.bx))
+        # The step measured its residual already, a certified step the delta
+        # on its interval.
+        z, value, res_norm = step.x, step.rho, step.measure.r_norm
         i = None if value.rho >= lam_top else bounds.locate_interval(spectrum, value.rho)
         if i is not None and i not in rows:
             rows[i] = _delta_row(lam, mus, i)

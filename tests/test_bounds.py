@@ -74,6 +74,11 @@ class TestLocateInterval:
         with pytest.raises(IntervalError):
             locate_interval(spec124, 0.99)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, spec124, value):
+        with pytest.raises(IntervalError, match=f"^value {value} is not finite$"):
+            locate_interval(spec124, value)
+
     @staticmethod
     def _oracle(lam, value):
         """The index the numpy lookup gave before locate_interval bisected floats."""
@@ -117,6 +122,12 @@ class TestLocateInterval:
         assert locate_interval(spec, 1.0) == 2
         assert locate_interval(spec, 1.0 - 1e-13) == 2
         assert locate_interval(spec, np.nextafter(4.0, 0.0)) == 3
+
+
+@pytest.mark.parametrize("name", ["bogus", "", None])
+def test_unknown_solver_kind_rejected(name):
+    with pytest.raises(ValueError, match=f"^unknown solver kind {name!r}$"):
+        SolverKind.parse(name)
 
 
 class TestKappa:

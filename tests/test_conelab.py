@@ -18,6 +18,7 @@ from psdlab import (
     SymmetricPencil,
     WorstCaseSetup,
     axis_ratio_closed_form,
+    bounds,
     brute_force_cone_min,
     diagonalize,
     extremal_directions,
@@ -629,6 +630,20 @@ class TestWorstCaseInstance:
         result = worst_case_instance(setup)
         assert result.predicted_ratio == pytest.approx(0.47265625, rel=1e-15)
 
+    def test_kappa_and_sigma_squared_are_those_of_certify_step(self):
+        # The setup's kappa and predicted sigma^2 are the bits certify_step
+        # judges a run's PSD step by on the same spectrum.
+        rng = np.random.default_rng(0)
+        for _ in range(20_000):
+            mus = np.sort(rng.uniform(0.01, 1.0, size=3))[::-1]
+            gamma = float(rng.uniform(0.0, 1.0))
+            setup = WorstCaseSetup(mus=mus, gamma=gamma, delta=1e-3, t=1.0)
+            spectrum = Spectrum(1.0 / mus)
+            check = bounds.certify_step(spectrum, gamma, 0, (1.0, 0.5), kind="psd")
+            assert setup.kappa == bounds.kappa(spectrum, 0)
+            assert setup.sigma ** 2 == check.sigma_squared
+        assert worst_case_instance(setup).predicted_ratio == check.sigma_squared
+
     def test_t_star_hand_value(self):
         assert t_star(4.0 / 9.0, 0.5) == pytest.approx(math.sqrt(15.0) / 9.0, rel=1e-14)
 
@@ -811,6 +826,39 @@ def ellipse_quantities(setup):
     c_l = num / den_l
     axis_ratio = (c_k * c_k * c_l * c_l) / (b_sq * c_k * c_k + a_sq * c_l * c_l)
     return EllipseQuantities(c_k=c_k, c_l=c_l, axis_ratio=axis_ratio)
+
+
+_SPEC4 = Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.3, 0.1]))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ConeSpec(mus=MUS[:2], x=np.ones(3), gamma=0.5),
+         "cone geometry is three-dimensional"),
+        (lambda: ConeSpec(mus=MUS, x=np.ones(4), gamma=0.5), "cone geometry is three-dimensional"),
+        (lambda: ConeSpec(mus=MUS, x=np.ones(3), gamma=1.0), r"gamma must lie in \[0, 1\)"),
+        (lambda: ConeSpec(mus=MUS, x=np.ones(3), gamma=math.nan), r"gamma must lie in \[0, 1\)"),
+        (lambda: t_star(0.0, 0.5), r"kappa must lie in \(0, 1\)"),
+        (lambda: t_star(1.0, 0.5), r"kappa must lie in \(0, 1\)"),
+        (lambda: t_star(0.5, 1.0), r"gamma must lie in \[0, 1\)"),
+        (lambda: WorstCaseSetup(mus=MUS, gamma=-0.1, delta=0.1, t=1.0),
+         r"gamma must lie in \[0, 1\)"),
+        (lambda: axis_ratio_closed_form(0.1, 1.0, 0.5, 0.0),
+         r"gamma must lie in \(0, 1\) for the closed form"),
+        (lambda: axis_ratio_closed_form(0.1, 1.0, 1.0, 0.5), r"kappa must lie in \(0, 1\)"),
+        (lambda: three_d_concentration_check(Spectrum(lambdas=np.arange(1.0, 7.0)), 0.5, 0.5,
+                                             seed=1),
+         r"the concentration check is a desk-scale tool \(n in \{3, 4, 5\}\)"),
+        (lambda: three_d_concentration_check(_SPEC4, 0.0, 0.8, seed=1),
+         r"gamma must lie in \(0, 1\)"),
+        (lambda: three_d_concentration_check(_SPEC4, 0.5, 0.6, seed=1),
+         "mu0 must lie strictly inside an eigenvalue interval"),
+        (lambda: three_d_concentration_check(_SPEC4, 0.5, 1.5, seed=1),
+         "mu0 must lie strictly inside an eigenvalue interval"),
+    ])
+    def test_bad_arguments_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestEllipseQuantities:

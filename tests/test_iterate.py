@@ -82,6 +82,13 @@ class TestPinvit1Step:
             assert check.verdict != bounds.VIOLATED
 
 
+@pytest.mark.parametrize("step", [psd_step, pinvit1_step])
+def test_a_step_from_the_zero_vector_is_rejected(step):
+    form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
+    with pytest.raises(ValueError, match="^Rayleigh quotient of the zero vector is undefined$"):
+        step(form, None, np.zeros(3))
+
+
 class TestPsdStep:
     def test_invariant_subspace_one_step(self):
         form = diagonalize(diag_pencil([1.0, 2.0, 4.0]))
@@ -449,8 +456,9 @@ class TestRunGuards:
         def step(form, t, prev):
             # run() hands each step the previous StepResult
             z = prev.x
-            rho = iterate._measure(form.mus, z).value.rho
-            return StepResult(x=z, rho=RayleighValue.from_rho(rho_of(rho)), theta_opt=1.0)
+            m = iterate._measure(form.mus, z)
+            return StepResult(x=z, rho=RayleighValue.from_rho(rho_of(m.value.rho)),
+                              theta_opt=1.0, measure=m)
         monkeypatch.setattr(iterate, name, step)
 
     @staticmethod
@@ -529,6 +537,18 @@ class TestRunStart:
         with pytest.raises(ValueError, match="x0 has a non-finite entry"):
             run(pencil, t, [1.0, bad, 0.5, 0.25], "psd")
 
+    @pytest.mark.parametrize("x0", [np.zeros(4), [0.0, -0.0, 0.0, 0.0]])
+    def test_zero_start_rejected(self, x0):
+        pencil, t = self._setup()
+        with pytest.raises(ValueError, match="^x0 must be nonzero$"):
+            run(pencil, t, x0, "psd")
+
+    @pytest.mark.parametrize("kind", ["psd", "pinvit1"])
+    def test_preconditioned_kind_needs_a_preconditioner(self, kind):
+        pencil, _ = self._setup()
+        with pytest.raises(ValueError, match=f"^{kind} needs a preconditioner$"):
+            run(pencil, None, [1.0, 0.5, 0.5, 0.25], kind)
+
     @pytest.mark.parametrize("name", ["residual_tol", "delta_tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12])
     def test_bad_tolerance_names_its_parameter(self, name, bad):
@@ -566,3 +586,46 @@ class TestRunStart:
             assert rec.rho.rho == pytest.approx(ref.rho.rho, rel=1e-12)
             assert np.isfinite(rec.residual_norm)
         assert np.all(np.isfinite(result.x))
+
+
+class TestScaleInvariance:
+    # Every sharp quantity is invariant under lambda -> c lambda, so a run on
+    # c A takes as many steps to the same verdicts, however far c is from 1.
+    LAMBDAS = [1.0, 2.0, 4.0, 7.0, 11.0]
+    X0 = [1.0, 0.7, -0.4, 0.3, 0.2]
+
+    @staticmethod
+    def _run(kind, scale, lambdas, x0, max_steps):
+        pencil = diag_pencil(scale * np.asarray(lambdas))
+        t = None
+        if not SolverKind.parse(kind).exact_inverse:
+            t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.5, seed=1)
+        return run(pencil, t, x0, kind, max_steps=max_steps)
+
+    @staticmethod
+    def _summary(result):
+        verdicts = [None if rec.bound is None else rec.bound.verdict for rec in result.records]
+        return len(result.records), result.status, verdicts
+
+    @pytest.mark.parametrize("kind, scale", [
+        *((kind, scale) for kind in ("invit2", "psd")
+          for scale in (1e200, 1e-200, 1e300, 1e-300)),
+        *((kind, scale) for kind in ("invit1", "pinvit1") for scale in (1e200, 1e-200)),
+    ])
+    def test_steps_and_verdicts_do_not_depend_on_the_scale(self, kind, scale):
+        base = self._run(kind, 1.0, self.LAMBDAS, self.X0, 200)
+        scaled = self._run(kind, scale, self.LAMBDAS, self.X0, 200)
+        assert base.status == "converged"
+        assert self._summary(scaled) == self._summary(base)
+        for rec, ref in zip(scaled.records, base.records):
+            assert rec.rho.rho / scale == pytest.approx(ref.rho.rho, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_invit2_on_three_extreme_eigenvalues(self, scale):
+        # The line search's 2x2 entries are about 5e-201 at scale 1e200 and
+        # 5e199 at 1e-200: their squares leave the normal range.
+        base = self._run("invit2", 1.0, [1.0, 2.0, 4.0], np.ones(3), 50)
+        scaled = self._run("invit2", scale, [1.0, 2.0, 4.0], np.ones(3), 50)
+        assert scaled.status == "converged"
+        assert bounds.VIOLATED not in scaled.verdicts
+        assert self._summary(scaled) == self._summary(base)

@@ -86,9 +86,39 @@ def test_writer_rejects_asymmetric(tmp_path):
         write_matrix(tmp_path / "x.mtx", np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
 
 
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)])
+def test_writer_rejects_non_square(tmp_path, m):
+    with pytest.raises(ValueError, match="^expected a square matrix$"):
+        write_matrix(tmp_path / "x.mtx", m)
+    assert not (tmp_path / "x.mtx").exists()
+
+
 def test_declared_nonsymmetric_matrix_fails_pencil_validation(tmp_path):
     # the file parses, but the pencil constructor rejects the indefinite matrix
     path = tmp_path / "indef.mtx"
     write_matrix(path, np.diag([1.0, -2.0]))
     with pytest.raises(ValueError, match="positive definite"):
         generate_problem("matrix_market", path_a=str(path))
+
+
+_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "line 1: empty file"),
+        ("%%MatrixMarket vector coordinate real symmetric\n2 2 1\n1 1 1.0\n",
+         "line 1: unsupported object 'vector'"),
+        (_HEADER + "% only comments\n\n", "line 3: missing size line"),
+        (_HEADER + "2 2 x\n1 1 1.0\n", "line 2: size line entries must be integers"),
+        (_HEADER + "2 2.0 1\n1 1 1.0\n", "line 2: size line entries must be integers"),
+        (_HEADER + "2 2 1\n1 1\n", "line 3: entry line must be 'i j value'"),
+    ],
+)
+def test_malformed_inputs_name_the_fault(tmp_path, content, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix(path)
+    assert str(err.value) == message

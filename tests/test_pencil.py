@@ -62,6 +62,16 @@ class TestSymmetricPencil:
         with pytest.raises(ValueError, match=r"^A has a non-finite entry .* at \(1, 1\)$"):
             SymmetricPencil(a, np.eye(3))
 
+    @pytest.mark.parametrize("a, b, message", [
+        (np.ones((2, 3)), np.ones((2, 3)), "A must be square"),
+        (np.ones(3), np.ones(3), "A must be square"),
+        (np.eye(2), np.eye(3), "A and B must have identical shape"),
+        (np.eye(2), np.array([[2.0, 0.5], [0.0, 2.0]]), "B is not exactly symmetric as stored"),
+    ])
+    def test_rejects_bad_shapes_and_asymmetric_b(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SymmetricPencil(a, b)
+
     def test_immutable(self):
         p = SymmetricPencil(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
@@ -468,6 +478,17 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match="unknown problem kind"):
             generate_problem("banded", n=3)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("laplacian1d", {"n": 1}, "laplacian1d needs n >= 2"),
+        ("laplacian2d", {"nx": 1, "ny": 3}, "laplacian2d needs nx, ny >= 2"),
+        ("laplacian2d", {"nx": 3, "ny": 1}, "laplacian2d needs nx, ny >= 2"),
+        ("laplacian1d", {"n": 3, "mass": "lumped"}, "unknown mass kind 'lumped'"),
+        ("laplacian2d", {"nx": 3, "mass": "lumped"}, "unknown mass kind 'lumped'"),
+    ])
+    def test_bad_sizes_and_mass_rejected(self, kind, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_problem(kind, **params)
+
 
 class TestSpectrum:
     def test_reciprocal_pairing(self):
@@ -478,6 +499,11 @@ class TestSpectrum:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Spectrum(lambdas=np.array([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("lambdas", [[], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_rejects_empty_and_non_vector(self, lambdas):
+        with pytest.raises(ValueError, match="^lambdas must be a nonempty 1-D sequence$"):
+            Spectrum(lambdas=lambdas)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,13 @@ class TestEstimateQuality:
         assert q.gamma2 == pytest.approx(1.3, rel=1e-12)
         assert q.gamma == pytest.approx(0.3, rel=1e-12)
 
+    @pytest.mark.parametrize("coords", ["pencil", "diagonal"])
+    def test_indefinite_preconditioner_rejected(self, coords):
+        pencil = SymmetricPencil(np.diag([1.0, 2.0, 4.0]), np.eye(3))
+        t = Preconditioner(np.diag([1.0, -0.5, 0.25]), None, coords)
+        with pytest.raises(ValueError, match="^preconditioner is not positive definite against A$"):
+            estimate_quality(pencil, t)
+
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_exact_inverse_random_spd(self, n):
         rng = np.random.default_rng(100 + n)
@@ -193,6 +200,25 @@ class TestEstimateQuality:
         pencil = SymmetricPencil(a, b)
         q = estimate_quality(pencil, exact_inverse_preconditioner(pencil))
         assert q.gamma == pytest.approx(0.0, abs=1e-10)
+
+
+class TestPreconditionerChecks:
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))])
+    def test_non_square_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="^preconditioner matrix must be square$"):
+            Preconditioner(matrix, None, "pencil")
+
+    @pytest.mark.parametrize("coords", ["Pencil", "eigen", None])
+    def test_unknown_coordinate_tag_rejected(self, coords):
+        with pytest.raises(ValueError, match=f"^unknown coordinate tag {coords!r}$"):
+            Preconditioner(np.eye(2), None, coords)
+
+    def test_only_diagonal_coordinates_are_reached(self):
+        form = diagonalize(generate_problem("laplacian1d", n=3))
+        t = synthetic_gamma_preconditioner(form, 0.3, seed=1)
+        assert t.in_coords("diagonal", form) is t
+        with pytest.raises(ValueError, match="^cannot conjugate into 'pencil' coordinates$"):
+            t.in_coords("pencil", form)
 
 
 class TestRescale:

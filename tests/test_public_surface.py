@@ -133,9 +133,14 @@ def _hot_path_objects():
     first = psd_step(form, td, form.to_diagonal(x0))
     fixed = pinvit1_step(form, td, first)
     assert (fixed.theta_opt, fixed.converged) == (1.0, False)
-    assert fixed.rho.rho == fixed.measure.value.rho and fixed.measure.bx is not None
+    assert fixed.rho.rho == fixed.measure.value.rho
     stationary = psd_step(form, None, np.eye(6)[0])  # an eigenvector
-    assert (stationary.theta_opt, stationary.converged, stationary.measure) == (None, True, None)
+    assert (stationary.theta_opt, stationary.converged) == (None, True)
+    # every result, a converged one included, measures the iterate it returns
+    for step in (first, fixed, stationary):
+        assert all(part is not None for part in step.measure)
+        assert step.measure.mus is form.mus
+        assert np.array_equal(step.measure.bx, form.mus * step.x)
     return objs + [first, psd_step(form, td, first), fixed, stationary]
 
 

@@ -1,12 +1,13 @@
 """run() against a plain reference loop over the vector-path steps.
 
 :func:`run` hands each step the previous :class:`StepResult`, so that
-what a step measured of its iterate (``Bx``, and for the fixed step the
-Rayleigh value and residual) is not formed again, and it keeps the delta
+what a step measured of its iterate (``Bx``, ``x.x``, the Rayleigh value,
+the residual and its norm) is not formed again, and it keeps the delta
 rows of each visited interval.  The reference loop below does none of
-that: every step takes a bare vector, every delta is taken from scratch
-by ``_delta``, and every interval by ``locate_interval``.  Both must give
-the same records bit for bit.
+that: every step takes a bare vector, every residual is taken from
+scratch at the iterate's own Rayleigh quotient, every delta by
+``_delta`` and every interval by ``locate_interval``.  Both must give the
+same records bit for bit.
 """
 
 import math
@@ -60,7 +61,10 @@ def reference_run(pencil, precond, x0, kind, *, max_steps, residual_tol, delta_t
                           mu=float(z.dot(bz)) / float(z.dot(z)))
     records, step, bound, status = [], None, None, "max_steps"
     for k in range(max_steps + 1):
-        r = z - value.rho * (mus * z)
+        # the residual at z's own Rayleigh quotient, which the next step
+        # acts on; a line-search step's value is its Ritz value instead
+        bz = mus * z
+        r = z - float(z.dot(z)) / float(z.dot(bz)) * bz
         res_norm = math.sqrt(r.dot(r))
         i = None if value.rho >= lam[-1] else bounds.locate_interval(spectrum, value.rho)
         delta = None if i is None else iterate._delta(lam, mus, z, i)
@@ -175,8 +179,7 @@ def _chain(form, t, x, kinds):
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_a_step_result_steps_like_its_vector(n, log10_cond, gamma, kinds, seed):
-    # Every order of the two kinds: a fixed step hands on its whole measure,
-    # a line-search step only Bx, a converged step nothing.
+    # Every order of the two kinds: each step hands on its whole measure.
     rng = np.random.default_rng(seed)
     form = diagonalize(generate_problem(
         "diagonal", lambdas=spectrum_of("random", n, log10_cond, rng)))
