@@ -385,20 +385,53 @@ class TestSharpnessCommand:
         assert summary["violations"] == 1
         assert "status" not in summary
 
-    def test_nan_ratio_exits_violated(self, tmp_path):
-        # finite but huge mus overflow inside the worst-case instance; the NaN
-        # ratio this leaves is no evidence of the bound
+    def test_nan_ratio_exits_violated(self, tmp_path, monkeypatch):
+        # a NaN ratio (an instance whose arithmetic broke down) is no
+        # evidence of the bound
+        real = cli.worst_case_instance
+        monkeypatch.setattr(cli, "worst_case_instance", lambda setup: dataclasses.replace(
+            real(setup), measured_ratio=math.nan))
         out = tmp_path / "sharp.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main([
-                "sharpness", "--mus", "1e300,0.5,0.1", "--gamma", "0.5",
-                "--deltas", "1e-4", "--format", "json", "--output", str(out),
-            ])
+        code = main([
+            "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
+            "--deltas", "1e-4", "--format", "json", "--output", str(out),
+        ])
         assert code == EXIT_VIOLATED
         payload = json.loads(out.read_text())
         assert math.isnan(payload["records"][0]["measured_ratio"])
         assert payload["summary"]["violations"] == 1
+
+    @staticmethod
+    def _scaled_run(scale):
+        mus = ",".join(repr(float(mu)) for mu in np.ldexp([1.0, 0.5, 0.1], scale))
+        return cmd_sharpness(ExperimentConfig(command="sharpness", mus=mus, gamma=0.5,
+                                              deltas="1e-2,1e-4,1e-8,1e-12", t_mode="grid",
+                                              t_grid=11))
+
+    @pytest.mark.parametrize("scale", [600, -600])
+    def test_power_of_two_scaled_mus_give_the_same_bits(self, scale):
+        # the worst case is invariant under scaling all mus together, and an
+        # exact power-of-four rescaling brings scaled mus back bit for bit
+        scaled, plain = self._scaled_run(scale), self._scaled_run(0)
+        assert json.dumps([scaled.records, scaled.summary]) == \
+            json.dumps([plain.records, plain.summary])
+
+    @pytest.mark.parametrize("mus", ["1e-200,0.5e-200,0.1e-200", "1e200,0.5e200,0.1e200"])
+    def test_extreme_mus_give_the_plain_ratios(self, tmp_path, mus):
+        # squares of mus near 1e±200 leave the double range; the command
+        # rescales them first, so no warning is raised and no ratio is NaN
+        out = tmp_path / "sharp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sharpness", "--mus", mus, "--gamma", "0.5",
+                         "--deltas", "1e-2,1e-4,1e-8,1e-12", "--t-mode", "grid",
+                         "--t-grid", "11", "--format", "json", "--output", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        plain = self._scaled_run(0).records
+        for row, expected in zip(payload["records"], plain, strict=True):
+            assert row["measured_ratio"] == pytest.approx(expected["measured_ratio"], rel=1e-12)
+        assert payload["summary"]["violations"] == 0
 
     def test_gamma_zero_routes_to_plain_factor(self, tmp_path):
         out = tmp_path / "sharp.json"

@@ -68,12 +68,13 @@ def test_tracer_counts_every_step_and_check():
     assert m["bounds.certify_step.calls"] == sum(row["checked_steps"] for row in report.records)
 
 
-# conelab-worstcase is left out: its tiny pass takes seconds, and the
-# acceptance and sharpness tests already hold its gates.  A timed run steps
-# through seeds default_seed + k * seed_stride, so the gates are held on the
-# first few of them; k = 0 keeps the bare workload-size id.
+# A timed run steps through seeds default_seed + k * seed_stride, so the
+# gates are held on the first few of them, passes k = 0 .. count - 1 of a
+# size; k = 0 keeps the bare workload-size id.  conelab-worstcase's full
+# pass takes under a second, its tiny pass a fraction of one.
 _GATED = [("solve-jacobi-lap1d-64", "full", 10), ("solve-lap2d-256", "full", 10),
-          ("certify-sweep", "tiny", 5)]
+          ("certify-sweep", "tiny", 5), ("conelab-worstcase", "tiny", 3),
+          ("conelab-worstcase", "full", 1)]
 
 
 @pytest.mark.parametrize("workload, size, k", [
