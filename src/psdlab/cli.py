@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -397,10 +396,6 @@ def cmd_sharpness(config):
     mus = np.array([float(tok) for tok in config.mus.split(",") if tok])
     if mus.size != 3:
         raise ValueError("sharpness needs exactly three mu values")
-    # Every output is invariant under scaling all mus together.  A power of
-    # four scales them exactly, square roots included; it takes mus[0] into
-    # [1/2, 2), where conelab's squares neither underflow nor overflow.
-    mus = np.ldexp(mus, -2 * (math.frexp(mus[0])[1] // 2))
     gamma = config.gamma
     if gamma is None:
         raise ValueError("--gamma is mandatory for sharpness")

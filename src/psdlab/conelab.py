@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import SolverKind, _factor, _kappa_lenient
 from .errors import StationaryPointError
 from .iterate import _delta, psd_step
-from .pencil import DiagonalForm, _shifted_ritz_2x2
+from .pencil import DiagonalForm, _shifted_ritz_2x2, _unit_scale
 from .precond import Preconditioner, PrecondQuality
 
 __all__ = [
@@ -335,7 +335,8 @@ class WorstCaseSetup:
     parametrizes the position on the level-set ellipse.  The iterate is
     ``x = (1, alpha0, beta0)`` with ``alpha0 = a / sqrt(1 + t^2)`` and
     ``beta0 = b t / sqrt(1 + t^2)``, where ``a`` and ``b`` are the
-    level-set semi-axes.
+    level-set semi-axes.  ``mus`` and ``mu`` are in the caller's units; the
+    rest is built from ``mus`` at unit scale (:func:`psdlab.pencil._unit_scale`).
     """
 
     mus: np.ndarray
@@ -350,6 +351,7 @@ class WorstCaseSetup:
     x: np.ndarray = field(init=False)
     kappa: float = field(init=False)
     sigma: float = field(init=False)
+    _unit: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mus = np.asarray(self.mus, dtype=float)
@@ -362,19 +364,20 @@ class WorstCaseSetup:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         self.mus = mus
-        mu_j, mu_k, mu_l = mus
-        self.mu = (mu_j + self.delta * mu_k) / (1.0 + self.delta)
+        unit, e = self._unit = _unit_scale(mus)
+        mu_j, mu_k, mu_l = unit
+        mu = (mu_j + self.delta * mu_k) / (1.0 + self.delta)
+        self.mu = math.ldexp(mu, e)
         self.a = math.sqrt(self.delta)
         # mu_j - mu in closed form: the difference of the rounded values
         # cancels once delta nears eps.
-        self.b = math.sqrt(self.delta * (mu_j - mu_k) / (1.0 + self.delta)
-                           / (self.mu - mu_l))
+        self.b = math.sqrt(self.delta * (mu_j - mu_k) / (1.0 + self.delta) / (mu - mu_l))
         root = math.sqrt(1.0 + self.t * self.t)
         self.alpha0 = self.a / root
         self.beta0 = self.b * self.t / root
         self.x = np.array([1.0, self.alpha0, self.beta0])
         # kappa in the lambda form, as bounds.certify_step takes it
-        self.kappa = _kappa_lenient(*(1.0 / mus).tolist())
+        self.kappa = _kappa_lenient(*(1.0 / unit).tolist())
         self.sigma = _factor(SolverKind.PSD, None, self.kappa, self.gamma)
 
     def cone(self):
@@ -454,12 +457,14 @@ def worst_case_instance(setup):
     :func:`worst_aligned_preconditioner` of the instance's cone makes
     the fixed step from ``setup.x`` land on :func:`worst_direction`; the
     deltas come from the step kernel's ``_delta``, accurate down to
-    ``delta`` near 1e-18.  A numerically empty cone (``x`` within 1e-13 of
-    an eigenvector, or a ``converged`` step) raises :class:`StationaryPointError`.
+    ``delta`` near 1e-18.  The step runs at the setup's unit scale; ``d``
+    and the ``mu`` values go back to its units.  A numerically empty cone
+    (``x`` within 1e-13 of an eigenvector, or a ``converged`` step) raises
+    :class:`StationaryPointError`.
     """
-    cone = setup.cone()
+    mus, e = setup._unit
+    cone = ConeSpec(mus=mus, x=setup.x, gamma=setup.gamma)
     d = worst_direction(cone)
-    mus = setup.mus
     form = DiagonalForm(mus=mus, basis=np.eye(3), inverse_basis=np.eye(3))
     step = psd_step(form, worst_aligned_preconditioner(cone, d), setup.x)
     if step.converged:
@@ -468,7 +473,8 @@ def worst_case_instance(setup):
     delta_before = _delta(lam, mus, setup.x, 0)
     delta_after = _delta(lam, mus, step.x, 0)
     return WorstCaseResult(
-        x=setup.x, d=d, mu_before=cone.mu_x, mu_after=step.rho.mu,
+        x=setup.x, d=np.ldexp(d, e), mu_before=math.ldexp(cone.mu_x, e),
+        mu_after=math.ldexp(step.rho.mu, e),
         delta_before=delta_before, delta_after=delta_after,
         measured_ratio=delta_after / delta_before,
         predicted_ratio=setup.sigma ** 2,  # as bounds.certify_step squares it
@@ -728,9 +734,12 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     kept only if re-optimizing the others on the refined minimum does not
     worsen the objective), and the report compares the best value
     against the closed-form worst value of every admissible invariant
-    triple.  Report-only: the caller decides what to do with a discordant
-    outcome.  ``mu0`` must lie above ``mus[-2]``, where some triple
-    brackets it.  ``n_outer`` must be an integer of at least 1, ``seed`` a
+    triple.  The search runs on ``mus`` and ``mu0`` at unit scale
+    (:func:`psdlab.pencil._unit_scale`), where its tolerances apply, and
+    reports its values in the spectrum's units.  Report-only: the caller
+    decides what to do with a discordant outcome.  ``mu0`` must lie above
+    ``mus[-2]``, where some triple brackets it.  ``n_outer`` must be an
+    integer of at least 1, ``seed`` a
     nonnegative integer and ``gamma`` and ``mu0`` real numbers (bools are
     none of these); anything else raises ``ValueError`` before the search
     starts.
@@ -753,6 +762,8 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     if not mu0 > mus[-2]:
         raise ValueError("mu0 must lie above the second smallest mu: "
                          "the bottom interval has no invariant triple")
+    mus, e = _unit_scale(mus)
+    mu0 = math.ldexp(mu0, -e)
 
     rng = np.random.default_rng(seed)
 
@@ -855,17 +866,16 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
                 if not mus[kk] < mu0 < mus[j]:
                     continue
                 triple = (j, kk, ll)
-                triple_values[triple] = _worst_value_3d(
-                    (mus[j], mus[kk], mus[ll]), gamma, mu0
-                )
+                triple_values[triple] = math.ldexp(
+                    _worst_value_3d((mus[j], mus[kk], mus[ll]), gamma, mu0), e)
     reference_triple = (i, i + 1, n - 1)
     reference_value = triple_values[reference_triple]
     return ConcentrationReport(
-        mu0=float(mu0),
+        mu0=math.ldexp(mu0, e),
         gamma=float(gamma),
         n_outer=int(n_outer),
         seed=int(seed),
-        best_value=float(best_value),
+        best_value=math.ldexp(best_value, e),
         best_x=best_x,
         significant=significant,
         reference_triple=reference_triple,

@@ -33,7 +33,8 @@ import numpy as np
 from . import bounds
 from .bounds import SolverKind
 from .errors import NumericFailure
-from .pencil import _RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, diagonalize
+from .pencil import (_RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, _unit_scale,
+                     diagonalize)
 from .precond import Preconditioner
 
 __all__ = [
@@ -59,9 +60,7 @@ _MONOTONE_TOL = 1e-12
 
 # A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
 # is: the square of that entry neither overflows nor underflows in its norm.
-# The same range bounds the entries of the line search's 2x2 problem.
 _POW2_SAFE_EXP = 400
-_POW2_SAFE_LO, _POW2_SAFE_HI = 2.0 ** -_POW2_SAFE_EXP, 2.0 ** _POW2_SAFE_EXP
 
 
 class _Measure(NamedTuple):
@@ -166,7 +165,8 @@ def _step(form, precond, x, line_search):
     problem is the symmetric 2x2 eigenproblem of the projected ``B``,
     solved on ``S = mus[0] - B`` by :func:`_shifted_ritz_2x2`.  The
     checks, tolerances and sign conventions are those of
-    :func:`psdlab.pencil.rayleigh_ritz` on the basis ``[x, T r]``.
+    :func:`psdlab.pencil.rayleigh_ritz` on the basis ``[x, T r]``.  ``S``
+    is taken at the unit scale of ``mus``, so the 2x2 squares stay in range.
 
     ``x`` may be the previous :class:`StepResult`: its measure of ``x``
     in the same ``mus`` replaces the same products taken again, so the
@@ -212,17 +212,11 @@ def _step(form, precond, x, line_search):
         # T r parallel to x: stationary for the line search.
         return _converged_result(mus, x, value)
     q2 = w / w_norm
-    # S on [q1, q2]: its smaller eigenvalue g gives the larger mu, i.e. the
-    # smaller lambda, and (z1, z2) its eigenvector.
-    s = form.shift
+    # S on [q1, q2], at unit scale S * 2**-e: its smaller eigenvalue g gives
+    # the larger mu, i.e. the smaller lambda, and (z1, z2) its eigenvector.
+    s, e = form._unit_shift()
     sq1 = s * q1
     p, q, c = float(q1.dot(sq1)), float(q2.dot(s * q2)), float(q2.dot(sq1))
-    # The entries scale with mus, and |c| <= (p + q) / 2.  Where their squares
-    # would leave the normal range, solve the problem scaled exactly by 2**-e.
-    e = 0
-    if not _POW2_SAFE_LO <= p + q <= _POW2_SAFE_HI:
-        e = math.frexp(p + q)[1]
-        p, q, c = math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(c, -e)
     g, half, root = _shifted_ritz_2x2(p, q, c)
     z1, z2 = (half + root, -c) if half >= 0.0 else (c, half - root)
     mu = float(mus[0]) - math.ldexp(g, e)
@@ -338,6 +332,8 @@ def _delta(lam, mus, z, i, row=None):
     when the iterate is within roundoff of an eigenvector, and may come
     out at or below zero when the value sits at ``lambda_i`` or beyond.
     ``row`` is interval ``i``'s :func:`_delta_row` when the caller keeps it.
+    ``mus`` is at unit scale (:func:`psdlab.pencil._unit_scale`), as its
+    callers hand it over; far from it, distances times weights underflow.
     """
     up, down, lo, hi = _delta_row(lam, mus, i) if row is None else row
     w = z * z
@@ -388,7 +384,11 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     """Drive a solver to convergence, recording and certifying every step.
 
     All internal math happens in the diagonalized coordinates of the
-    pencil; only the final iterate is mapped back, as ``RunResult.x``.
+    pencil, with its spectrum at unit scale (:func:`psdlab.pencil._unit_scale`);
+    only the final iterate is mapped back, as ``RunResult.x``, and each
+    record's Rayleigh value by the exact power.  So a run on ``c A`` takes
+    the steps of the run on ``A`` to the same verdicts; a spectrum spread
+    beyond the double range raises :class:`ValueError`.
     The run stops when the (relative) residual falls below
     ``residual_tol``, when ``delta`` on the first interval
     ``[lambda_1, lambda_2)`` falls below ``delta_tol`` (if given; a small
@@ -419,6 +419,11 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     form = diagonalize(pencil)
     if x0.shape != (form.n,):
         raise ValueError(f"x0 must be a vector of length {form.n}, got shape {x0.shape}")
+    # The run steps (A, 2**-e B), whose mus are at unit scale, with the same
+    # basis, T and gamma; each record's Rayleigh value is mapped back exactly.
+    mus, e = _unit_scale(form.mus)
+    if e:
+        form = DiagonalForm(mus, form.basis, form.inverse_basis)
     spectrum = form.spectrum()
 
     if kind.exact_inverse:
@@ -436,7 +441,6 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     # only under an admissible (two-sided) preconditioner quality.
     monotone_guaranteed = kind.line_search or certifying
 
-    mus = form.mus
     lam = spectrum._lam
     lam_top = lam[-1]
     # The delta rows of each interval the run visits, built on the first visit.
@@ -465,8 +469,9 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
         else:
             delta = None if i is None else _delta(lam, mus, z, i, rows[i])
         delta_now = None if delta is None else (delta if delta > 0.0 else 0.0)
-        records.append(IterationRecord(step_index, value, res_norm, delta_now, bound,
-                                       step.theta_opt))
+        records.append(IterationRecord(
+            step_index, RayleighValue(math.ldexp(value.rho, -e), math.ldexp(value.mu, e)),
+            res_norm, delta_now, bound, step.theta_opt))
         # delta_tol is a distance to lambda_1, so only the first interval
         # (from the last copy of lambda_1) can meet it.
         if (step.converged or res_norm < residual_tol

@@ -9,6 +9,8 @@ in decreasing order, and all solver-internal math happens in those
 coordinates.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -108,7 +110,8 @@ class Spectrum:
     """Generalized eigenvalues of a pencil and their reciprocals.
 
     ``lambdas`` is finite, positive and nondecreasing; ``mus = 1/lambdas``
-    is derived from it, nonincreasing and paired with ``lambdas`` by index.
+    is derived from it, finite (a ``lambdas[0]`` whose reciprocal overflows
+    raises ValueError), nonincreasing and paired with ``lambdas`` by index.
     ``_lam`` holds the same values as a tuple of Python floats, which the
     per-step interval lookup bisects and indexes without numpy's scalar
     overhead.
@@ -130,7 +133,10 @@ class Spectrum:
             raise ValueError("all eigenvalues must be positive")
         if np.any(np.diff(lam) < 0):
             raise ValueError("lambdas must be nondecreasing")
-        mus = 1.0 / lam
+        with np.errstate(over="ignore"):
+            mus = 1.0 / lam
+        if np.isinf(mus[0]):
+            raise ValueError(f"lambdas[0] = {float(lam[0])!r} has no finite reciprocal mu")
         lam.flags.writeable = False
         mus.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
@@ -197,6 +203,25 @@ def residual(pencil, x):
     return pencil.a @ x - rayleigh(pencil, x).rho * (pencil.b @ x)
 
 
+def _unit_scale(mus):
+    """``(mus * 2**-e, e)`` with ``e`` even and the largest mu, ``mus[0]``, in [1/2, 2).
+
+    ``mus`` is positive and nonincreasing.  The sharp factors see a spectrum
+    only through its ratios, and a power of four maps mus to and from unit
+    scale exactly; at ``e = 0`` ``mus`` itself is returned.  Mus whose
+    unit-scaled smallest entry has no finite reciprocal are spread beyond
+    the double range, and ValueError names the spread.
+    """
+    top, low = float(mus[0]), float(mus[-1])
+    e = 2 * (math.frexp(top)[1] // 2)
+    if math.ldexp(low, -e) * sys.float_info.max < 1.0:
+        raise ValueError(
+            f"mus spread by about 1e{math.log10(top) - math.log10(low):.0f} "
+            f"(from {top!r} down to {low!r}), beyond the range of doubles"
+        )
+    return (np.ldexp(mus, -e) if e else mus), e
+
+
 @dataclass(eq=False)
 class DiagonalForm:
     """Congruence carrying a pencil to ``A = I``, ``B = diag(mus)``.
@@ -204,13 +229,15 @@ class DiagonalForm:
     ``basis`` maps original coordinates to diagonalized ones
     (``z = basis @ x``); ``inverse_basis`` maps back.  ``mus`` is stored
     in decreasing order, so ``lambdas = 1/mus`` reversed is ascending.
+    ``mus`` and ``shift`` are in the pencil's units; the step kernel takes
+    the shift at unit scale, with its exponent, from :meth:`_unit_shift`.
     """
 
     mus: np.ndarray
     basis: np.ndarray
     inverse_basis: np.ndarray
     _spectrum: Spectrum = field(default=None, repr=False)
-    _shift: np.ndarray = field(init=False, default=None, repr=False)
+    _scaled_shift: tuple = field(init=False, default=None, repr=False)
 
     @property
     def n(self):
@@ -230,9 +257,14 @@ class DiagonalForm:
     @property
     def shift(self):
         """``mus[0] - mus``: the ``S = mus[0] - B`` of the line-search step's 2x2 problem."""
-        if self._shift is None:
-            self._shift = self.mus[0] - self.mus
-        return self._shift
+        return self.mus[0] - self.mus
+
+    def _unit_shift(self):
+        """``(shift * 2**-e, e)``, with the ``e`` of :func:`_unit_scale`; computed once."""
+        if self._scaled_shift is None:
+            unit, e = _unit_scale(self.mus)
+            self._scaled_shift = (unit[0] - unit, e)
+        return self._scaled_shift
 
 
 def diagonalize(pencil):

@@ -418,8 +418,9 @@ class TestSharpnessCommand:
 
     @pytest.mark.parametrize("mus", ["1e-200,0.5e-200,0.1e-200", "1e200,0.5e200,0.1e200"])
     def test_extreme_mus_give_the_plain_ratios(self, tmp_path, mus):
-        # squares of mus near 1e±200 leave the double range; the command
-        # rescales them first, so no warning is raised and no ratio is NaN
+        # squares of mus near 1e±200 leave the double range; the worst-case
+        # instance takes them at unit scale, so no warning is raised and no
+        # ratio is NaN
         out = tmp_path / "sharp.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -432,6 +433,15 @@ class TestSharpnessCommand:
         for row, expected in zip(payload["records"], plain, strict=True):
             assert row["measured_ratio"] == pytest.approx(expected["measured_ratio"], rel=1e-12)
         assert payload["summary"]["violations"] == 0
+
+    def test_mus_spread_beyond_the_double_range_exit_1_by_name(self, capsys):
+        # they exited 1 with "kappa must lie in (0, 1)" after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sharpness", "--mus", "1e300,0.5,1e-10", "--gamma", "0.5",
+                         "--deltas", "1e-2,1e-8"])
+        assert code == EXIT_ERROR
+        assert "psdlab: error: mus spread by about 1e310 " in capsys.readouterr().err
 
     def test_gamma_zero_routes_to_plain_factor(self, tmp_path):
         out = tmp_path / "sharp.json"

@@ -1,5 +1,6 @@
 """Cone geometry: extremal directions, worst case, algebraic identities."""
 
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -681,6 +682,37 @@ class TestConcentrationCheck:
             pinned = self.TRIPLE_VALUES[triple]
             assert value <= pinned + 1e-12 * pinned, triple
 
+    @staticmethod
+    @functools.cache
+    def _scaled_report(c):
+        """The check on lambdas ``c * (1, 1.5, 3, 5)`` at the level ``0.8 / c``."""
+        return three_d_concentration_check(Spectrum(lambdas=c * np.array([1.0, 1.5, 3.0, 5.0])),
+                                           gamma=0.5, mu0=0.8 / c, n_outer=1, seed=7)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_a_power_of_two_keeps_every_bit(self, power):
+        # the search runs at unit scale: these mus reach it exactly, and its
+        # values go back by the exact power (without it, a RuntimeWarning)
+        base, scaled = self._scaled_report(1.0), self._scaled_report(2.0 ** power)
+        assert scaled.mu0 == math.ldexp(base.mu0, -power)
+        assert scaled.best_value == math.ldexp(base.best_value, -power)
+        assert np.array_equal(scaled.best_x, base.best_x)
+        assert scaled.significant == base.significant
+        assert scaled.reference_triple == base.reference_triple
+        assert scaled.triple_values == {
+            triple: math.ldexp(value, -power) for triple, value in base.triple_values.items()}
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_extreme_scales_give_the_plain_values(self, c):
+        base, scaled = self._scaled_report(1.0), self._scaled_report(c)
+        assert scaled.best_value * c == pytest.approx(base.best_value, rel=1e-12)
+        np.testing.assert_allclose(scaled.best_x, base.best_x, rtol=1e-9, atol=1e-12)
+        assert (scaled.significant, scaled.reference_triple) == (
+            base.significant, base.reference_triple)
+        assert scaled.triple_values.keys() == base.triple_values.keys()
+        for triple, value in scaled.triple_values.items():
+            assert value * c == pytest.approx(base.triple_values[triple], rel=1e-12)
+
     def test_search_memory_stays_bounded(self):
         # the benchmark's check: its cone searches go in blocks, so the traced
         # peak stays near 1.7 MB; one ritz_gap call over every column of a
@@ -695,6 +727,29 @@ class TestConcentrationCheck:
 
 
 class TestWorstCaseInstance:
+    @pytest.mark.parametrize("power", [700, -700, 2, -2])
+    def test_a_power_of_four_keeps_every_bit(self, power):
+        # the instance is built and stepped at unit scale; its mu values go
+        # back to the setup's units by the exact power
+        mus = np.array([1.0, 0.5, 0.1])
+        t = t_star(4.0 / 9.0, 0.5)
+        base = WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-8, t=t)
+        setup = WorstCaseSetup(mus=np.ldexp(mus, power), gamma=0.5, delta=1e-8, t=t)
+        assert np.array_equal(setup.mus, np.ldexp(mus, power))
+        assert setup.mu == math.ldexp(base.mu, power)
+        assert np.array_equal(setup.x, base.x)
+        assert (setup.kappa, setup.sigma) == (base.kappa, base.sigma)
+        want, got = worst_case_instance(base), worst_case_instance(setup)
+        assert np.array_equal(got.d, np.ldexp(want.d, power))
+        assert (got.mu_before, got.mu_after) == (math.ldexp(want.mu_before, power),
+                                                  math.ldexp(want.mu_after, power))
+        assert (got.delta_before, got.delta_after, got.measured_ratio, got.predicted_ratio) == (
+            want.delta_before, want.delta_after, want.measured_ratio, want.predicted_ratio)
+
+    def test_a_spread_beyond_the_double_range_is_named(self):
+        with pytest.raises(ValueError, match="^mus spread by about 1e310 "):
+            WorstCaseSetup(mus=np.array([1e300, 0.5, 1e-10]), gamma=0.5, delta=1e-4, t=1.0)
+
     def test_frozen_hand_values(self):
         mus = np.array([1.0, 0.5, 0.1])
         setup = WorstCaseSetup(mus=mus, gamma=0.5, delta=1e-4, t=0.4)

@@ -1,7 +1,11 @@
 """Solver steps and the run driver: hand values, bounds, monotonicity."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psdlab import (
     PrecondQuality,
@@ -23,7 +27,7 @@ from psdlab import (
 )
 from psdlab.errors import NumericFailure
 from psdlab.iterate import StepResult
-from psdlab.pencil import RayleighValue
+from psdlab.pencil import DiagonalForm, RayleighValue
 
 
 def diag_pencil(lambdas):
@@ -607,11 +611,8 @@ class TestScaleInvariance:
         verdicts = [None if rec.bound is None else rec.bound.verdict for rec in result.records]
         return len(result.records), result.status, verdicts
 
-    @pytest.mark.parametrize("kind, scale", [
-        *((kind, scale) for kind in ("invit2", "psd")
-          for scale in (1e200, 1e-200, 1e300, 1e-300)),
-        *((kind, scale) for kind in ("invit1", "pinvit1") for scale in (1e200, 1e-200)),
-    ])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("kind", [kind.value for kind in SolverKind])
     def test_steps_and_verdicts_do_not_depend_on_the_scale(self, kind, scale):
         base = self._run(kind, 1.0, self.LAMBDAS, self.X0, 200)
         scaled = self._run(kind, scale, self.LAMBDAS, self.X0, 200)
@@ -620,12 +621,86 @@ class TestScaleInvariance:
         for rec, ref in zip(scaled.records, base.records):
             assert rec.rho.rho / scale == pytest.approx(ref.rho.rho, rel=1e-13)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_invit1_verdicts_at_extreme_scales(self, scale):
+        # INVIT(1)'s deltas came from products of distances near 1e-300 and
+        # weights, below the normal range: 4 steps read violated at 1e±300.
+        result = self._run("invit1", scale, self.LAMBDAS, self.X0, 60)
+        assert result.verdicts == {bounds.PASSED_LAMBDA_I: 1, bounds.HOLDS: 32}
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_invit2_on_three_extreme_eigenvalues(self, scale):
-        # The line search's 2x2 entries are about 5e-201 at scale 1e200 and
-        # 5e199 at 1e-200: their squares leave the normal range.
+        # The mus are about 1e-200 at scale 1e200 and 1e200 at 1e-200; run()
+        # steps them at unit scale, so the line search's 2x2 entries, below 1,
+        # stay far from the ends of the normal range when squared.
         base = self._run("invit2", 1.0, [1.0, 2.0, 4.0], np.ones(3), 50)
         scaled = self._run("invit2", scale, [1.0, 2.0, 4.0], np.ones(3), 50)
         assert scaled.status == "converged"
         assert bounds.VIOLATED not in scaled.verdicts
         assert self._summary(scaled) == self._summary(base)
+
+    @staticmethod
+    def _bits(pencil, kind, k):
+        """Everything a run records, its Rayleigh values scaled back by ``2**-k``."""
+        t = None
+        if not SolverKind.parse(kind).exact_inverse:
+            t = synthetic_gamma_preconditioner(diagonalize(pencil), 0.5, seed=1)
+        result = run(pencil, t, TestScaleInvariance.X0, kind, max_steps=200)
+        records = [(rec.step_index, math.ldexp(rec.rho.rho, -k), math.ldexp(rec.rho.mu, k),
+                    rec.residual_norm, rec.delta, rec.bound, rec.theta_opt)
+                   for rec in result.records]
+        return records, result.status, result.verdicts, result.max_ratio_over_sigma_sq
+
+    # The spectrum of A lies 2**100 from unit scale, so k = 900 takes its
+    # largest mu near 2**-1000: there the delta's products of distances and
+    # weights fell below the normal range.
+    FAR = np.ldexp(LAMBDAS, 100)
+    KINDS = [kind.value for kind in SolverKind]
+
+    # (A, 2**-k B) has the spectrum of (A, B) times 2**k and the same
+    # Cholesky factor of A, so every power k keeps the bits.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(-900, 900), kind=st.sampled_from(KINDS))
+    @example(k=900, kind="invit1")
+    @example(k=900, kind="psd")
+    def test_a_power_of_two_keeps_every_bit(self, k, kind):
+        a = np.diag(self.FAR)
+        scaled = self._bits(SymmetricPencil(a, np.ldexp(np.eye(5), -k)), kind, k)
+        assert scaled == self._bits(SymmetricPencil(a, np.eye(5)), kind, 0)
+
+    # On 2**k A the Cholesky factor carries sqrt(2**k), which is a power of
+    # two only for even k; there every bit is kept as well.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(j=st.integers(-450, 450), kind=st.sampled_from(KINDS))
+    @example(j=450, kind="pinvit1")
+    @example(j=450, kind="invit2")
+    def test_a_power_of_four_on_a_keeps_every_bit(self, j, kind):
+        scaled = self._bits(diag_pencil(np.ldexp(self.FAR, 2 * j)), kind, 2 * j)
+        assert scaled == self._bits(diag_pencil(self.FAR), kind, 0)
+
+    def test_a_spectrum_spread_beyond_the_double_range_is_rejected(self):
+        # its unit-scaled smallest mu underflowed with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^mus spread by about 1e400 "):
+            run(diag_pencil([1e-200, 1.0, 1e200]), None, np.ones(3), "invit2")
+
+    @pytest.mark.parametrize("power", [700, -700])
+    @pytest.mark.parametrize("step", [psd_step, pinvit1_step])
+    def test_steps_on_a_hand_built_form_keep_every_bit(self, step, power):
+        # The shift's entries near 2**±700 square beyond the double range;
+        # the step solves at unit scale and maps its Ritz value back exactly.
+        mus = 1.0 / np.asarray(self.LAMBDAS)
+        t = synthetic_gamma_preconditioner(diagonalize(diag_pencil(self.LAMBDAS)), 0.5, seed=1)
+
+        def form(scale):
+            return DiagonalForm(mus=np.ldexp(mus, scale), basis=np.eye(5),
+                                inverse_basis=np.eye(5))
+
+        base, scaled = form(0), form(power)
+        x = np.asarray(self.X0)
+        for _ in range(3):
+            want, got = step(base, t, x), step(scaled, t, x)
+            assert np.array_equal(got.x, want.x)
+            assert got.rho == (math.ldexp(want.rho.rho, -power), math.ldexp(want.rho.mu, power))
+            assert (got.theta_opt, got.converged) == (want.theta_opt, want.converged)
+            x = want.x
+        assert np.array_equal(scaled.shift, np.ldexp(base.shift, power))

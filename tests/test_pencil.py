@@ -22,6 +22,7 @@ from psdlab import (
     synthetic_gamma_preconditioner,
 )
 from psdlab.jacobi import jacobi_eigh
+from psdlab.pencil import _unit_scale
 
 
 def random_spd(rng, n, cond=10.0):
@@ -517,8 +518,42 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=r"lambdas must be finite, got lambdas\[\d\] = "):
             Spectrum(lambdas=lambdas)
 
+    @pytest.mark.parametrize("lambdas", [[1e-310, 1.0], [5e-324, 1e-320, 2.0]])
+    def test_rejects_a_lambda_without_finite_reciprocal(self, lambdas):
+        # 1/lambda overflowed with a RuntimeWarning and stored an infinite mu
+        with pytest.raises(ValueError, match=r"^lambdas\[0\] = .* has no finite reciprocal"):
+            Spectrum(lambdas=lambdas)
+
     def test_float_tuple_matches_lambdas(self):
         s = Spectrum(lambdas=[1, 2.5, 2.5, 7])
         assert s._lam == (1.0, 2.5, 2.5, 7.0)
         assert all(type(v) is float for v in s._lam)
         assert "_lam" not in repr(s)
+
+
+class TestUnitScale:
+    @pytest.mark.parametrize("top", [1.0, 0.5, 1.999, 2.0, 3.0, 0.3, 1e300, 1e-300,
+                                     2.0 ** 1023, 1e-320])
+    def test_top_lands_in_the_unit_range_by_a_power_of_four(self, top):
+        mus = np.array([top, top / 3.0, top / 7.0])
+        unit, e = _unit_scale(mus)
+        assert e % 2 == 0
+        assert 0.5 <= unit[0] < 2.0
+        assert np.array_equal(np.ldexp(unit, e), mus)
+
+    def test_unit_scale_is_returned_as_it_is(self):
+        mus = np.array([1.5, 0.25, 0.125])
+        unit, e = _unit_scale(mus)
+        assert unit is mus and e == 0
+
+    @pytest.mark.parametrize("mus", [[1e300, 0.5, 1e-10], [1e200, 1.0, 1e-200],
+                                     [1.0, 5e-324]])
+    def test_spread_beyond_the_double_range_is_named(self, mus):
+        with pytest.raises(ValueError, match=r"^mus spread by about 1e\d+ .*beyond the range"):
+            _unit_scale(np.array(mus))
+
+    @pytest.mark.parametrize("mus", [[1e150, 1.0, 1e-150], [1.0, 0.5, 1e-308]])
+    def test_a_spread_within_the_double_range_is_kept(self, mus):
+        # a smallest mu below the normal range still has a finite reciprocal
+        unit, e = _unit_scale(np.array(mus))
+        assert np.isfinite(1.0 / unit).all()
