@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pencil import _tril_inverse
+
 __all__ = [
     "PrecondQuality",
     "Preconditioner",
@@ -144,7 +146,8 @@ def jacobi_preconditioner(pencil):
 
 def exact_inverse_preconditioner(pencil):
     """The exact inverse ``T = A^-1`` (quality ``gamma = 0``)."""
-    inv = pencil.solve_a(np.eye(pencil.n))
+    w = _tril_inverse(pencil._chol_a)
+    inv = w.T @ w
     inv = (inv + inv.T) / 2.0
     return Preconditioner(matrix=inv, quality=PrecondQuality.ideal(0.0), coords="pencil")
 

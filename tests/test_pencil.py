@@ -22,7 +22,7 @@ from psdlab import (
     synthetic_gamma_preconditioner,
 )
 from psdlab.jacobi import jacobi_eigh
-from psdlab.pencil import _unit_scale
+from psdlab.pencil import _tril_inverse, _unit_scale
 
 
 def random_spd(rng, n, cond=10.0):
@@ -266,14 +266,47 @@ def _matrix_market_pencil(tmp_path):
     return generate_problem("matrix_market", path_a=str(pa), path_b=str(pb))
 
 
-# name -> (pencil builder, spectrum compared relative to the largest value)
+# name -> (pencil builder, spectrum compared relative to the largest value).
+# The orders 31 to 33 straddle the block size of diagonalize's triangular
+# inverse; 65 and 100 recurse twice, 256 three times.
 _SCIPY_ORACLE_CASES = {
     "laplacian2d_6": (lambda tmp: generate_problem("laplacian2d", nx=6), False),
     "cond_1e12": (lambda tmp: SymmetricPencil(
         _spd_of_condition(np.random.default_rng(12), 12, 1e12), np.eye(12)), True),
     "n3": (lambda tmp: random_pencil(np.random.default_rng(3), 3), False),
     "matrix_market": (_matrix_market_pencil, False),
+    **{f"random_{n}": ((lambda tmp, n=n: random_pencil(np.random.default_rng(n), n)), False)
+       for n in (31, 32, 33, 65)},
+    "laplacian2d_16": (lambda tmp: generate_problem("laplacian2d", nx=16), False),
+    "laplacian1d_65_fem": (lambda tmp: generate_problem("laplacian1d", n=65, mass="fem"), False),
+    "cond_1e12_n100": (lambda tmp: SymmetricPencil(
+        _spd_of_condition(np.random.default_rng(100), 100, 1e12), np.eye(100)), True),
 }
+
+
+def _three_solve_reduction(pencil):
+    """``(mus, basis, inverse_basis)`` by three ``numpy.linalg.solve`` calls.
+
+    The reduction :func:`diagonalize` made before its triangular inverse:
+    each solve LU-factorizes the Cholesky factor ``C``.  It is the oracle
+    whose congruence residuals bound the blocked route's.
+    """
+    c = np.linalg.cholesky(pencil.a)
+    tmp = np.linalg.solve(c, pencil.b)
+    bt = np.linalg.solve(c, tmp.T)
+    mus, q = np.linalg.eigh((bt + bt.T) / 2.0)
+    q = q[:, ::-1]
+    return mus[::-1], q.T @ c.T, np.linalg.solve(c.T, q)
+
+
+def _congruence_residuals(pencil, mus, basis, inverse_basis):
+    """Largest entries of ``X^T A X - I``, ``(X^T B X - diag(mus)) / mus[0]``
+    and ``basis X - I``, with ``X = inverse_basis``."""
+    x = inverse_basis
+    eye = np.eye(pencil.n)
+    return (np.max(np.abs(x.T @ pencil.a @ x - eye)),
+            np.max(np.abs(x.T @ pencil.b @ x - np.diag(mus))) / mus[0],
+            np.max(np.abs(basis @ x - eye)))
 
 
 class TestNumpyLapackMatchesScipyOracle:
@@ -295,6 +328,31 @@ class TestNumpyLapackMatchesScipyOracle:
         atol = 1e-12 * mus_ref[0] if normwise else 0.0
         np.testing.assert_allclose(form.mus, mus_ref, rtol=1e-12, atol=atol)
         _assert_same_eigenspaces(form, mus_ref, x_ref)
+
+    @pytest.mark.parametrize("name", list(_SCIPY_ORACLE_CASES))
+    def test_diagonalize_congruence_matches_three_solves(self, name, tmp_path):
+        # A basis inside a repeated eigenvalue is not unique, so the
+        # congruence is held through its residuals, each within 4x the
+        # three-solve oracle's and an n * eps floor.
+        pencil = _SCIPY_ORACLE_CASES[name][0](tmp_path)
+        form = diagonalize(pencil)
+        got = _congruence_residuals(pencil, form.mus, form.basis, form.inverse_basis)
+        ref = _congruence_residuals(pencil, *_three_solve_reduction(pencil))
+        floor = pencil.n * np.finfo(float).eps
+        for what, g, r in zip(("X^T A X", "X^T B X", "basis X"), got, ref):
+            assert g <= 4.0 * r + floor, (what, g, r)
+
+    @pytest.mark.parametrize("problem, exact", [
+        (dict(kind="laplacian2d", nx=16), 8.0 * np.sin(np.pi / 34.0) ** 2),
+        (dict(kind="laplacian1d", n=64), 4.0 * np.sin(np.pi / 130.0) ** 2),
+    ])
+    def test_lowest_eigenvalue_at_the_closed_form(self, problem, exact):
+        # The three-solve route is 1.0e-15 and 3.8e-15 off here, and either
+        # route moves by about 1e-15 with the rounding of its products (the
+        # BLAS thread count changes it).  A lost digit, as from eigh(A) at
+        # 1.1e-14 on laplacian2d:16, does not pass.
+        lam = diagonalize(generate_problem(**problem)).spectrum().lambdas[0]
+        assert abs(lam - exact) <= 5e-15 * exact
 
     @pytest.mark.parametrize("name", list(_SCIPY_ORACLE_CASES))
     def test_solve_a_residual(self, name, tmp_path):
@@ -332,6 +390,52 @@ class TestNumpyLapackMatchesScipyOracle:
         q = estimate_quality(pencil, t)
         assert q.gamma1 == pytest.approx(w[0], rel=1e-12, abs=0.0)
         assert q.gamma2 == pytest.approx(w[-1], rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _cholesky_factors(draw):
+    """Cholesky factor of an s.p.d. matrix of order 1 to 140, condition 1 to 1e12."""
+    n = draw(st.integers(min_value=1, max_value=140))
+    cond = 10.0 ** draw(st.floats(min_value=0.0, max_value=12.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return np.linalg.cholesky(_spd_of_condition(rng, n, cond))
+
+
+def _assert_inverse_as_good_as_scipy(c):
+    w = _tril_inverse(c)
+    assert w.shape == c.shape
+    assert not np.triu(w, 1).any()  # exact zeros above the diagonal
+    ref = scipy.linalg.solve_triangular(c, np.eye(c.shape[0]), lower=True)
+    eye = np.eye(c.shape[0])
+    # Near the identity both residuals fall far below an ulp of W c, where
+    # their ratio is noise; eps is the floor.
+    scipy_residual = max(np.max(np.abs(ref @ c - eye)), np.finfo(float).eps)
+    assert np.max(np.abs(w @ c - eye)) <= 10.0 * scipy_residual
+
+
+class TestTrilInverse:
+    """The blocked triangular inverse against LAPACK's triangular solve."""
+
+    @given(_cholesky_factors())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_solve_triangular(self, c):
+        _assert_inverse_as_good_as_scipy(c)
+
+    def test_blocks_that_pivot_as_they_stand(self):
+        # Each 32-block of this factor has entries below the diagonal larger
+        # than the diagonal, so LU with partial pivoting would swap its rows;
+        # the inverse must not depend on LU leaving a triangle triangular.
+        rng = np.random.default_rng(32)
+        n = 128
+        c = np.eye(n) + np.tril(0.1 * rng.standard_normal((n, n)), -1)
+        for start in range(0, n, 32):
+            c[start + 20, start + 3] = 4.0
+        c = np.linalg.cholesky(c @ c.T)
+        for start in range(0, n, 32):
+            block = c[start:start + 32, start:start + 32]
+            _, piv = scipy.linalg.lu_factor(block)
+            assert np.any(piv != np.arange(32))
+        _assert_inverse_as_good_as_scipy(c)
 
 
 class TestOrthonormalize:
