@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import MatrixMarketError, NumericFailure
+from .errors import MatrixMarketError, NumericFailure, StationaryPointError
 from .bounds import SolverKind
 from .iterate import run
 from .pencil import diagonalize, generate_problem
@@ -416,10 +416,15 @@ def cmd_sharpness(config):
         raise ValueError(f"unknown t mode {config.t_mode!r}")
     rows = []
     for delta in deltas:
-        ratios = [
-            worst_case_instance(WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t))
-            .measured_ratio for t in ts
-        ]
+        try:
+            ratios = [
+                worst_case_instance(WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t))
+                .measured_ratio for t in ts
+            ]
+        except StationaryPointError as exc:
+            raise StationaryPointError(
+                f"--deltas value {delta!r} is below the stationary floor of these mus "
+                f"and gamma: {exc}") from exc
         best = int(np.argmax(ratios))  # the first largest ratio
         measured = ratios[best]
         rows.append({

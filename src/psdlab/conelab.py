@@ -56,8 +56,10 @@ def _colsum(a):
     columns there are (numpy's own reduction sums a single column
     pairwise once it has 9 or more entries).
     """
-    total = a[0].copy()
-    for row in a[1:]:
+    if len(a) == 1:
+        return a[0].copy()
+    total = a[0] + a[1]
+    for row in a[2:]:
         total += row
     return total
 
@@ -65,6 +67,17 @@ def _colsum(a):
 def _components_first(a):
     """View of ``a`` with its last (component) axis moved to the front."""
     return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _cross(a, b):
+    """``a x b`` of 3-vectors, or of the columns of two ``(3, m)`` arrays.
+
+    The products and differences of ``np.cross``, in its order, so the
+    bits are its bits, without its call overhead.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _cone_disc(mus, x, gamma):
@@ -98,7 +111,10 @@ class ConeSpec:
     with center ``disc_center = mu(x) x + (1 - gamma^2) r``, radius
     ``disc_radius = gamma sqrt(1 - gamma^2) ||r||`` and normal ``r``;
     ``v = (x cross r) / |x cross r|`` is the unit in-disc direction
-    orthogonal to both ``x`` and ``r``.
+    orthogonal to both ``x`` and ``r``.  The cone is built from ``mus`` at
+    unit scale (:func:`psdlab.pencil._unit_scale`), so its squares stay in
+    range whatever the units, and ``mu_x``, ``r``, the radii and the disc
+    center go back to the units of ``mus`` by that exact power of four.
     """
 
     mus: np.ndarray
@@ -125,15 +141,21 @@ class ConeSpec:
             raise ValueError("x must be finite and nonzero")
         self.mus = mus
         self.x = x
-        mu_x, self.r, _, self.disc_center, self.disc_radius, empty = _cone_disc(
-            mus, x, self.gamma)
+        unit, e = _unit_scale(mus)
+        mu_x, r, _, disc_center, disc_radius, empty = _cone_disc(unit, x, self.gamma)
         if empty:
             raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+        v = _cross(x, r)
+        self.v = v / math.sqrt(v.dot(v))
+        radius = self.gamma * math.sqrt(r.dot(r))
+        if e:
+            mu_x, radius, disc_radius = (math.ldexp(value, e)
+                                         for value in (mu_x, radius, disc_radius))
+            r, disc_center = np.ldexp(r, e), np.ldexp(disc_center, e)
         self.mu_x = float(mu_x)
+        self.r, self.disc_center = r, disc_center
+        self.radius, self.disc_radius = radius, disc_radius
         self.center = mus * x
-        self.radius = self.gamma * np.linalg.norm(self.r)
-        v = np.cross(x, self.r)
-        self.v = v / np.linalg.norm(v)
 
 
 def extremal_directions(cone):
@@ -170,8 +192,8 @@ def ritz_gap(mus, x, directions):
     """Distance ``mus[0] - theta`` for each row ``d`` of ``directions``.
 
     ``theta`` is the larger reciprocal-form Ritz value of ``span{x, d}``
-    for the pencil ``(I, diag(mus))``; ``mus`` is an array whose first
-    entry is its largest.  ``x`` is one iterate ``(n,)`` shared by every
+    for the pencil ``(I, diag(mus))``; ``mus`` is positive with its first
+    entry its largest.  ``x`` is one iterate ``(n,)`` shared by every
     row, or one iterate per row: ``x`` and ``directions`` broadcast
     against each other over their leading (row) axes, and the result has
     their broadcast row shape.  ``d`` is orthogonalized against ``x`` by
@@ -186,7 +208,10 @@ def ritz_gap(mus, x, directions):
     when ``x`` itself is that near the top eigenvector;
     ``mus[0] - theta`` would lose ``eps / gap`` for every ``x``.  Rows
     (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``; an
-    ``x`` in the eigenspace of ``mus[0]`` yields 0.
+    ``x`` in the eigenspace of ``mus[0]`` yields 0.  The gaps are taken
+    on ``mus`` at unit scale (:func:`psdlab.pencil._unit_scale`), where
+    the 2x2 products stay in range, and go back to the units of ``mus`` by
+    that exact power of four.
 
     Value-only, and computed component-major: every product is
     elementwise and every sum runs over the components in index order,
@@ -194,6 +219,13 @@ def ritz_gap(mus, x, directions):
     check it against :func:`psdlab.pencil.rayleigh_ritz` and against
     LAPACK's generalized symmetric-definite solver.
     """
+    unit, e = _unit_scale(np.asarray(mus, dtype=float))
+    gaps = _ritz_gap(unit, x, directions)
+    return np.ldexp(gaps, e) if e else gaps
+
+
+def _ritz_gap(mus, x, directions):
+    """:func:`ritz_gap` on ``mus`` as given: the module's callers pass unit-scale ``mus``."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     x = np.asarray(x, dtype=float)
     dt = _components_first(d)
@@ -222,16 +254,17 @@ def ritz_on_segment(cone, t):
 
     ``d(t) = t d1 + (1 - t) d2`` for ``t`` in ``[0, 1]`` (scalar or
     array): :func:`ritz_gap` evaluated on the segment's points, as
-    ``mus[0] - gap``.
+    ``mus[0] - gap``, with the cone's mus and points at unit scale.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails it too
         raise ValueError("segment parameter t must lie in [0, 1]")
-    d1, d2 = extremal_directions(cone)
+    mus, e = _unit_scale(cone.mus)
+    d1, d2 = (np.ldexp(d, -e) for d in extremal_directions(cone))
     d = np.outer(t_arr, d1) + np.outer(1.0 - t_arr, d2)
-    values = cone.mus[0] - ritz_gap(cone.mus, cone.x, d)
+    values = np.ldexp(mus[0] - _ritz_gap(mus, cone.x, d), e)
     return float(values[0]) if scalar else values
 
 
@@ -253,8 +286,8 @@ def _disc_points(center, radius, basis, ys):
 
 
 def _larger_ritz(mus, x, d):
-    """Larger Ritz values of ``span{x[:, i], d[:, i, p]}`` as ``(m, P)``, by one :func:`ritz_gap`."""
-    return mus[0] - ritz_gap(mus, x.T[:, None, :], d.transpose(1, 2, 0))
+    """Larger Ritz values of ``span{x[:, i], d[:, i, p]}`` as ``(m, P)``, by one :func:`_ritz_gap`."""
+    return mus[0] - _ritz_gap(mus, x.T[:, None, :], d.transpose(1, 2, 0))
 
 
 # Column x point entries of one block of :func:`_disc_min`: a (column,
@@ -298,8 +331,9 @@ def brute_force_cone_min(cone, n_samples):
     interior rings at 1/4, 1/2 and 3/4 of its radius in its ``(v, x/|x|)``
     basis (the oracle must not assume the extrema sit on the x-orthogonal
     segment, nor on the boundary), through :func:`_disc_min`: one
-    column, so one :func:`ritz_gap` call.  Returns the minimum and the
-    direction attaining it.
+    column, so one :func:`ritz_gap` call, on the cone's mus and disc at
+    unit scale.  Returns the minimum and the direction attaining it, in
+    the units of the cone's mus.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -307,10 +341,12 @@ def brute_force_cone_min(cone, n_samples):
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
     basis = np.column_stack([cone.v, cone.x / np.linalg.norm(cone.x)])
-    value, direction, _, _ = _disc_min(cone.mus, cone.x[:, None], cone.disc_center[:, None],
-                                       np.array([cone.disc_radius]), basis[:, :, None],
-                                       ys.T[:, None, :])
-    return float(value[0]), direction[:, 0]
+    mus, e = _unit_scale(cone.mus)
+    value, direction, _, _ = _disc_min(mus, cone.x[:, None],
+                                       np.ldexp(cone.disc_center, -e)[:, None],
+                                       np.array([math.ldexp(cone.disc_radius, -e)]),
+                                       basis[:, :, None], ys.T[:, None, :])
+    return math.ldexp(value[0], e), np.ldexp(direction[:, 0], e)
 
 
 # -- worst-case instances attaining the sharp factor -------------------------
@@ -323,6 +359,16 @@ def t_star(kappa, gamma):
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     return math.sqrt(1.0 - kappa) * (1.0 - gamma) / math.sqrt(1.0 - gamma * gamma)
+
+
+def _level_set(unit, delta):
+    """``mu``, ``a`` and ``b`` of the level set of ``delta`` on the unit-scale triple ``unit``."""
+    mu_j, mu_k, mu_l = unit
+    mu = (mu_j + delta * mu_k) / (1.0 + delta)
+    # mu_j - mu in closed form: the difference of the rounded values
+    # cancels once delta nears eps.
+    b = math.sqrt(delta * (mu_j - mu_k) / (1.0 + delta) / (mu - mu_l))
+    return mu, math.sqrt(delta), b
 
 
 @dataclass(eq=False)
@@ -365,13 +411,8 @@ class WorstCaseSetup:
             raise ValueError("gamma must lie in [0, 1)")
         self.mus = mus
         unit, e = self._unit = _unit_scale(mus)
-        mu_j, mu_k, mu_l = unit
-        mu = (mu_j + self.delta * mu_k) / (1.0 + self.delta)
+        mu, self.a, self.b = _level_set(unit, self.delta)
         self.mu = math.ldexp(mu, e)
-        self.a = math.sqrt(self.delta)
-        # mu_j - mu in closed form: the difference of the rounded values
-        # cancels once delta nears eps.
-        self.b = math.sqrt(self.delta * (mu_j - mu_k) / (1.0 + self.delta) / (mu - mu_l))
         root = math.sqrt(1.0 + self.t * self.t)
         self.alpha0 = self.a / root
         self.beta0 = self.b * self.t / root
@@ -409,8 +450,8 @@ def _aligned_error_matrix(r, w, norm):
     Requires ``||w|| <= norm * ||r||``; built as a rank-two map on
     ``span{r, w}``.
     """
-    r_norm = np.linalg.norm(r)
-    w_norm = np.linalg.norm(w)
+    r_norm = math.sqrt(r.dot(r))
+    w_norm = math.sqrt(w.dot(w))
     n = r.size
     if w_norm == 0.0:
         return np.zeros((n, n))
@@ -421,7 +462,7 @@ def _aligned_error_matrix(r, w, norm):
         raise ValueError("target direction lies outside the admissible ball")
     c = float(u @ rh)
     p = u - c * rh
-    p_norm = np.linalg.norm(p)
+    p_norm = math.sqrt(p.dot(p))
     if p_norm < 1e-14:
         sign = 1.0 if c >= 0 else -1.0
         return sign * g * np.outer(rh, rh)
@@ -585,34 +626,61 @@ class ConcentrationReport:
         return "\n".join(lines)
 
 
+def _worst_mu_after(unit, gamma, a, b, ts):
+    """The worst-case instance's ``mu_after`` at each level-set parameter of ``ts``.
+
+    The batched form of :func:`worst_case_instance`, on a strictly
+    decreasing positive triple ``unit`` at unit scale with the semi-axes
+    ``a`` and ``b`` of :func:`_level_set`.  The iterates
+    ``x(t) = (1, a / sqrt(1 + t^2), b t / sqrt(1 + t^2))`` go in as
+    columns; their cones come from one :func:`_cone_disc`, the worst
+    direction is ``d = disc_center + disc_radius v`` with ``v`` the unit
+    ``x cross r``, and ``mu_after``, the larger Ritz value of
+    ``span{x, d}`` that the worst-case PSD step reaches, from one
+    :func:`_ritz_gap` call.  An empty cone raises
+    :class:`StationaryPointError`, as in :func:`worst_case_instance`.
+    """
+    ts = np.asarray(ts, dtype=float)
+    root = np.sqrt(1.0 + ts * ts)
+    x = np.stack([np.ones_like(ts), a / root, b * ts / root])
+    _, r, _, center, radius, empty = _cone_disc(unit, x, gamma)
+    if np.any(empty):
+        raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+    v = _cross(x, r)
+    d = center + radius * (v / np.sqrt(_colsum(v * v)))
+    return unit[0] - _ritz_gap(unit, x.T, d.T)
+
+
 def _worst_value_3d(mu_triple, gamma, mu0):
     """Closed-form worst larger Ritz value over a 3-D level set.
 
-    Minimizes the worst-case instance's value over the level-set
+    Minimizes the worst-case instance's ``mu_after`` over the level-set
     parameter ``t``: a 61-point grid of ``log10 t`` over ``[-3, 3]``,
-    then 9-point grids zooming on the best point, each spanning two
-    spacings of the one before, while their spacing is above 1e-8.
+    then 8-point grids (9 less the known center) zooming on the best
+    point, each spanning two spacings of the one before, while their
+    spacing is above 1e-8: 12 grids of 149 points in all.  Each grid is
+    one :func:`_worst_mu_after` call, so one :func:`ritz_gap` call.  The
+    triple, its level set and ``t = 10**u`` are formed as
+    :class:`WorstCaseSetup` forms them, so every value is
+    :func:`worst_case_instance`'s ``mu_after`` to within a few ulp.
     """
-    mu_j, mu_k, mu_l = mu_triple
-    delta0 = (mu_j - mu0) / (mu0 - mu_k)
-
-    def value_at(u):
-        setup = WorstCaseSetup(mus=np.asarray(mu_triple), gamma=gamma,
-                               delta=delta0, t=10.0 ** u)
-        return worst_case_instance(setup).mu_after
-
+    mu_j, mu_k, _ = mu_triple
+    unit, e = _unit_scale(np.asarray(mu_triple))
+    _, a, b = _level_set(unit, (mu_j - mu0) / (mu0 - mu_k))
     us = np.linspace(-3.0, 3.0, 61)
     spacing = us[1] - us[0]
     best, center = math.inf, 0.0
     while spacing > 1e-8:
-        values = [value_at(u) for u in us]
+        # Python's pow, as the setup takes it: numpy's array pow rounds
+        # about one power in twenty differently
+        values = _worst_mu_after(unit, gamma, a, b, [10.0 ** u for u in us.tolist()])
         idx = int(np.argmin(values))
         if values[idx] < best:
             best, center = values[idx], us[idx]
         spacing /= 4.0
         # the next grid less its center, whose value is already known
         us = center + spacing * np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
-    return float(best)
+    return math.ldexp(best, e)
 
 
 def _perp_basis(r):
@@ -734,7 +802,9 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     kept only if re-optimizing the others on the refined minimum does not
     worsen the objective), and the report compares the best value
     against the closed-form worst value of every admissible invariant
-    triple.  The search runs on ``mus`` and ``mu0`` at unit scale
+    triple, a zoom over the triple's level set whose every grid is one
+    batched :func:`ritz_gap` call (no scalar :func:`worst_case_instance`
+    is built).  The search runs on ``mus`` and ``mu0`` at unit scale
     (:func:`psdlab.pencil._unit_scale`), where its tolerances apply, and
     reports its values in the spectrum's units.  Report-only: the caller
     decides what to do with a discordant outcome.  ``mu0`` must lie above

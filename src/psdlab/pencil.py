@@ -381,8 +381,9 @@ def _shifted_ritz_2x2(p, q, c):
     entries whose squares underflow.
     """
     half = 0.5 * (q - p)
-    root = (half * half + c * c) ** 0.5  # on arrays, np.sqrt bit for bit
-    return (p * q - c * c) / (0.5 * (p + q) + root), half, root
+    c_sq = c * c
+    root = (half * half + c_sq) ** 0.5  # on arrays, np.sqrt bit for bit
+    return (p * q - c_sq) / (0.5 * (p + q) + root), half, root
 
 
 def rayleigh_ritz(pencil, basis_vectors):

@@ -443,6 +443,15 @@ class TestSharpnessCommand:
         assert code == EXIT_ERROR
         assert "psdlab: error: mus spread by about 1e310 " in capsys.readouterr().err
 
+    def test_delta_below_the_stationary_floor_is_named(self, capsys):
+        # the message named neither the delta nor the floor
+        code = main(["sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
+                     "--deltas", "1e-2,1e-30"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "psdlab: error: --deltas value 1e-30 is below the stationary floor of these mus "
+            "and gamma: x is numerically an eigenvector; the search cone is empty\n")
+
     def test_gamma_zero_routes_to_plain_factor(self, tmp_path):
         out = tmp_path / "sharp.json"
         code = main([

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from psdlab import (
 from psdlab.bounds import HOLDS
 import psdlab.conelab as conelab
 from psdlab.conelab import _cone_disc, _disc_min, _disc_worst, _perp_basis
+from psdlab.pencil import _unit_scale as unit_scale
 
 MUS = np.array([1.0, 0.5, 0.25])
 
@@ -141,16 +143,20 @@ def disc_worst_one(mus, x, gamma, samples, refine):
 
 
 def count_ritz_gap_calls(monkeypatch):
-    """Record the rows of each of conelab's :func:`ritz_gap` calls into the returned list."""
+    """Record the rows of each of conelab's :func:`ritz_gap` calls into the returned list.
+
+    The module's own searches call the unscaled ``_ritz_gap`` (their mus
+    are at unit scale already), so that is the one counted.
+    """
     calls = []
-    real = conelab.ritz_gap
+    real = conelab._ritz_gap
 
     def counted(*args):
         gaps = real(*args)
         calls.append(gaps.size)
         return gaps
 
-    monkeypatch.setattr(conelab, "ritz_gap", counted)
+    monkeypatch.setattr(conelab, "_ritz_gap", counted)
     return calls
 
 
@@ -240,6 +246,71 @@ class TestConeSpec:
                 cos_angle = (u @ cone.r) / (np.linalg.norm(u) * np.linalg.norm(cone.r))
                 angle = math.acos(np.clip(cos_angle, -1.0, 1.0))
                 assert angle == pytest.approx(math.asin(cone.gamma), abs=1e-10)
+
+    @given(x=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           mus=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3, unique=True),
+           gamma=st.floats(0.0, 0.99))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_v_and_radius_are_the_numpy_forms(self, x, mus, gamma):
+        # the explicit cross product and the dot-product norms keep the bits
+        # of np.cross and np.linalg.norm (at unit scale, where r is unscaled)
+        if not np.max(np.abs(x)) >= 1e-3:
+            reject()  # x.x underflows: outside the cone geometry's range
+        try:
+            cone = ConeSpec(mus=unit_scale(np.array(sorted(mus, reverse=True)))[0], x=x,
+                            gamma=gamma)
+        except (StationaryPointError, ValueError):
+            reject()  # an eigenvector, or x = 0
+        v = np.cross(cone.x, cone.r)
+        np.testing.assert_array_equal(cone.v, v / np.linalg.norm(v))
+        assert cone.radius == gamma * np.linalg.norm(cone.r)
+        np.testing.assert_array_equal(conelab._cross(cone.x, cone.r), v)
+
+
+class TestScaleSafeGeometry:
+    # ConeSpec, brute_force_cone_min, ritz_on_segment and ritz_gap take their
+    # mus at unit scale; at c = 1e±200 their squares leave the double range
+    X = np.array([1.0, 0.7, 0.4])
+    ROWS = np.array([[0.3, 1.0, 0.2], [1.0, -0.5, 0.25]])
+    T = np.array([0.0, 0.3, 1.0])
+
+    @classmethod
+    def _outputs(cls, c):
+        """Every scaled output of the public cone geometry on mus ``c * (1, 0.5, 0.25)``."""
+        mus = c * np.array([1.0, 0.5, 0.25])
+        cone = ConeSpec(mus=mus, x=cls.X, gamma=0.5)
+        value, direction = brute_force_cone_min(cone, 200)
+        return {
+            "mu_x": cone.mu_x, "r": cone.r, "center": cone.center, "radius": cone.radius,
+            "disc_center": cone.disc_center, "disc_radius": cone.disc_radius,
+            "cone_min": value, "cone_min_direction": direction,
+            "segment": ritz_on_segment(cone, cls.T), "gaps": ritz_gap(mus, cls.X, cls.ROWS),
+        }, cone.v
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_extreme_scales_give_the_plain_values(self, c):
+        base, base_v = self._outputs(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, scaled_v = self._outputs(c)
+        for name, value in scaled.items():
+            np.testing.assert_allclose(np.asarray(value) / c, base[name], rtol=1e-12,
+                                       atol=0.0, err_msg=name)
+        np.testing.assert_allclose(scaled_v, base_v, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_a_power_of_two_keeps_every_bit(self, power):
+        base, base_v = self._outputs(1.0)
+        scaled, scaled_v = self._outputs(2.0 ** power)
+        for name, value in scaled.items():
+            np.testing.assert_array_equal(value, np.ldexp(base[name], power), err_msg=name)
+        np.testing.assert_array_equal(scaled_v, base_v)
+
+    def test_tiny_gap_is_not_flushed_to_zero(self):
+        # the products of 1e-200 entries underflowed, and the gap read 0.0
+        gap = ritz_gap(1e-200 * np.array([1.0, 0.5, 0.25]), self.X, self.ROWS[:1])[0]
+        assert gap == pytest.approx(1e-200 * ritz_gap(MUS, self.X, self.ROWS[:1])[0], rel=1e-12)
+        assert gap == pytest.approx(7.2e-202, rel=0.01)
 
 
 class TestExtremalDirections:
@@ -528,6 +599,46 @@ class TestBruteForce:
             brute_force_cone_min(cone, 50)
 
 
+class TestColsum:
+    @given(rows=st.integers(1, 9), cols=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_index_order_sum_bit_for_bit(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 1))
+        expected = []
+        for j in range(cols):
+            total = a[0, j]
+            for i in range(1, rows):
+                total = total + a[i, j]
+            expected.append(total)
+        np.testing.assert_array_equal(conelab._colsum(a), np.array(expected))
+
+    def test_one_row_gives_a_fresh_array(self):
+        a = np.arange(6.0).reshape(1, 6)
+        total = conelab._colsum(a)
+        np.testing.assert_array_equal(total, a[0])
+        assert not np.shares_memory(total, a)
+
+    def test_unit_blocks_pass_one_row_blocks(self, monkeypatch):
+        # at mus (1, .6, .3, .1) and level 0.8 the block above the level is
+        # the one entry of mus[0]: the check sums one-row blocks, and each
+        # such sum is a fresh array
+        one_row = []
+        real = conelab._colsum
+
+        def recorded(a):
+            total = real(a)
+            if len(a) == 1:
+                one_row.append(not np.shares_memory(total, a))
+            return total
+
+        monkeypatch.setattr(conelab, "_colsum", recorded)
+        report = three_d_concentration_check(TestConcentrationCheck.SPECTRUM, gamma=0.5,
+                                             mu0=0.8, n_outer=2, seed=42)
+        assert one_row and all(one_row)
+        assert report.reference_triple == (0, 1, 3)
+
+
 class TestDiscMin:
     @given(case=disc_min_cases())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -614,14 +725,14 @@ class TestConcentrationCheck:
 
     @pytest.mark.parametrize("n_outer", [2.5, 2.0, True, "2", None])
     def test_n_outer_must_be_an_integer(self, monkeypatch, n_outer):
-        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        monkeypatch.setattr(conelab, "_ritz_gap", None)  # any search work would fail
         with pytest.raises(ValueError, match="n_outer"):
             three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
                                         n_outer=n_outer, seed=1)
 
     @pytest.mark.parametrize("seed", [None, 1.5, 1.0, -1, True, "1"])
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
-        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        monkeypatch.setattr(conelab, "_ritz_gap", None)  # any search work would fail
         with pytest.raises(ValueError, match="seed"):
             three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
                                         n_outer=1, seed=seed)
@@ -630,7 +741,7 @@ class TestConcentrationCheck:
         (None, 0.8), ("0.5", 0.8), (True, 0.8), (0.5, None), (0.5, "0.8"), (0.5, True),
     ])
     def test_gamma_and_mu0_must_be_real_numbers(self, monkeypatch, gamma, mu0):
-        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        monkeypatch.setattr(conelab, "_ritz_gap", None)  # any search work would fail
         name = "gamma" if not isinstance(gamma, float) else "mu0"
         with pytest.raises(ValueError, match=name):
             three_d_concentration_check(self.SPECTRUM, gamma=gamma, mu0=mu0,
@@ -638,7 +749,7 @@ class TestConcentrationCheck:
 
     def test_bottom_interval_rejected(self, monkeypatch):
         # no invariant triple (j, k, l) has mus[k] < mu0 with an l below k
-        monkeypatch.setattr(conelab, "ritz_gap", None)  # any search work would fail
+        monkeypatch.setattr(conelab, "_ritz_gap", None)  # any search work would fail
         with pytest.raises(ValueError, match="bottom interval"):
             three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.2, n_outer=1, seed=1)
 
@@ -668,10 +779,27 @@ class TestConcentrationCheck:
         # criterion 10's gate at the benchmark's settings on 16 seeds; the
         # budgets were set at about 1.5x the most calls (1,210, one call per
         # sampled round) and rows (3.86M) any of these seeds takes; with a
-        # call per block of columns, the most calls are 1,381
+        # call per block of columns, the most calls are 1,381.  The
+        # closed-form reference builds no scalar worst-case instance: it is
+        # one ritz_gap call per grid, 12 grids of 149 points in all per triple
         calls = count_ritz_gap_calls(monkeypatch)
+        instances = []
+        monkeypatch.setattr(conelab, "worst_case_instance",
+                            lambda setup: instances.append(setup))
+        reference_calls = []
+        real_reference = conelab._worst_value_3d
+
+        def counted_reference(*args):
+            start = len(calls)
+            value = real_reference(*args)
+            reference_calls.append(calls[start:])
+            return value
+
+        monkeypatch.setattr(conelab, "_worst_value_3d", counted_reference)
         report = three_d_concentration_check(self.SPECTRUM, gamma=0.5, mu0=0.8,
                                              n_outer=20, seed=seed)
+        assert instances == []
+        assert reference_calls == [[61] + [8] * 11] * 3
         assert report.n_significant <= 3
         assert report.reference_triple == (0, 1, 3)
         assert report.beats_reference_by <= 1e-12
@@ -724,6 +852,96 @@ class TestConcentrationCheck:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def scalar_worst_value_3d(mu_triple, gamma, mu0):
+    """Oracle of :func:`conelab._worst_value_3d`: its zoom with one scalar instance per point."""
+    mu_j, mu_k, _ = mu_triple
+    delta0 = (mu_j - mu0) / (mu0 - mu_k)
+
+    def value_at(u):
+        setup = WorstCaseSetup(mus=np.asarray(mu_triple), gamma=gamma, delta=delta0,
+                               t=10.0 ** u)
+        return worst_case_instance(setup).mu_after
+
+    us = np.linspace(-3.0, 3.0, 61)
+    spacing = us[1] - us[0]
+    best, center = math.inf, 0.0
+    while spacing > 1e-8:
+        values = [value_at(u) for u in us]
+        idx = int(np.argmin(values))
+        if values[idx] < best:
+            best, center = values[idx], us[idx]
+        spacing /= 4.0
+        us = center + spacing * np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+    return float(best)
+
+
+def check_triples(rng, n):
+    """Unit-scale mus of a random ``n``-spectrum, a level, a gamma and the check's triples."""
+    mus = np.sort(rng.uniform(0.05, 3.0, size=n))[::-1]
+    while np.min(-np.diff(mus)) < 1e-3:
+        mus = np.sort(rng.uniform(0.05, 3.0, size=n))[::-1]
+    mus = unit_scale(mus)[0]
+    i = int(rng.integers(0, n - 2))  # a level in (mus[i+1], mus[i]), above mus[-2]
+    mu0 = mus[i + 1] + rng.uniform(0.05, 0.95) * (mus[i] - mus[i + 1])
+    triples = [(mus[j], mus[k], mus[l]) for j in range(n - 2) for k in range(j + 1, n - 1)
+               for l in range(k + 1, n) if mus[k] < mu0 < mus[j]]
+    return mu0, rng.uniform(0.05, 0.95), triples
+
+
+class TestWorstValue3d:
+    # The batched closed-form reference against the scalar worst-case instance
+
+    @staticmethod
+    def cases():
+        """The benchmark check's three triples, then those of random checks at n = 3 to 5."""
+        mus = unit_scale(np.asarray(TestConcentrationCheck.SPECTRUM.mus, dtype=float))[0]
+        for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
+            yield tuple(mus[list(triple)]), 0.5, 0.8
+        rng = np.random.default_rng(28)
+        for n in (3, 4, 5):
+            for _ in range(3):
+                mu0, gamma, triples = check_triples(rng, n)
+                yield from ((triple, gamma, mu0) for triple in triples)
+
+    def test_grid_values_match_the_scalar_instance(self):
+        rng = np.random.default_rng(5)
+        for triple, gamma, mu0 in self.cases():
+            mu_j, mu_k, _ = triple
+            delta = (mu_j - mu0) / (mu0 - mu_k)
+            unit, e = unit_scale(np.asarray(triple))
+            _, a, b = conelab._level_set(unit, delta)
+            us = np.concatenate([np.linspace(-3.0, 3.0, 61), rng.uniform(-3.1, 3.1, 20)])
+            ts = [10.0 ** u for u in us.tolist()]
+            batched = conelab._worst_mu_after(unit, gamma, a, b, ts)
+            for t, value in zip(ts, batched):
+                scalar = worst_case_instance(WorstCaseSetup(mus=np.asarray(triple), gamma=gamma,
+                                                            delta=delta, t=t)).mu_after
+                assert abs(math.ldexp(value, e) - scalar) <= 4 * math.ulp(scalar), (triple, t)
+
+    def test_zoom_matches_the_scalar_zoom(self):
+        for triple, gamma, mu0 in list(self.cases())[::3]:
+            expected = scalar_worst_value_3d(triple, gamma, mu0)
+            got = conelab._worst_value_3d(triple, gamma, mu0)
+            assert abs(got - expected) <= 4 * math.ulp(expected), triple
+
+    def test_empty_cone_raises_as_the_instance_does(self):
+        # below the stationary floor, as in TestWorstCaseInstance.test_stationary_floor
+        mus = np.array([1.0, 0.5, 0.1])
+        t = t_star(4.0 / 9.0, 0.5)
+        for delta, raises in ((1e-24, False), (1e-26, True)):
+            _, a, b = conelab._level_set(mus, delta)
+            if raises:
+                with pytest.raises(StationaryPointError):
+                    worst_case_instance(WorstCaseSetup(mus=mus, gamma=0.5, delta=delta, t=t))
+                with pytest.raises(StationaryPointError):
+                    conelab._worst_mu_after(mus, 0.5, a, b, [1.0, t])
+            else:
+                value = conelab._worst_mu_after(mus, 0.5, a, b, [t])[0]
+                scalar = worst_case_instance(
+                    WorstCaseSetup(mus=mus, gamma=0.5, delta=delta, t=t)).mu_after
+                assert abs(value - scalar) <= 4 * math.ulp(scalar)
 
 
 class TestWorstCaseInstance:
