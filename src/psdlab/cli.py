@@ -464,7 +464,7 @@ _COMMANDS = {
     "certify": (cmd_certify, "randomized bound certification sweep",
                 _COMMON + ("trials", "n", "gammas", "solvers", "precond_scale")),
     "sharpness": (cmd_sharpness, "worst-case sharpness limit",
-                  _COMMON + ("mus", "gamma", "deltas", "t_mode", "t_grid")),
+                  ("output", "format", "mus", "gamma", "deltas", "t_mode", "t_grid")),
 }
 
 _CHOICES = {

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import SolverKind, _factor, _kappa_lenient
 from .errors import StationaryPointError
-from .iterate import _delta, psd_step
+from .iterate import _POW2_SAFE_EXP, _delta, psd_step
 from .pencil import DiagonalForm, _shifted_ritz_2x2, _unit_scale
 from .precond import Preconditioner, PrecondQuality
 
@@ -64,9 +64,14 @@ def _colsum(a):
     return total
 
 
-def _components_first(a):
-    """View of ``a`` with its last (component) axis moved to the front."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+def _pow2_unit(a):
+    """``(a * 2**-e, e)`` per row (last axis), by the rule of :func:`psdlab.iterate._pow2_scaled`.
+
+    ``e`` keeps the row axis; it is 0, and the row keeps every bit, inside ``2**±_POW2_SAFE_EXP``.
+    """
+    _, e = np.frexp(np.max(np.abs(a), axis=-1, keepdims=True))
+    e = np.where(np.abs(e) <= _POW2_SAFE_EXP, 0, e)
+    return np.ldexp(a, -e), e
 
 
 def _cross(a, b):
@@ -81,7 +86,7 @@ def _cross(a, b):
 
 
 def _cone_disc(mus, x, gamma):
-    """``mu(x)``, ``r = Bx - mu(x) x``, ``||r||``, the disc center and radius, and ``empty``.
+    """``mu(x)``, ``r = Bx - mu(x) x``, the disc center and radius, and ``empty``.
 
     ``x`` is one iterate ``(n,)`` or one iterate per column ``(n, m)``;
     every result has its trailing shape.  ``empty`` flags where
@@ -95,7 +100,7 @@ def _cone_disc(mus, x, gamma):
     empty = r_norm < 1e-13 * np.sqrt(_colsum(bx * bx))
     center = mu_x * x + (1.0 - gamma * gamma) * r
     radius = gamma * math.sqrt(1.0 - gamma * gamma) * r_norm
-    return mu_x, r, r_norm, center, radius, empty
+    return mu_x, r, center, radius, empty
 
 
 @dataclass(eq=False)
@@ -111,10 +116,13 @@ class ConeSpec:
     with center ``disc_center = mu(x) x + (1 - gamma^2) r``, radius
     ``disc_radius = gamma sqrt(1 - gamma^2) ||r||`` and normal ``r``;
     ``v = (x cross r) / |x cross r|`` is the unit in-disc direction
-    orthogonal to both ``x`` and ``r``.  The cone is built from ``mus`` at
-    unit scale (:func:`psdlab.pencil._unit_scale`), so its squares stay in
-    range whatever the units, and ``mu_x``, ``r``, the radii and the disc
-    center go back to the units of ``mus`` by that exact power of four.
+    orthogonal to both ``x`` and ``r``.  The cone is built at unit scale,
+    so its squares stay in range whatever the units: ``mus`` by the power
+    of four of :func:`psdlab.pencil._unit_scale`, ``x`` by a power of two
+    only outside ``2**±400``.  The cone keeps that unit state in ``_unit``:
+    ``(mus, e, x, es, r, disc_center, disc_radius)``.  ``mu_x`` and Ritz
+    values go back to the units of ``mus`` by ``2**e``; ``r``, the radii
+    and the disc center, of degree 1 in ``mus`` and in ``x``, by ``2**es``.
     """
 
     mus: np.ndarray
@@ -127,6 +135,7 @@ class ConeSpec:
     disc_center: np.ndarray = field(init=False)
     disc_radius: float = field(init=False)
     v: np.ndarray = field(init=False)
+    _unit: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mus = np.asarray(self.mus, dtype=float)
@@ -142,19 +151,18 @@ class ConeSpec:
         self.mus = mus
         self.x = x
         unit, e = _unit_scale(mus)
-        mu_x, r, _, disc_center, disc_radius, empty = _cone_disc(unit, x, self.gamma)
+        unit_x, ex = _pow2_unit(x)
+        es = e + int(ex[0])
+        mu_x, r, disc_center, disc_radius, empty = _cone_disc(unit, unit_x, self.gamma)
         if empty:
             raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
-        v = _cross(x, r)
+        self._unit = (unit, e, unit_x, es, r, disc_center, disc_radius)
+        v = _cross(unit_x, r)
         self.v = v / math.sqrt(v.dot(v))
-        radius = self.gamma * math.sqrt(r.dot(r))
-        if e:
-            mu_x, radius, disc_radius = (math.ldexp(value, e)
-                                         for value in (mu_x, radius, disc_radius))
-            r, disc_center = np.ldexp(r, e), np.ldexp(disc_center, e)
-        self.mu_x = float(mu_x)
-        self.r, self.disc_center = r, disc_center
-        self.radius, self.disc_radius = radius, disc_radius
+        self.mu_x = math.ldexp(mu_x, e)
+        self.r, self.disc_center = np.ldexp(r, es), np.ldexp(disc_center, es)
+        self.radius = math.ldexp(self.gamma * math.sqrt(r.dot(r)), es)
+        self.disc_radius = math.ldexp(disc_radius, es)
         self.center = mus * x
 
 
@@ -211,7 +219,9 @@ def ritz_gap(mus, x, directions):
     ``x`` in the eigenspace of ``mus[0]`` yields 0.  The gaps are taken
     on ``mus`` at unit scale (:func:`psdlab.pencil._unit_scale`), where
     the 2x2 products stay in range, and go back to the units of ``mus`` by
-    that exact power of four.
+    that exact power of four.  The gap is of degree 0 in each row of ``x``
+    and of ``directions``: a row whose largest entry lies outside
+    ``2**±400`` goes into range by a power of two, and a row inside keeps every bit.
 
     Value-only, and computed component-major: every product is
     elementwise and every sum runs over the components in index order,
@@ -220,18 +230,20 @@ def ritz_gap(mus, x, directions):
     LAPACK's generalized symmetric-definite solver.
     """
     unit, e = _unit_scale(np.asarray(mus, dtype=float))
-    gaps = _ritz_gap(unit, x, directions)
-    return np.ldexp(gaps, e) if e else gaps
+    x, d = (_pow2_unit(np.asarray(a, dtype=float))[0] for a in (x, np.atleast_2d(directions)))
+    ndim = max(x.ndim, d.ndim)
+    xt, dt = (np.moveaxis(a.reshape((1,) * (ndim - a.ndim) + a.shape), -1, 0) for a in (x, d))
+    return np.ldexp(_ritz_gap(unit, xt, dt), e)
 
 
-def _ritz_gap(mus, x, directions):
-    """:func:`ritz_gap` on ``mus`` as given: the module's callers pass unit-scale ``mus``."""
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    x = np.asarray(x, dtype=float)
-    dt = _components_first(d)
-    xt = _components_first(x)
-    xt = xt.reshape(xt.shape[:1] + (1,) * (d.ndim - x.ndim) + xt.shape[1:])
-    s = (mus[0] - mus).reshape((-1,) + (1,) * (max(d.ndim, x.ndim) - 1))
+def _ritz_gap(mus, xt, dt):
+    """:func:`ritz_gap` on component-major arrays, with ``mus`` as given.
+
+    ``xt`` and ``dt`` are ``(n, ...)`` of equal ndim, whose trailing axes
+    broadcast to the shape of the result.  The module's callers pass
+    unit-scale ``mus``, and iterates and directions in range.
+    """
+    s = (mus[0] - mus).reshape((-1,) + (1,) * (dt.ndim - 1))
     xh = xt / np.sqrt(_colsum(xt * xt))
     sxh = s * xh
     p = _colsum(xh * sxh)
@@ -254,17 +266,17 @@ def ritz_on_segment(cone, t):
 
     ``d(t) = t d1 + (1 - t) d2`` for ``t`` in ``[0, 1]`` (scalar or
     array): :func:`ritz_gap` evaluated on the segment's points, as
-    ``mus[0] - gap``, with the cone's mus and points at unit scale.
+    ``mus[0] - gap``, on the cone's unit state.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails it too
         raise ValueError("segment parameter t must lie in [0, 1]")
-    mus, e = _unit_scale(cone.mus)
-    d1, d2 = (np.ldexp(d, -e) for d in extremal_directions(cone))
-    d = np.outer(t_arr, d1) + np.outer(1.0 - t_arr, d2)
-    values = np.ldexp(mus[0] - _ritz_gap(mus, cone.x, d), e)
+    mus, e, x, _, _, center, radius = cone._unit
+    step = radius * cone.v
+    d = np.outer(center + step, t_arr) + np.outer(center - step, 1.0 - t_arr)
+    values = np.ldexp(mus[0] - _ritz_gap(mus, x[:, None], d), e)
     return float(values[0]) if scalar else values
 
 
@@ -285,11 +297,6 @@ def _disc_points(center, radius, basis, ys):
     return d
 
 
-def _larger_ritz(mus, x, d):
-    """Larger Ritz values of ``span{x[:, i], d[:, i, p]}`` as ``(m, P)``, by one :func:`_ritz_gap`."""
-    return mus[0] - _ritz_gap(mus, x.T[:, None, :], d.transpose(1, 2, 0))
-
-
 # Column x point entries of one block of :func:`_disc_min`: a (column,
 # point) temporary then takes 64 kB, and the block's working set stays
 # in cache (the fastest of 2^12 to 2^16 on the concentration check).
@@ -299,29 +306,27 @@ _BLOCK = 8192
 def _disc_min(mus, x, center, radius, basis, ys):
     """Smallest larger Ritz value over the disc points of each column ``x[:, i]``.
 
-    Shapes as in :func:`_disc_points`, with ``x`` ``(n, m)``.  The
-    columns go in blocks of at most ``_BLOCK`` column x point entries (a
-    column with more points is a block of its own), each block through
-    one :func:`ritz_gap` call; as both are batch-invariant, the blocks
-    give the bits of one call over all columns.  Returns per column the
-    value ``(m,)``, its direction ``(n, m)``, its ``y`` ``(k, m)`` and its
-    index among the column's points ``(m,)``, the first minimum's.
+    Shapes as in :func:`_disc_points`, with ``x`` ``(n, m)`` and ``ys``
+    the one pattern of ``P`` unit-ball points that every column shares,
+    ``(k, P)``.  The columns go in blocks of at most ``_BLOCK`` column x
+    point entries (a column with more points is a block of its own), each
+    block through one :func:`_ritz_gap` call; as both are batch-invariant,
+    the blocks give the bits of one call over all columns.  Returns per
+    column the value ``(m,)``, its direction ``(n, m)`` and its index
+    among the pattern's points ``(m,)``, the first minimum's.
     """
-    (n, m), (k, shared, p) = x.shape, ys.shape
-    value, direction = np.empty(m), np.empty((n, m))
-    y, idx = np.empty((k, m)), np.empty(m, dtype=np.intp)
+    (n, m), p = x.shape, ys.shape[1]
+    value, direction, idx = np.empty(m), np.empty((n, m)), np.empty(m, dtype=np.intp)
     width = max(1, _BLOCK // p)
+    ys = ys[:, None, :]
     for start in range(0, m, width):
         block = slice(start, start + width)
-        block_ys = ys if shared == 1 else ys[:, block]
-        d = _disc_points(center[:, block], radius[block], basis[:, :, block], block_ys)
-        values = _larger_ritz(mus, x[:, block], d)
+        d = _disc_points(center[:, block], radius[block], basis[:, :, block], ys)
+        values = mus[0] - _ritz_gap(mus, x[:, block, None], d)
         best = np.argmin(values, axis=1)
         cols = np.arange(best.size)
-        value[block], direction[:, block] = values[cols, best], d[:, cols, best]
-        y[:, block] = np.broadcast_to(block_ys, (k,) + values.shape)[:, cols, best]
-        idx[block] = best
-    return value, direction, y, idx
+        value[block], direction[:, block], idx[block] = values[cols, best], d[:, cols, best], best
+    return value, direction, idx
 
 
 def brute_force_cone_min(cone, n_samples):
@@ -331,22 +336,20 @@ def brute_force_cone_min(cone, n_samples):
     interior rings at 1/4, 1/2 and 3/4 of its radius in its ``(v, x/|x|)``
     basis (the oracle must not assume the extrema sit on the x-orthogonal
     segment, nor on the boundary), through :func:`_disc_min`: one
-    column, so one :func:`ritz_gap` call, on the cone's mus and disc at
-    unit scale.  Returns the minimum and the direction attaining it, in
-    the units of the cone's mus.
+    column, so one :func:`ritz_gap` call, on the cone's unit state.
+    Returns the minimum and the direction attaining it, in the units of
+    the cone's mus and x.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     angles = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
-    basis = np.column_stack([cone.v, cone.x / np.linalg.norm(cone.x)])
-    mus, e = _unit_scale(cone.mus)
-    value, direction, _, _ = _disc_min(mus, cone.x[:, None],
-                                       np.ldexp(cone.disc_center, -e)[:, None],
-                                       np.array([math.ldexp(cone.disc_radius, -e)]),
-                                       basis[:, :, None], ys.T[:, None, :])
-    return math.ldexp(value[0], e), np.ldexp(direction[:, 0], e)
+    mus, e, x, es, _, center, radius = cone._unit
+    basis = np.column_stack([cone.v, x / np.linalg.norm(x)])
+    value, direction, _ = _disc_min(mus, x[:, None], center[:, None], np.array([radius]),
+                                    basis[:, :, None], ys.T)
+    return math.ldexp(value[0], e), np.ldexp(direction[:, 0], es)
 
 
 # -- worst-case instances attaining the sharp factor -------------------------
@@ -397,7 +400,6 @@ class WorstCaseSetup:
     x: np.ndarray = field(init=False)
     kappa: float = field(init=False)
     sigma: float = field(init=False)
-    _unit: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mus = np.asarray(self.mus, dtype=float)
@@ -410,7 +412,7 @@ class WorstCaseSetup:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         self.mus = mus
-        unit, e = self._unit = _unit_scale(mus)
+        unit, e = _unit_scale(mus)
         mu, self.a, self.b = _level_set(unit, self.delta)
         self.mu = math.ldexp(mu, e)
         root = math.sqrt(1.0 + self.t * self.t)
@@ -479,16 +481,20 @@ def worst_aligned_preconditioner(cone, target):
     ``target`` lies in the cone's ball of admissible fixed-step iterates
     (a point outside raises ``ValueError``); ``E`` is the rank-two map of
     norm ``gamma`` sending the cone's ``r`` to ``cone.center - target``
-    (``cone.center`` is ``Bx``).  Diagonal coordinates; ``gamma = 0``
-    gives ``T = I``.
+    (``cone.center`` is ``Bx``).  ``E`` is of degree 0 in that pair, so it
+    is built from the cone's unit ``r`` and ``cone.center - target`` taken
+    to the same unit scale, whatever the units of ``mus`` and ``x``.
+    Diagonal coordinates; ``gamma = 0`` gives ``T = I``.
     """
     gamma = cone.gamma
     n = cone.x.size
     if gamma == 0.0:
-        e = np.zeros((n, n))
+        error = np.zeros((n, n))
     else:
-        e = _aligned_error_matrix(cone.r, cone.center - np.asarray(target, dtype=float), gamma)
-    return Preconditioner(matrix=np.eye(n) - e, quality=PrecondQuality.ideal(gamma),
+        _, _, _, es, r, _, _ = cone._unit
+        w = np.ldexp(cone.center - np.asarray(target, dtype=float), -es)
+        error = _aligned_error_matrix(r, w, gamma)
+    return Preconditioner(matrix=np.eye(n) - error, quality=PrecondQuality.ideal(gamma),
                           coords="diagonal")
 
 
@@ -498,13 +504,13 @@ def worst_case_instance(setup):
     :func:`worst_aligned_preconditioner` of the instance's cone makes
     the fixed step from ``setup.x`` land on :func:`worst_direction`; the
     deltas come from the step kernel's ``_delta``, accurate down to
-    ``delta`` near 1e-18.  The step runs at the setup's unit scale; ``d``
-    and the ``mu`` values go back to its units.  A numerically empty cone
+    ``delta`` near 1e-18.  The step runs on the cone's unit-scale mus;
+    ``mu_after`` goes back to the setup's units.  A numerically empty cone
     (``x`` within 1e-13 of an eigenvector, or a ``converged`` step) raises
     :class:`StationaryPointError`.
     """
-    mus, e = setup._unit
-    cone = ConeSpec(mus=mus, x=setup.x, gamma=setup.gamma)
+    cone = setup.cone()
+    mus, e = cone._unit[:2]
     d = worst_direction(cone)
     form = DiagonalForm(mus=mus, basis=np.eye(3), inverse_basis=np.eye(3))
     step = psd_step(form, worst_aligned_preconditioner(cone, d), setup.x)
@@ -514,8 +520,7 @@ def worst_case_instance(setup):
     delta_before = _delta(lam, mus, setup.x, 0)
     delta_after = _delta(lam, mus, step.x, 0)
     return WorstCaseResult(
-        x=setup.x, d=np.ldexp(d, e), mu_before=math.ldexp(cone.mu_x, e),
-        mu_after=math.ldexp(step.rho.mu, e),
+        x=setup.x, d=d, mu_before=cone.mu_x, mu_after=math.ldexp(step.rho.mu, e),
         delta_before=delta_before, delta_after=delta_after,
         measured_ratio=delta_after / delta_before,
         predicted_ratio=setup.sigma ** 2,  # as bounds.certify_step squares it
@@ -643,12 +648,12 @@ def _worst_mu_after(unit, gamma, a, b, ts):
     ts = np.asarray(ts, dtype=float)
     root = np.sqrt(1.0 + ts * ts)
     x = np.stack([np.ones_like(ts), a / root, b * ts / root])
-    _, r, _, center, radius, empty = _cone_disc(unit, x, gamma)
+    _, r, center, radius, empty = _cone_disc(unit, x, gamma)
     if np.any(empty):
         raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
     v = _cross(x, r)
     d = center + radius * (v / np.sqrt(_colsum(v * v)))
-    return unit[0] - _ritz_gap(unit, x.T, d.T)
+    return unit[0] - _ritz_gap(unit, x, d)
 
 
 def _worst_value_3d(mu_triple, gamma, mu0):
@@ -748,38 +753,34 @@ def _compass(objective, y, value, moves, step, floor, project):
 def _disc_worst(mus, x, gamma, samples, refine=True):
     """Inner level: smallest larger Ritz value over the cone of each column of ``x``.
 
-    ``x`` is ``(n, m)``; returns the values ``(m,)`` and their
-    directions ``(n, m)``, ``inf`` and NaN where the cone is empty.
-    ``samples`` is a fixed pattern of points of the unit ball in
-    dimension ``k = n - 1``, as rows (so the outer objective is
+    ``x`` is ``(n, m)``; returns the values ``(m,)``, ``inf`` where the
+    cone is empty.  ``samples`` is a fixed pattern of points of the unit
+    ball in dimension ``k = n - 1``, as rows (so the outer objective is
     deterministic); the samples of all columns go through
     :func:`_disc_min`, in blocks of columns.  ``refine`` polishes each
     column's best sample by :func:`_compass` over the ``3^k - 1`` stencil,
     projected into the unit ball, down to a step of 1e-10; the columns
-    are polished in lockstep, one :func:`ritz_gap` call per round.
+    are polished in lockstep, one :func:`_ritz_gap` call per round.
     """
-    n, m = x.shape
-    value = np.full(m, math.inf)
-    direction = np.full((n, m), math.nan)
-    _, r, _, center, radius, empty = _cone_disc(mus, x, gamma)
+    value = np.full(x.shape[1], math.inf)
+    _, r, center, radius, empty = _cone_disc(mus, x, gamma)
     ok = np.flatnonzero(~empty)
     x, center, radius = x[:, ok], center[:, ok], radius[ok]
     basis = _perp_basis(r[:, ok])
-    best, _, y, _ = _disc_min(mus, x, center, radius, basis, samples.T[:, None, :])
+    best, _, idx = _disc_min(mus, x, center, radius, basis, samples.T)
     if refine:
-        k = n - 1
+        k = x.shape[0] - 1
         stencil = np.indices((3,) * k).reshape(k, -1) - 1.0
         stencil = stencil[:, np.any(stencil, axis=0)]
 
         def disc_values(cols, ys):
-            return _larger_ritz(mus, x[:, cols],
-                                _disc_points(center[:, cols], radius[cols], basis[:, :, cols], ys))
+            d = _disc_points(center[:, cols], radius[cols], basis[:, :, cols], ys)
+            return mus[0] - _ritz_gap(mus, x[:, cols, None], d)
 
-        y, best = _compass(disc_values, y, best, stencil, _MAX_STEP, 1e-10,
+        _, best = _compass(disc_values, samples.T[:, idx], best, stencil, _MAX_STEP, 1e-10,
                            project=lambda ys: ys / np.maximum(1.0, np.sqrt(_colsum(ys * ys))))
     value[ok] = best
-    direction[:, ok] = _disc_points(center, radius, basis, y[:, :, None])[:, :, 0]
-    return value, direction
+    return value
 
 
 def _is_int(value):
@@ -797,22 +798,20 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     norm (the iterate ignores both scales): ``n_outer`` seeded starts
     descend in lockstep on the sampled cone minimum down to a step of
     1e-4, and the best start is polished on the refined minimum down to
-    1e-10.  The optimizer is then
-    hard-thresholded coordinate by coordinate (a zeroed coordinate is
-    kept only if re-optimizing the others on the refined minimum does not
-    worsen the objective), and the report compares the best value
-    against the closed-form worst value of every admissible invariant
-    triple, a zoom over the triple's level set whose every grid is one
-    batched :func:`ritz_gap` call (no scalar :func:`worst_case_instance`
-    is built).  The search runs on ``mus`` and ``mu0`` at unit scale
+    1e-10.  The optimizer is then hard-thresholded coordinate by
+    coordinate (a zeroed coordinate is kept only if re-optimizing the
+    others on the refined minimum does not worsen the objective), and the
+    report compares the best value against the closed-form worst value of
+    every admissible invariant triple, a zoom over the triple's level set
+    whose every grid is one batched :func:`_ritz_gap` call.  The search
+    runs on ``mus`` and ``mu0`` at unit scale
     (:func:`psdlab.pencil._unit_scale`), where its tolerances apply, and
     reports its values in the spectrum's units.  Report-only: the caller
     decides what to do with a discordant outcome.  ``mu0`` must lie above
     ``mus[-2]``, where some triple brackets it.  ``n_outer`` must be an
-    integer of at least 1, ``seed`` a
-    nonnegative integer and ``gamma`` and ``mu0`` real numbers (bools are
-    none of these); anything else raises ``ValueError`` before the search
-    starts.
+    integer of at least 1, ``seed`` a nonnegative integer and ``gamma``
+    and ``mu0`` real numbers (bools are none of these); anything else
+    raises ``ValueError`` before the search starts.
     """
     if not _is_int(n_outer) or n_outer < 1:
         raise ValueError(f"n_outer must be an integer of at least 1, got {n_outer!r}")
@@ -864,7 +863,7 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
         def evaluate(cols, params):
             x, valid = x_of(params.reshape(n, -1))
             values = np.full(valid.size, 1e3 * mus[0])
-            values[valid] = _disc_worst(mus, x[:, valid], gamma, samples, refine=refine)[0]
+            values[valid] = _disc_worst(mus, x[:, valid], gamma, samples, refine=refine)
             return values.reshape(params.shape[1:])
         return evaluate
 

@@ -790,6 +790,18 @@ class TestUsageErrors:
         assert main(self.ARGS + bad) == EXIT_ERROR
         assert capsys.readouterr().err == f"psdlab: error: {message}\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1"), ("--max-steps", "10"), ("--residual-tol", "1e-8"),
+        ("--delta-tol", "1e-9"),
+    ])
+    def test_sharpness_takes_no_solver_settings(self, flag, value, capsys):
+        # sharpness runs no seeded or iterated solve: the settings it would
+        # ignore are not its flags (a config file may still carry them)
+        args = ["sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5", flag, value]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"psdlab: error: unrecognized arguments: {flag} {value}\n")
+
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("psdlab: error: ")
@@ -922,7 +934,7 @@ class TestOptionsDeclaredOnce:
     HELP = {
         "solve": "adf1a341c0cf39b31c2565c97dce4df29cad0eb4467e520b83c14548f6dc2d59",
         "certify": "4166de7731a69276810ea9eee590c875a4ebe95f1ebc7b552fa6b89c894cc872",
-        "sharpness": "1cc718c29ca36b198f5c490db38b6f8224dea78592a3acdf4d2548428fd06979",
+        "sharpness": "51c868cde6d01c9afcd5c5af2aea9f0d7aad928bbab2299ab416a4d2ec17f5ea",
     }
 
     def test_help_text_unchanged(self, monkeypatch):

@@ -69,7 +69,7 @@ def dense_disc_min(mus, x, gamma, k):
     call.  It shares no step rule with the polish.
     """
     n_points = 50_000
-    _, r, _, center, radius, _ = _cone_disc(mus, x[:, None], gamma)
+    _, r, center, radius, _ = _cone_disc(mus, x[:, None], gamma)
     basis = _perp_basis(r)
     rng = np.random.default_rng(0)
     ys = rng.standard_normal((n_points, k))
@@ -95,30 +95,28 @@ def disc_min_one(mus, x, center, radius, basis, ys):
     ``ys`` holds the unit-ball points as rows; returns the smallest
     value and its ``y``.
     """
-    value, _, y, _ = _disc_min(mus, x[:, None], center, radius, basis, ys.T[:, None, :])
-    return float(value[0]), y[:, 0]
+    value, _, idx = _disc_min(mus, x[:, None], center, radius, basis, ys.T)
+    return float(value[0]), ys[idx[0]]
 
 
 def one_call_disc_min(mus, x, center, radius, basis, ys):
     """Oracle of the blocked :func:`_disc_min`: every column's points in one call."""
-    d = conelab._disc_points(center, radius, basis, ys)
-    values = conelab._larger_ritz(mus, x, d)
+    d = conelab._disc_points(center, radius, basis, ys[:, None, :])
+    values = mus[0] - conelab._ritz_gap(mus, x[:, :, None], d)
     idx = np.argmin(values, axis=1)
     cols = np.arange(idx.size)
-    ys = np.broadcast_to(ys, (ys.shape[0],) + values.shape)
-    return values[cols, idx], d[:, cols, idx], ys[:, cols, idx], idx
+    return values[cols, idx], d[:, cols, idx], idx
 
 
 @st.composite
 def disc_min_cases(draw):
-    """Disc data of ``m`` random columns and their ``(k, 1, P)`` or ``(k, m, P)`` points.
+    """Disc data of ``m`` random columns and the ``(k, P)`` points they share.
 
     ``m`` sits one below, at or one above a multiple of the block's
     column count (0 included: every cone of a search round can be
     empty), or is a column or two whose points exceed the block.
     """
     n = draw(st.sampled_from([3, 4, 5]))
-    shared = draw(st.booleans())
     if draw(st.booleans()):
         p = draw(st.integers(conelab._BLOCK + 1, conelab._BLOCK + 300))
         m = draw(st.integers(1, 2))
@@ -129,17 +127,16 @@ def disc_min_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mus = np.sort(rng.uniform(0.05, 3.0, size=n))[::-1]
     x = rng.standard_normal((n, m))
-    _, r, _, center, radius, _ = _cone_disc(mus, x, rng.uniform(0.05, 0.95))
-    ys = rng.standard_normal((n - 1, 1 if shared else m, p))
+    _, r, center, radius, _ = _cone_disc(mus, x, rng.uniform(0.05, 0.95))
+    ys = rng.standard_normal((n - 1, p))
     ys /= np.maximum(1.0, np.linalg.norm(ys, axis=0))
     return mus, x, center, radius, _perp_basis(r), ys
 
 
 def disc_worst_one(mus, x, gamma, samples, refine):
-    """:func:`_disc_worst` on a batch of one ``x``: its value and direction."""
-    value, direction = _disc_worst(mus, np.asarray(x, dtype=float)[:, None], gamma, samples,
-                                   refine=refine)
-    return float(value[0]), direction[:, 0]
+    """:func:`_disc_worst` on a batch of one ``x``: its value."""
+    return float(_disc_worst(mus, np.asarray(x, dtype=float)[:, None], gamma, samples,
+                             refine=refine)[0])
 
 
 def count_ritz_gap_calls(monkeypatch):
@@ -158,6 +155,19 @@ def count_ritz_gap_calls(monkeypatch):
 
     monkeypatch.setattr(conelab, "_ritz_gap", counted)
     return calls
+
+
+def spy_ritz_gap_directions(monkeypatch):
+    """Record the directions ``dt`` of conelab's ``_ritz_gap`` calls in the returned list."""
+    points = []
+    real = conelab._ritz_gap
+
+    def spied(mus, xt, dt):
+        points.append(np.array(dt))
+        return real(mus, xt, dt)
+
+    monkeypatch.setattr(conelab, "_ritz_gap", spied)
+    return points
 
 
 def in_ball(cone, d):
@@ -226,7 +236,7 @@ class TestConeSpec:
         rng = np.random.default_rng(4)
         for _ in range(20):
             cone = random_cone(rng, nonnegative=False)
-            _, r, _, center, radius, _ = _cone_disc(cone.mus, cone.x, cone.gamma)
+            _, r, center, radius, _ = _cone_disc(cone.mus, cone.x, cone.gamma)
             np.testing.assert_array_equal(cone.r, r)
             np.testing.assert_array_equal(cone.disc_center, center)
             assert cone.disc_radius == radius
@@ -268,8 +278,9 @@ class TestConeSpec:
 
 
 class TestScaleSafeGeometry:
-    # ConeSpec, brute_force_cone_min, ritz_on_segment and ritz_gap take their
-    # mus at unit scale; at c = 1e±200 their squares leave the double range
+    # ConeSpec, brute_force_cone_min, ritz_on_segment, ritz_gap and
+    # worst_aligned_preconditioner take their mus, x and directions at unit
+    # scale; at c = 1e±200 their squares leave the double range
     X = np.array([1.0, 0.7, 0.4])
     ROWS = np.array([[0.3, 1.0, 0.2], [1.0, -0.5, 0.25]])
     T = np.array([0.0, 0.3, 1.0])
@@ -311,6 +322,63 @@ class TestScaleSafeGeometry:
         gap = ritz_gap(1e-200 * np.array([1.0, 0.5, 0.25]), self.X, self.ROWS[:1])[0]
         assert gap == pytest.approx(1e-200 * ritz_gap(MUS, self.X, self.ROWS[:1])[0], rel=1e-12)
         assert gap == pytest.approx(7.2e-202, rel=0.01)
+
+    @classmethod
+    def _x_outputs(cls, c):
+        """Every cone geometry output on ``c * x`` or ``c * d``, with its degree in ``c``."""
+        cone = ConeSpec(mus=MUS, x=c * cls.X, gamma=0.5)
+        value, direction = brute_force_cone_min(cone, 200)
+        worst = worst_direction(cone)
+        return {
+            "mu_x": (cone.mu_x, 0), "r": (cone.r, 1), "center": (cone.center, 1),
+            "radius": (cone.radius, 1), "disc_center": (cone.disc_center, 1),
+            "disc_radius": (cone.disc_radius, 1), "v": (cone.v, 0),
+            "cone_min": (value, 0), "cone_min_direction": (direction, 1),
+            "segment": (ritz_on_segment(cone, cls.T), 0), "worst": (worst, 1),
+            "aligned": (worst_aligned_preconditioner(cone, worst).matrix, 0),
+            "gaps_x": (ritz_gap(MUS, c * cls.X, cls.ROWS), 0),
+            "gaps_x_rows": (ritz_gap(MUS, c * np.stack([cls.X, -cls.X]), cls.ROWS), 0),
+            "gaps_d": (ritz_gap(MUS, cls.X, c * cls.ROWS), 0),
+            "gaps_d_row": (ritz_gap(MUS, cls.X, np.stack([cls.ROWS[0], c * cls.ROWS[1]])), 0),
+        }
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_extreme_x_and_direction_scales_give_the_plain_values(self, c):
+        base = self._x_outputs(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = self._x_outputs(c)
+        for name, (value, degree) in scaled.items():
+            np.testing.assert_allclose(np.asarray(value) / c ** degree, base[name][0],
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_a_power_of_two_on_x_and_directions_keeps_every_bit(self, power):
+        base = self._x_outputs(1.0)
+        for name, (value, degree) in self._x_outputs(2.0 ** power).items():
+            np.testing.assert_array_equal(value, np.ldexp(base[name][0], power * degree),
+                                          err_msg=name)
+
+    @staticmethod
+    def _aligned(c):
+        """The worst-aligned ``T`` of the cone on mus ``c * (1, 0.5, 0.25)``."""
+        cone = ConeSpec(mus=c * MUS, x=TestScaleSafeGeometry.X, gamma=0.5)
+        return worst_aligned_preconditioner(cone, worst_direction(cone)).matrix
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_aligned_preconditioner_keeps_every_bit_under_a_power_of_two(self, power):
+        # T is of degree 0 in mus: at 2**-600 it read I (E = 0 from an
+        # underflowed norm), and at 2**600 a norm overflowed
+        np.testing.assert_array_equal(self._aligned(2.0 ** power), self._aligned(1.0))
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_aligned_preconditioner_at_extreme_scales(self, c):
+        base = self._aligned(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = self._aligned(c)
+        assert np.max(np.abs(scaled - base)) <= 1e-15 * np.max(np.abs(base))
+        assert np.max(np.abs(base - np.eye(3))) > 0.4  # E is not lost
 
 
 class TestExtremalDirections:
@@ -430,7 +498,39 @@ def ritz_gap_cases(draw):
     return mus, x, np.array(rows), parallel
 
 
+@st.composite
+def layout_cases(draw):
+    """Unit-scale mus and component-major ``(xt, dt)`` in one of ``_ritz_gap``'s three layouts.
+
+    One x per column with ``P`` points each, ``(n, m, 1)`` with
+    ``(n, m, P)``; one x per direction, ``(n, m)`` with ``(n, m)``; and
+    one shared x, ``(n, 1)`` with ``(n, P)``.
+    """
+    n, m, p = draw(st.integers(3, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mus = unit_scale(np.sort(rng.uniform(0.05, 3.0, size=n))[::-1])[0]
+    x_shape, d_shape = draw(st.sampled_from([((n, m, 1), (n, m, p)), ((n, m), (n, m)),
+                                             ((n, 1), (n, p))]))
+    xt = rng.standard_normal(x_shape)
+    dt = rng.standard_normal(d_shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=d_shape[1:])
+    if draw(st.booleans()):
+        dt[..., 0] = 2.5 * xt[..., 0]  # a direction parallel to its x
+    return mus, xt, dt
+
+
 class TestRitzGap:
+    @given(case=layout_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_public_rows_match_the_component_major_core(self, case):
+        # public ritz_gap takes rows and moves the component axis to the
+        # front once; the module's searches call _ritz_gap on the
+        # component-major arrays they hold, and the bits are the same
+        mus, xt, dt = case
+        core = conelab._ritz_gap(mus, xt, dt)
+        rows = ritz_gap(mus, np.moveaxis(xt, 0, -1), np.moveaxis(dt, 0, -1))
+        assert rows.shape == core.shape
+        assert np.array_equal(rows, core)
+
     @given(case=ritz_gap_cases())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_rayleigh_ritz(self, case):
@@ -561,7 +661,7 @@ class TestRitzOnSegment:
 
 
 class TestBruteForce:
-    def test_samples_stay_in_ball(self):
+    def test_samples_stay_in_ball(self, monkeypatch):
         rng = np.random.default_rng(10)
         cone = random_cone(rng)
         xh = cone.x / np.linalg.norm(cone.x)
@@ -569,14 +669,17 @@ class TestBruteForce:
         circle = np.outer(np.cos(angles), cone.v) + np.outer(np.sin(angles), xh)
         for frac in (0.25, 0.5, 0.75, 1.0):
             assert in_ball(cone, cone.disc_center + cone.disc_radius * frac * circle)
-        # the directions the production searches return
+        # the directions the production searches return or evaluate: the
+        # sampled and polished disc points of _disc_worst, as _ritz_gap sees them
         for _ in range(20):
             cone = random_cone(rng)
             assert in_ball(cone, brute_force_cone_min(cone, 500)[1])
-            samples = ball_pattern(rng, 2)
-            for refine in (False, True):
-                assert in_ball(cone, disc_worst_one(cone.mus, cone.x, cone.gamma,
-                                                    samples, refine=refine)[1])
+            points = spy_ritz_gap_directions(monkeypatch)
+            disc_worst_one(cone.mus, cone.x, cone.gamma, ball_pattern(rng, 2), refine=True)
+            monkeypatch.undo()
+            assert len(points) > 1  # the samples, then the polish's rounds
+            for d in points:
+                assert in_ball(cone, d.reshape(3, -1).T)
 
     def test_gamma_zero_single_direction(self):
         cone = ConeSpec(mus=MUS, x=np.ones(3), gamma=0.0)
@@ -644,7 +747,7 @@ class TestDiscMin:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_blocks_give_the_bits_of_one_call(self, case):
         # the blocks split only the column axis, and _disc_points and ritz_gap
-        # are batch-invariant: values, directions, y and indices are those of
+        # are batch-invariant: values, directions and indices are those of
         # one call over every column
         blocked = _disc_min(*case)
         whole = one_call_disc_min(*case)
@@ -655,10 +758,10 @@ class TestDiscMin:
     def test_first_minimum_wins(self):
         # two copies of every point: each column's index is the first copy's
         x = np.array([[1.0, 1.0], [0.7, 0.2], [0.4, 0.9]])
-        _, r, _, center, radius, _ = _cone_disc(MUS, x, 0.5)
+        _, r, center, radius, _ = _cone_disc(MUS, x, 0.5)
         ring = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
-        ys = np.tile(np.array([np.cos(ring), np.sin(ring)]), 2)[:, None, :]
-        _, _, _, idx = _disc_min(MUS, x, center, radius, _perp_basis(r), ys)
+        ys = np.tile(np.array([np.cos(ring), np.sin(ring)]), 2)
+        _, _, idx = _disc_min(MUS, x, center, radius, _perp_basis(r), ys)
         assert np.all(idx < 7)
 
 
@@ -670,8 +773,8 @@ class TestDiscWorst:
             cone = random_cone(rng)
             samples = ball_pattern(rng, 2)
             args = (cone.mus, cone.x, cone.gamma, samples)
-            refined, _ = disc_worst_one(*args, refine=True)
-            sampled, _ = disc_worst_one(*args, refine=False)
+            refined = disc_worst_one(*args, refine=True)
+            sampled = disc_worst_one(*args, refine=False)
             brute, _ = brute_force_cone_min(cone, 20_000)
             assert abs(refined - brute) <= 1e-8
             assert refined <= brute + 1e-12 * abs(brute)
@@ -688,8 +791,8 @@ class TestDiscWorst:
             x = rng.uniform(0.1, 1.0, size=n)
             gamma = rng.uniform(0.05, 0.95)
             samples = ball_pattern(rng, n - 1)
-            refined, _ = disc_worst_one(mus, x, gamma, samples, refine=True)
-            sampled, _ = disc_worst_one(mus, x, gamma, samples, refine=False)
+            refined = disc_worst_one(mus, x, gamma, samples, refine=True)
+            sampled = disc_worst_one(mus, x, gamma, samples, refine=False)
             dense = dense_disc_min(mus, x, gamma, n - 1)
             assert abs(refined - dense) <= 1e-8
             assert refined <= dense + 1e-12 * abs(dense)
@@ -708,7 +811,7 @@ class TestDiscWorst:
         x = np.array(x)
         samples = ball_pattern(np.random.default_rng(45), 3)
         calls = count_ritz_gap_calls(monkeypatch)
-        refined, _ = disc_worst_one(mus, x, 0.5, samples, refine=True)
+        refined = disc_worst_one(mus, x, 0.5, samples, refine=True)
         assert len(calls) <= 30
         monkeypatch.undo()
         assert abs(refined - dense_disc_min(mus, x, 0.5, 3)) <= 1e-8
@@ -755,7 +858,7 @@ class TestConcentrationCheck:
 
     def test_numpy_floats_accepted(self, monkeypatch):
         # a flat cone objective: only the input handling is under test
-        monkeypatch.setattr(conelab, "_disc_worst", lambda *args, **kwargs: (1.0, None))
+        monkeypatch.setattr(conelab, "_disc_worst", lambda *args, **kwargs: 1.0)
         report = three_d_concentration_check(
             Spectrum(lambdas=1.0 / np.array([1.0, 0.6, 0.1])), gamma=np.float32(0.5),
             mu0=np.float64(0.8), n_outer=1, seed=3,

@@ -193,3 +193,38 @@ def test_hot_path_objects_match_keyword_construction():
         with pytest.raises(AttributeError):
             setattr(obj, STEP_TYPES[cls][1], 1.0)
     assert seen == set(STEP_TYPES)
+
+
+def _private_definitions(tree):
+    """The private top-level functions, classes and constants of a module, with their nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_loaded_by_the_package():
+    # a private helper, class or constant that only the tests (or its own
+    # docstring) name is code kept for the tests; an import alone is no use
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(psdlab.__file__).parent.glob("*.py"))}
+    loads = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                loads.setdefault(name, []).append((path, node.lineno))
+    unused = [
+        f"{path.name}:{name}"
+        for path, tree in trees.items() for name, node in _private_definitions(tree)
+        if all(where == path and node.lineno <= line <= node.end_lineno
+               for where, line in loads.get(name, []))
+    ]
+    assert unused == []
