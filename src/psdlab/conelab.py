@@ -795,10 +795,13 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     (:func:`_disc_worst`) evaluates without assumptions.  The outer search
     is :func:`_compass` over coordinate moves of the parameters, whose
     entries for eigenvalues above and below ``mu0`` are each kept at unit
-    norm (the iterate ignores both scales): ``n_outer`` seeded starts
-    descend in lockstep on the sampled cone minimum down to a step of
-    1e-4, and the best start is polished on the refined minimum down to
-    1e-10.  The optimizer is then hard-thresholded coordinate by
+    norm (the iterate ignores both scales).  A coordinate moves only if
+    it is free and not the only free coordinate of its block, which that
+    norm pins at +-1; a search with no such coordinate evaluates its
+    start and returns it.  ``n_outer`` seeded starts descend in lockstep
+    on the sampled cone minimum down to a step of 1e-4, and the best
+    start is polished on the refined minimum down to 1e-10.  The
+    optimizer is then hard-thresholded coordinate by
     coordinate (a zeroed coordinate is kept only if re-optimizing the
     others on the refined minimum does not worsen the objective), and the
     report compares the best value against the closed-form worst value of
@@ -881,10 +884,18 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
         return out
 
     def descend(evaluate, params, free, step, floor):
-        moves = np.eye(n)[:, free]
-        moves = np.concatenate([moves, -moves], axis=1)
+        # A block's lone free coordinate sits at +-1, and unit_blocks maps
+        # every step of it (at most 0.25) back there: it cannot move.
+        movable = free.copy()
+        for block in (pos, neg):
+            if np.count_nonzero(free[block]) == 1:
+                movable[block] = False
         params = unit_blocks(params)
         start = evaluate(None, params[:, :, None])[:, 0]
+        if not movable.any():
+            return params, start
+        moves = np.eye(n)[:, movable]
+        moves = np.concatenate([moves, -moves], axis=1)
         return _compass(evaluate, params, start, moves, step, floor, project=unit_blocks)
 
     sampled, refined = objective(refine=False), objective(refine=True)

@@ -877,14 +877,154 @@ class TestConcentrationCheck:
     TRIPLE_VALUES = {(0, 1, 2): 0.890226562483907, (0, 1, 3): 0.8692938785492135,
                      (0, 2, 3): 0.9266496068145708}
 
+    # Outputs at n_outer 20 of the search that also moved a block's lone
+    # free coordinate (its +-1 entry, which unit_blocks maps back), as exact
+    # reprs: skipping those moves keeps every bit.  best_value and best_x
+    # per seed of the sweep below, where significant is (0, 1, 3):
+    SWEEP_BITS = {
+        42: (0.8692938785492142,
+             (0.7281297917879076, -0.6675991397235449, 0.0, -0.1553653595602352)),
+        43: (0.8692938785492139,
+             (-0.7281297927286414, 0.667599137876692, 0.0, -0.15536536308728321)),
+        44: (0.8692938785492139,
+             (-0.7281297996779554, 0.6675991242337674, 0.0, -0.15536538914200745)),
+        45: (0.8692938785492137,
+             (-0.7281297952388185, 0.6675991329487011, 0.0, 0.15536537249856808)),
+        46: (0.8692938785492136,
+             (0.7281297952626132, 0.6675991329019871, 0.0, -0.15536537258778074)),
+        47: (0.8692938785492136,
+             (0.7281297938975692, -0.6675991355818478, 0.0, 0.15536536746988736)),
+        48: (0.8692938785492139,
+             (0.7281297966160264, -0.6675991302449603, 0.0, 0.1553653776620667)),
+        49: (0.8692938785492146,
+             (-0.7281298006838368, -0.6675991222590163, 0.0, -0.1553653929133095)),
+        50: (0.8692938785492137,
+             (-0.7281297920328387, -0.667599139242695, 0.0, -0.1553653604785436)),
+        51: (0.8692938785492141,
+             (0.7281298004176446, 0.667599122781606, 0.0, 0.1553653919152882)),
+        52: (0.8692938785492139,
+             (0.7281297951288179, 0.6675991331646546, 0.0, -0.15536537208614853)),
+        53: (0.8692938785492137,
+             (-0.7281297943696302, 0.6675991346550952, 0.0, 0.15536536923976316)),
+        54: (0.8692938785492138,
+             (-0.7281297933946037, 0.6675991365692718, 0.0, -0.15536536558414318)),
+        55: (0.8692938785492138,
+             (-0.7281297916068373, 0.6675991400790227, 0.0, -0.1553653588813573)),
+        56: (0.8692938785492139,
+             (0.7281297964053808, 0.6675991306585004, 0.0, -0.15536537687230398)),
+        57: (0.8692938785492144,
+             (0.7281297908243275, 0.6675991416152497, 0.0, -0.15536535594753098)),
+    }
+    SWEEP_TRIPLE_BITS = {(0, 1, 2): 0.890226562483907, (0, 1, 3): 0.8692938785492136,
+                         (0, 2, 3): 0.9266496068145708}
+    # (mus, gamma, mu0, best_value, best_x, significant, triple_values) at
+    # seed 42: a lone block at n = 3 and n = 5, a level in the middle of
+    # n = 5 and one in the middle of n = 4, where no block starts lone
+    LEVEL_BITS = [
+        ((1.0, 0.6, 0.1), 0.5, 0.8, 0.8692938785492137,
+         (0.728129792411745, 0.6675991384988244, 0.15536536189915887), (0, 1, 2),
+         {(0, 1, 2): 0.8692938785492136}),
+        ((1.0, 0.7, 0.5, 0.3, 0.1), 0.4, 0.85, 0.8979058728437173,
+         (-0.7290848864217114, -0.6727947997622752, 0.0, 0.0, -0.12562796585267139), (0, 1, 4),
+         {(0, 1, 2): 0.9356191016843678, (0, 1, 3): 0.9120317902951042,
+          (0, 1, 4): 0.8979058728437173, (0, 2, 3): 0.953657153446109,
+          (0, 2, 4): 0.936589304488977, (0, 3, 4): 0.9605172254141607}),
+        ((1.0, 0.7, 0.5, 0.3, 0.1), 0.4, 0.6, 0.6319372485624782,
+         (0.0, 0.7290848832642173, -0.6727948048947792, 0.0, 0.12562795669037477), (1, 2, 4),
+         {(0, 2, 3): 0.8285146064580706, (0, 2, 4): 0.7595938213030256,
+          (0, 3, 4): 0.8790537857052174, (1, 2, 3): 0.6481509801013834,
+          (1, 2, 4): 0.6319372485624781, (1, 3, 4): 0.6665930169633504}),
+        ((1.0, 0.6, 0.3, 0.1), 0.5, 0.45, 0.5211093337432419,
+         (0.0, -0.7294969073074806, -0.6477543172932568, 0.219655654734332), (1, 2, 3),
+         {(0, 2, 3): 0.7457894758840526, (1, 2, 3): 0.521109333743242}),
+    ]
+
+    @staticmethod
+    def assert_bits(report, best_value, best_x, significant, triple_values):
+        """``report`` holds these values bit for bit (``float.hex`` tells -0.0 from 0.0)."""
+        assert report.best_value.hex() == best_value.hex()
+        assert [float(v).hex() for v in report.best_x] == [v.hex() for v in best_x]
+        assert report.significant == significant
+        assert {t: v.hex() for t, v in report.triple_values.items()} == {
+            t: v.hex() for t, v in triple_values.items()}
+
+    @pytest.mark.parametrize("case", LEVEL_BITS, ids=lambda case: f"{len(case[0])}-{case[2]}")
+    def test_other_levels_keep_every_bit(self, case):
+        mus, gamma, mu0, *bits = case
+        report = three_d_concentration_check(Spectrum(lambdas=1.0 / np.array(mus)),
+                                             gamma=gamma, mu0=mu0, n_outer=20, seed=42)
+        self.assert_bits(report, *bits)
+
+    @staticmethod
+    def spy_search(monkeypatch, mus, mu0):
+        """The outer search's events in one check, and its ``(pos, neg)`` blocks.
+
+        ``("eval", x)`` for each objective call (its iterates ``x``),
+        ``("round", y, moves)`` for each outer :func:`_compass` call.  The
+        disc polish's own compass calls (``k = n - 1`` rows) are left out.
+        """
+        events = []
+        real_compass, real_disc_worst = conelab._compass, conelab._disc_worst
+
+        def compass(objective, y, value, moves, *args, **kwargs):
+            if moves.shape[0] == len(mus):
+                events.append(("round", y.copy(), moves.copy()))
+            return real_compass(objective, y, value, moves, *args, **kwargs)
+
+        def disc_worst(mus_, x, *args, **kwargs):
+            events.append(("eval", x.copy()))
+            return real_disc_worst(mus_, x, *args, **kwargs)
+
+        monkeypatch.setattr(conelab, "_compass", compass)
+        monkeypatch.setattr(conelab, "_disc_worst", disc_worst)
+        three_d_concentration_check(Spectrum(lambdas=1.0 / np.array(mus)), gamma=0.5,
+                                    mu0=mu0, n_outer=2, seed=42)
+        mus = np.array(mus)
+        return events, (np.flatnonzero(mus > mu0), np.flatnonzero(mus < mu0))
+
+    @pytest.mark.parametrize("mus, mu0", [((1.0, 0.6, 0.3, 0.1), 0.8),
+                                          ((1.0, 0.6, 0.3, 0.1), 0.45),
+                                          ((1.0, 0.7, 0.5, 0.3, 0.1), 0.85)])
+    def test_lone_coordinates_do_not_move(self, monkeypatch, mus, mu0):
+        # a zeroed coordinate is 0 in every column; a block's only free
+        # coordinate gets no move, every other free coordinate gets +-e_i
+        events, blocks = self.spy_search(monkeypatch, mus, mu0)
+        rounds = [event[1:] for event in events if event[0] == "round"]
+        lone_seen = False
+        for y, moves in rounds:
+            movable = []
+            for block in blocks:
+                free = block[np.any(y[block] != 0.0, axis=1)]
+                lone_seen |= free.size == 1
+                if free.size > 1:
+                    movable.extend(free)
+            unit = np.eye(len(mus))[:, sorted(movable)]
+            assert np.array_equal(moves, np.concatenate([unit, -unit], axis=1))
+        assert rounds and lone_seen
+
+    @pytest.mark.parametrize("mus", [(1.0, 0.6, 0.1), (1.0, 0.6, 0.3, 0.1)])
+    def test_one_free_entry_per_block_runs_no_round(self, monkeypatch, mus):
+        # the hard-threshold trials that leave each block one free entry:
+        # the search evaluates the start and returns, where a compass round
+        # over an empty stencil has no argmin
+        events, blocks = self.spy_search(monkeypatch, mus, 0.8)
+        pinned = [i for i, event in enumerate(events) if event[0] == "eval"
+                  and all(np.count_nonzero(np.any(event[1][b] != 0.0, axis=1)) == 1
+                          for b in blocks)]
+        assert pinned
+        for i in pinned:
+            assert events[i][1].shape[1] == 1
+            assert i + 1 == len(events) or events[i + 1][0] == "eval"
+
     @pytest.mark.parametrize("seed", range(42, 58))
     def test_seed_sweep_within_call_budget(self, monkeypatch, seed):
         # criterion 10's gate at the benchmark's settings on 16 seeds; the
-        # budgets were set at about 1.5x the most calls (1,210, one call per
-        # sampled round) and rows (3.86M) any of these seeds takes; with a
-        # call per block of columns, the most calls are 1,381.  The
-        # closed-form reference builds no scalar worst-case instance: it is
-        # one ritz_gap call per grid, 12 grids of 149 points in all per triple
+        # budgets are about 1.5x the most calls (784, one call per block of
+        # columns) and rows (2.36M) any of these seeds takes, since the
+        # outer search skips a block's lone free coordinate (1,417 calls and
+        # 3.86M rows when it still tried it).  The closed-form reference
+        # builds no scalar worst-case instance: it is one ritz_gap call per
+        # grid, 12 grids of 149 points in all per triple
         calls = count_ritz_gap_calls(monkeypatch)
         instances = []
         monkeypatch.setattr(conelab, "worst_case_instance",
@@ -906,12 +1046,13 @@ class TestConcentrationCheck:
         assert report.n_significant <= 3
         assert report.reference_triple == (0, 1, 3)
         assert report.beats_reference_by <= 1e-12
-        assert len(calls) <= 1_800
-        assert sum(calls) <= 5_800_000
+        assert len(calls) <= 1_200
+        assert sum(calls) <= 3_600_000
         assert report.triple_values.keys() == self.TRIPLE_VALUES.keys()
         for triple, value in report.triple_values.items():
             pinned = self.TRIPLE_VALUES[triple]
             assert value <= pinned + 1e-12 * pinned, triple
+        self.assert_bits(report, *self.SWEEP_BITS[seed], (0, 1, 3), self.SWEEP_TRIPLE_BITS)
 
     @staticmethod
     @functools.cache

@@ -26,9 +26,10 @@ def test_demo_imports(path):
     assert callable(load(path).main)
 
 
-# Lines of the demos that print run() verdict counts, as a walk of each
-# run's records counts them: (solver, gamma, holds, passed, violated) rows,
-# and (solver, steps) with the verdicts in order of first appearance.
+# Lines the demos must print: run() verdict counts, as a walk of each run's
+# records counts them ((solver, gamma, holds, passed, violated) rows, and
+# (solver, steps) with the verdicts in order of first appearance), and the
+# concentration search's outcome as a whole line.
 COUNT_LINES = {
     "certification_sweep": [
         " pinvit1    0.0    1848      42         0 ",
@@ -46,6 +47,9 @@ COUNT_LINES = {
         "   pinvit1     24 ", " {'passed_lambda_i': 1, 'holds': 23}\n",
         "    invit2      7 ", " {'passed_lambda_i': 1, 'holds': 6}\n",
         "       psd     23 ", " {'passed_lambda_i': 1, 'holds': 22}\n",
+    ],
+    "concentration_3d": [
+        "\noutcome: the search confirms the 3-D concentration of the worst case.\n",
     ],
 }
 
