@@ -3,10 +3,12 @@
 
 The two-level worst case (over the level set of the Rayleigh quotient,
 and over all admissible preconditioner directions at each point) is
-searched by seeded random restarts of a derivative-free descent, with
-the inner cone minimum evaluated by sampling, never by the closed form.
-The optimizer found concentrates on the predicted three coordinates and
-never beats the closed-form 3-D worst value.
+searched by seeded random restarts of a derivative-free descent.  The
+inner cone minimum is an exact reduction in all n coordinates (a
+trust-region subproblem on the directions orthogonal to x and its
+residual); it does not use the 3-D closed form.  The optimizer found
+concentrates on the predicted three coordinates and never beats the
+closed-form 3-D worst value.
 """
 
 import numpy as np

@@ -13,10 +13,10 @@ in the limit of vanishing interval-relative error.
 
 The cone geometry (:class:`ConeSpec` and everything built on it,
 :func:`brute_force_cone_min` included) works on 3-vectors.  Only the
-disc sampler of the concentration check, ``_disc_worst``, samples cones
-in dimension 3 to 5, so that it can serve as an assumption-free oracle;
-it takes the Ritz values of many cones' points in cache-sized blocks of
-columns, whose bits are those of one call over all of them.
+inner level of the concentration check, ``_worst_direction``, takes
+cones in dimension 3 to 5: it finds each iterate's worst cone point from
+one trust-region subproblem on the complement of ``{x, r}``, the n-D
+form of :func:`worst_direction`'s closed form, for many iterates at once.
 """
 
 import math
@@ -280,76 +280,27 @@ def ritz_on_segment(cone, t):
     return float(values[0]) if scalar else values
 
 
-def _disc_points(center, radius, basis, ys):
-    """The disc points ``center + radius * basis @ y`` of every column, as ``(n, m, P)``.
-
-    ``center`` is ``(n, m)``, ``radius`` ``(m,)`` and ``basis``
-    ``(n, k, m)``, one disc per column; ``ys`` holds ``P`` unit-ball
-    points per column as ``(k, m, P)``, or one pattern for all as
-    ``(k, 1, P)``.
-    """
-    scaled = radius * basis
-    d = scaled[:, 0, :, None] * ys[0]
-    term = np.empty_like(d)
-    for j in range(1, basis.shape[1]):
-        d += np.multiply(scaled[:, j, :, None], ys[j], out=term)
-    d += center[:, :, None]
-    return d
-
-
-# Column x point entries of one block of :func:`_disc_min`: a (column,
-# point) temporary then takes 64 kB, and the block's working set stays
-# in cache (the fastest of 2^12 to 2^16 on the concentration check).
-_BLOCK = 8192
-
-
-def _disc_min(mus, x, center, radius, basis, ys):
-    """Smallest larger Ritz value over the disc points of each column ``x[:, i]``.
-
-    Shapes as in :func:`_disc_points`, with ``x`` ``(n, m)`` and ``ys``
-    the one pattern of ``P`` unit-ball points that every column shares,
-    ``(k, P)``.  The columns go in blocks of at most ``_BLOCK`` column x
-    point entries (a column with more points is a block of its own), each
-    block through one :func:`_ritz_gap` call; as both are batch-invariant,
-    the blocks give the bits of one call over all columns.  Returns per
-    column the value ``(m,)``, its direction ``(n, m)`` and its index
-    among the pattern's points ``(m,)``, the first minimum's.
-    """
-    (n, m), p = x.shape, ys.shape[1]
-    value, direction, idx = np.empty(m), np.empty((n, m)), np.empty(m, dtype=np.intp)
-    width = max(1, _BLOCK // p)
-    ys = ys[:, None, :]
-    for start in range(0, m, width):
-        block = slice(start, start + width)
-        d = _disc_points(center[:, block], radius[block], basis[:, :, block], ys)
-        values = mus[0] - _ritz_gap(mus, x[:, block, None], d)
-        best = np.argmin(values, axis=1)
-        cols = np.arange(best.size)
-        value[block], direction[:, block], idx[block] = values[cols, best], d[:, cols, best], best
-    return value, direction, idx
-
-
 def brute_force_cone_min(cone, n_samples):
     """Smallest larger Ritz value over a dense sampling of the cone.
 
     Samples the full boundary circle of the cross-section disc plus
     interior rings at 1/4, 1/2 and 3/4 of its radius in its ``(v, x/|x|)``
     basis (the oracle must not assume the extrema sit on the x-orthogonal
-    segment, nor on the boundary), through :func:`_disc_min`: one
-    column, so one :func:`ritz_gap` call, on the cone's unit state.
-    Returns the minimum and the direction attaining it, in the units of
-    the cone's mus and x.
+    segment, nor on the boundary), through one :func:`ritz_gap` call on
+    the cone's unit state.  Returns the minimum and the direction
+    attaining it (the first, at ties), in the units of the cone's mus and x.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     angles = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    circle = np.column_stack([np.cos(angles), np.sin(angles)])
-    ys = np.concatenate([frac * circle for frac in (0.25, 0.5, 0.75, 1.0)])
+    ys = np.concatenate([frac * np.array([np.cos(angles), np.sin(angles)])
+                         for frac in (0.25, 0.5, 0.75, 1.0)], axis=1)
     mus, e, x, es, _, center, radius = cone._unit
-    basis = np.column_stack([cone.v, x / np.linalg.norm(x)])
-    value, direction, _ = _disc_min(mus, x[:, None], center[:, None], np.array([radius]),
-                                    basis[:, :, None], ys.T)
-    return math.ldexp(value[0], e), np.ldexp(direction[:, 0], es)
+    scaled = radius * np.column_stack([cone.v, x / np.linalg.norm(x)])
+    d = scaled[:, :1] * ys[0] + scaled[:, 1:] * ys[1] + center[:, None]
+    values = mus[0] - _ritz_gap(mus, x[:, None], d)
+    best = int(np.argmin(values))
+    return math.ldexp(values[best], e), np.ldexp(d[:, best], es)
 
 
 # -- worst-case instances attaining the sharp factor -------------------------
@@ -703,11 +654,101 @@ def _perp_basis(r):
     return basis
 
 
+# Enough halvings of the secular interval for every column to reach
+# adjacent doubles (about 55 at unit scale).
+_BISECTIONS = 80
+
+
+def _secular_root(h, g_sq):
+    """Largest ``lam <= h[0]`` with ``sum_i g_sq[i] / (h[i] - lam)^2 <= 1``, per column.
+
+    ``h`` ``(k, m)`` ascends down each column.  The sum rises with ``lam``
+    on ``[h[0] - |g|, h[0])``, where it starts at most 1, so bisection
+    finds its crossing of 1, down to adjacent doubles or
+    ``_BISECTIONS`` halvings; a column whose sum stays below 1 up to
+    ``h[0]`` (the hard case: ``g`` orthogonal to the eigenvectors of
+    ``h[0]``) ends at or just below ``h[0]``.  Each column's bits are its
+    own.
+    """
+    lo, hi = h[0] - np.sqrt(_colsum(g_sq)), h[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            dist = h - mid
+            # a zero distance only at mid = hi = h[0], where either update
+            # keeps the column
+            below = _colsum(g_sq / (dist * dist)) < 1.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
+
+
+def _worst_direction(mus, x, gamma):
+    """Worst larger Ritz value over the cone of each column of ``x``, and its disc point.
+
+    ``mus`` is strictly decreasing and positive at unit scale, and ``x``
+    ``(n, m)`` with ``n >= 3``; returns the values ``(m,)`` and the disc
+    points ``d`` ``(n, m)``, ``inf`` and NaN where the cone is empty.
+    The domain is ``mu(x) > mus[-2]``, the concentration check's, where
+    the worst point lies on the disc's boundary sphere orthogonal to
+    ``x``; below it an interior point can do worse.
+
+    Modulo ``x``, a disc point is ``(1 - gamma^2) r + rho u`` with ``rho``
+    the disc radius and ``u`` in ``{x, r}^⊥`` of norm at most 1, and the
+    2x2 Ritz problem of ``span{x, d}`` depends on ``u`` only through
+    ``|u|`` and ``w.Bw`` of ``w = (1 - gamma^2) r + rho u``; its larger
+    value grows with ``w.Bw / |w|^2``.  So at ``|u| = 1`` the worst ``u``
+    minimizes ``u.Hu + 2 g.u`` on the unit sphere of ``{x, r}^⊥``, with
+    ``H`` the projection of ``B`` and ``g`` that of
+    ``(1 - gamma^2) / rho Br``: a trust-region subproblem on its boundary
+    (Moré and Sorensen, 1983).  In the eigenbasis of ``H`` (ascending
+    ``h``), ``u_i = -g_i / (h_i - lam)`` for ``i >= 1`` with ``lam`` from
+    :func:`_secular_root`, and ``u_0`` takes the norm they leave, with the
+    sign of ``-g_0`` (``+`` at ``g_0 = 0``).  Where the root is interior
+    that is its own ``u_0``, to rounding; in the hard case it puts the
+    leftover norm on the eigenvector of ``h_0``.  Either way ``|u| = 1``.
+    At ``n = 3`` ``{x, r}^⊥`` is the line of ``x cross r``, and ``u`` is
+    :func:`worst_direction`'s.  The value is ``mus[0]`` less
+    :func:`_ritz_gap` at ``d``.  One ``(n-2) x (n-2)`` eigendecomposition
+    a column; each column's bits do not depend on the batch it comes in,
+    and a power of two on a column keeps them.
+    """
+    n, m = x.shape
+    value, direction = np.full(m, math.inf), np.full((n, m), math.nan)
+    _, r, center, radius, empty = _cone_disc(mus, x, gamma)
+    ok = np.flatnonzero(~empty)
+    x, r, center, radius = x[:, ok], r[:, ok], center[:, ok], radius[ok]
+    # q (n, n-2, m): an orthonormal basis of x^⊥, then of r^⊥ within it
+    qx = _perp_basis(x)
+    qr = _perp_basis(_colsum(qx * r[:, None]))
+    q = _colsum(np.moveaxis(qx, 1, 0)[:, :, None] * qr[:, None])
+    bq = mus[:, None, None] * q
+    g = (1.0 - gamma * gamma) / radius * _colsum(bq * r[:, None])
+    # H as eigh takes it, (m, n-2, n-2); g and the coefficients of u in its eigenbasis
+    h, v = np.linalg.eigh(np.moveaxis(_colsum(q[:, :, None] * bq[:, None]), -1, 0))
+    h = h.T
+    gv = _colsum(np.moveaxis(v, 1, 0) * g[:, :, None]).T
+    coef, rest = np.zeros_like(gv), 0.0
+    if n > 3:
+        lam = _secular_root(h, gv * gv)
+        np.divide(-gv[1:], h[1:] - lam, out=coef[1:], where=(gv[1:] != 0.0) & (h[1:] > lam))
+        rest = _colsum(coef[1:] * coef[1:])
+    coef[0] = np.where(gv[0] > 0.0, -1.0, 1.0) * np.sqrt(np.maximum(0.0, 1.0 - rest))
+    # u in the basis q, then in the coordinates
+    uq = _colsum(np.moveaxis(v, 2, 0) * coef[:, :, None]).T
+    u = _colsum(np.moveaxis(q, 1, 0) * uq[:, None])
+    d = center + radius * u
+    value[ok] = mus[0] - _ritz_gap(mus, x, d)
+    direction[:, ok] = d
+    return value, direction
+
+
 # The stencil scales of one compass round, the largest step, and the step
-# at which the concentration check's search on the sampled cone minimum stops.
+# at which the concentration check's search over all its starts stops.
 _SCALES = 0.5 ** np.arange(4)
 _MAX_STEP = 0.25
-_SAMPLED_FLOOR = 1e-4
+_COARSE_FLOOR = 1e-4
 
 
 def _compass(objective, y, value, moves, step, floor, project):
@@ -717,12 +758,12 @@ def _compass(objective, y, value, moves, step, floor, project):
     ``moves`` ``(k, M)`` is the stencil at unit scale.  A round takes,
     for every live column, the stencil around its point at the four
     scales ``step``, ``step/2``, ``step/4`` and ``step/8``, mapped by
-    ``project``, through one ``objective(cols, ys)`` call,
-    with ``ys`` ``(k, len(cols), 4M)`` returning ``(len(cols), 4M)``
-    values, and moves each column to its best point if that wins.  A
-    point wins only if it beats the column's value by more than
-    ``1e-15`` relative: where the landscape is flat, strict ``<`` would
-    keep accepting gains at the rounding level, each doubling the step.
+    ``project``, through one ``objective(ys)`` call, with ``ys``
+    ``(k, live, 4M)`` returning ``(live, 4M)`` values, and moves each
+    column to its best point if that wins.  A point wins only if it
+    beats the column's value by more than ``1e-15`` relative: where the
+    landscape is flat, strict ``<`` would keep accepting gains at the
+    rounding level, each doubling the step.
     A win at a smaller scale sets ``step`` to that scale, a win at
     ``step`` itself doubles it (at most 0.25), and a round without a win
     divides it by 16.  Every column starts at ``step`` and stops once its
@@ -734,7 +775,7 @@ def _compass(objective, y, value, moves, step, floor, project):
     live = np.arange(value.size)
     while live.size:
         ys = project(y[:, live, None] + step[live, None] * scaled[:, None, :])
-        values = objective(live, ys)
+        values = objective(ys)
         idx = np.argmin(values, axis=1)
         rows = np.arange(live.size)
         best = values[rows, idx]
@@ -750,39 +791,6 @@ def _compass(objective, y, value, moves, step, floor, project):
     return y, value
 
 
-def _disc_worst(mus, x, gamma, samples, refine=True):
-    """Inner level: smallest larger Ritz value over the cone of each column of ``x``.
-
-    ``x`` is ``(n, m)``; returns the values ``(m,)``, ``inf`` where the
-    cone is empty.  ``samples`` is a fixed pattern of points of the unit
-    ball in dimension ``k = n - 1``, as rows (so the outer objective is
-    deterministic); the samples of all columns go through
-    :func:`_disc_min`, in blocks of columns.  ``refine`` polishes each
-    column's best sample by :func:`_compass` over the ``3^k - 1`` stencil,
-    projected into the unit ball, down to a step of 1e-10; the columns
-    are polished in lockstep, one :func:`_ritz_gap` call per round.
-    """
-    value = np.full(x.shape[1], math.inf)
-    _, r, center, radius, empty = _cone_disc(mus, x, gamma)
-    ok = np.flatnonzero(~empty)
-    x, center, radius = x[:, ok], center[:, ok], radius[ok]
-    basis = _perp_basis(r[:, ok])
-    best, _, idx = _disc_min(mus, x, center, radius, basis, samples.T)
-    if refine:
-        k = x.shape[0] - 1
-        stencil = np.indices((3,) * k).reshape(k, -1) - 1.0
-        stencil = stencil[:, np.any(stencil, axis=0)]
-
-        def disc_values(cols, ys):
-            d = _disc_points(center[:, cols], radius[cols], basis[:, :, cols], ys)
-            return mus[0] - _ritz_gap(mus, x[:, cols, None], d)
-
-        _, best = _compass(disc_values, samples.T[:, idx], best, stencil, _MAX_STEP, 1e-10,
-                           project=lambda ys: ys / np.maximum(1.0, np.sqrt(_colsum(ys * ys))))
-    value[ok] = best
-    return value
-
-
 def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -791,30 +799,31 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     """Empirical check that the two-level worst case lives in 3 coordinates.
 
     Searches the level set ``mu(x) = mu0`` in dimension 3, 4 or 5 for
-    the poorest cone minimum, which each iterate's disc sampling
-    (:func:`_disc_worst`) evaluates without assumptions.  The outer search
-    is :func:`_compass` over coordinate moves of the parameters, whose
-    entries for eigenvalues above and below ``mu0`` are each kept at unit
-    norm (the iterate ignores both scales).  A coordinate moves only if
-    it is free and not the only free coordinate of its block, which that
-    norm pins at +-1; a search with no such coordinate evaluates its
-    start and returns it.  ``n_outer`` seeded starts descend in lockstep
-    on the sampled cone minimum down to a step of 1e-4, and the best
-    start is polished on the refined minimum down to 1e-10.  The
-    optimizer is then hard-thresholded coordinate by
-    coordinate (a zeroed coordinate is kept only if re-optimizing the
-    others on the refined minimum does not worsen the objective), and the
-    report compares the best value against the closed-form worst value of
-    every admissible invariant triple, a zoom over the triple's level set
-    whose every grid is one batched :func:`_ritz_gap` call.  The search
-    runs on ``mus`` and ``mu0`` at unit scale
-    (:func:`psdlab.pencil._unit_scale`), where its tolerances apply, and
-    reports its values in the spectrum's units.  Report-only: the caller
-    decides what to do with a discordant outcome.  ``mu0`` must lie above
-    ``mus[-2]``, where some triple brackets it.  ``n_outer`` must be an
-    integer of at least 1, ``seed`` a nonnegative integer and ``gamma``
-    and ``mu0`` real numbers (bools are none of these); anything else
-    raises ``ValueError`` before the search starts.
+    the poorest cone minimum, which :func:`_worst_direction` gives for
+    each iterate by an exact reduction in ``n`` dimensions that does not
+    use the 3-D closed form.  The outer search is :func:`_compass` over
+    coordinate moves of the parameters, whose entries for eigenvalues
+    above and below ``mu0`` are each kept at unit norm (the iterate
+    ignores both scales).  A coordinate moves only if it is free and not
+    the only free coordinate of its block, which that norm pins at +-1;
+    a search with no such coordinate evaluates its start and returns it.
+    ``n_outer`` seeded starts descend in lockstep down to a step of
+    1e-4, and the best start goes on down to 1e-10.  The optimizer is
+    then hard-thresholded coordinate by coordinate (a zeroed coordinate
+    is kept only if re-optimizing the others does not worsen the
+    objective by more than 1e-6; the report then takes that trial's point
+    and value), and the report compares the best value against the
+    closed-form worst value of every admissible invariant triple, a zoom
+    over the triple's level set whose every grid is one batched
+    :func:`_ritz_gap` call.  The search runs on ``mus`` and ``mu0`` at
+    unit scale (:func:`psdlab.pencil._unit_scale`), where its tolerances
+    apply, and reports its values in the spectrum's units.  Report-only:
+    the caller decides what to do with a discordant outcome.  ``mu0``
+    must lie above ``mus[-2]``, where some triple brackets it and where
+    the inner reduction holds.  ``n_outer`` must be an integer of at
+    least 1, ``seed`` a nonnegative integer and ``gamma`` and ``mu0``
+    real numbers (bools are none of these); anything else raises
+    ``ValueError`` before the search starts.
     """
     if not _is_int(n_outer) or n_outer < 1:
         raise ValueError(f"n_outer must be an integer of at least 1, got {n_outer!r}")
@@ -842,12 +851,6 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     pos = np.nonzero(mus > mu0)[0]
     neg = np.nonzero(mus < mu0)[0]
 
-    # Fixed disc sampling pattern reused for every x: boundary shell plus rings.
-    k = n - 1
-    dirs = rng.standard_normal((40, k))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    samples = np.concatenate([frac * dirs for frac in (1.0, 0.75, 0.5, 0.25)])
-
     def x_of(params):
         """The level-set iterates of parameter columns ``(n, m)``, and which are valid."""
         p = params[pos]
@@ -862,13 +865,11 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
             x /= np.sqrt(_colsum(x * x))
         return x, valid
 
-    def objective(refine):
-        def evaluate(cols, params):
-            x, valid = x_of(params.reshape(n, -1))
-            values = np.full(valid.size, 1e3 * mus[0])
-            values[valid] = _disc_worst(mus, x[:, valid], gamma, samples, refine=refine)
-            return values.reshape(params.shape[1:])
-        return evaluate
+    def evaluate(params):
+        x, valid = x_of(params.reshape(n, -1))
+        values = np.full(valid.size, 1e3 * mus[0])
+        values[valid] = _worst_direction(mus, x[:, valid], gamma)[0]
+        return values.reshape(params.shape[1:])
 
     def unit_blocks(params):
         """``params`` with its ``pos`` and its ``neg`` entries each scaled to unit norm.
@@ -883,7 +884,7 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
                 out[block] = params[block] / np.sqrt(_colsum(params[block] * params[block]))
         return out
 
-    def descend(evaluate, params, free, step, floor):
+    def descend(params, free, step, floor):
         # A block's lone free coordinate sits at +-1, and unit_blocks maps
         # every step of it (at most 0.25) back there: it cannot move.
         movable = free.copy()
@@ -891,29 +892,25 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
             if np.count_nonzero(free[block]) == 1:
                 movable[block] = False
         params = unit_blocks(params)
-        start = evaluate(None, params[:, :, None])[:, 0]
+        start = evaluate(params[:, :, None])[:, 0]
         if not movable.any():
             return params, start
         moves = np.eye(n)[:, movable]
         moves = np.concatenate([moves, -moves], axis=1)
         return _compass(evaluate, params, start, moves, step, floor, project=unit_blocks)
 
-    sampled, refined = objective(refine=False), objective(refine=True)
     every = np.ones(n, dtype=bool)
-    params, values = descend(sampled, rng.standard_normal((n_outer, n)).T, every,
-                             _MAX_STEP, _SAMPLED_FLOOR)
+    params, values = descend(rng.standard_normal((n_outer, n)).T, every, _MAX_STEP, _COARSE_FLOOR)
     best = int(np.argmin(values))
-    # Polish with the refined inner solver (the sampled objective carries a
-    # per-x discretization bias that would drown the comparisons below).
-    # The refined searches start at the sampled search's floor: their starts
-    # are near an optimum already, where a step of 0.25 mostly rescales a
-    # block and so shrinks its entries bound for 0 by only a fifth a round.
-    best_params, (best_value,) = descend(refined, params[:, best:best + 1], every,
-                                         _SAMPLED_FLOOR, 1e-10)
+    # Only the best start goes on to the fine floor.  It starts at the
+    # coarse floor: near an optimum already, a step of 0.25 mostly rescales
+    # a block and so shrinks its entries bound for 0 by only a fifth a round.
+    best_params, (best_value,) = descend(params[:, best:best + 1], every, _COARSE_FLOOR, 1e-10)
 
     # Hard-threshold trial moves: a coordinate joins the persistent zero
     # mask only when re-optimizing without it (and everything already
-    # zeroed) does not worsen the value beyond the search tolerance.
+    # zeroed) does not worsen the value beyond the search tolerance.  An
+    # accepted trial's point and value replace the best ones together.
     free = every.copy()
     changed = True
     while changed:
@@ -927,10 +924,9 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
             if not x_of(trial)[1][0]:
                 continue
             free[coord] = False
-            trial, (value,) = descend(refined, trial, free, _SAMPLED_FLOOR, 1e-10)
+            trial, (value,) = descend(trial, free, _COARSE_FLOOR, 1e-10)
             if value <= best_value + 1e-6:
-                best_value = min(value, best_value)
-                best_params = trial
+                best_params, best_value = trial, value
                 changed = True
                 break
             free[coord] = True

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from psdlab import (
     run,
     synthetic_gamma_preconditioner,
 )
+from psdlab import iterate
 from psdlab.conelab import ConcentrationReport
+from psdlab.pencil import _unit_scale
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(psdlab.__path__)
                  if info.name != "__main__")
@@ -114,14 +117,31 @@ def _hot_path_objects():
     form = diagonalize(pencil)
     t = synthetic_gamma_preconditioner(form, 0.3, seed=3)
     x0 = np.random.default_rng(3).standard_normal(6)
+    _, e = _unit_scale(form.mus)
+    fixed_steps = []  # run()'s fixed steps, in its unit-scale coordinates
+
+    def recorded(*args):
+        step = pinvit1_step(*args)
+        fixed_steps.append(step)
+        return step
+
     objs = []
     for kind in ("psd", "pinvit1"):
-        result = run(pencil, t, x0, kind, max_steps=4, residual_tol=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iterate, "pinvit1_step", recorded)
+            result = run(pencil, t, x0, kind, max_steps=4, residual_tol=0.0)
         before, rec = result.records[1:3]
         check = rec.bound
         # each value sits in its own field
         assert rec.step_index == 2 and rec.residual_norm > 0.0
-        assert rec.rho.mu == 1.0 / rec.rho.rho
+        if kind == "psd":
+            # the line search reports mu as the reciprocal of its rho
+            assert rec.rho.mu == 1.0 / rec.rho.rho
+        else:
+            # a fixed step measures its iterate: rho = x.x / x.Bx, mu = x.Bx / x.x
+            z = fixed_steps[1].x
+            xx, den = float(z.dot(z)), float(z.dot(fixed_steps[1].measure.bx))
+            assert (rec.rho.rho, rec.rho.mu) == (math.ldexp(xx / den, -e), math.ldexp(den / xx, e))
         assert (check.kind, check.gamma, check.note) == (kind, result.certify_gamma, "")
         assert check.interval_index == 0 and check.verdict == "holds"
         assert (check.delta_before, check.delta_after) == (before.delta, rec.delta)
