@@ -210,9 +210,12 @@ def ritz_gap(mus, x, directions):
     ``p``, ``q`` and ``c`` the entries of ``S`` on the orthonormal pair,
     the gap is the smaller eigenvalue of ``[[p, c], [c, q]]`` from the
     step kernel's 2x2 routine.  Its relative error stays below about
-    ``4 eps (mus[0] - mu(x)) / gap``, where ``p q - c^2`` cancels
-    (measured on 3,000 random rows at ``n = 3`` against a 50-digit
-    Rayleigh-Ritz), so a small gap is accurate relative to itself only
+    ``4 eps (mus[0] - mu(x)) / (gap sin(x, d))``: the first factor where
+    ``p q - c^2`` cancels, the second for the digits lost in forming
+    ``w = d - (d.x) x`` from a ``d`` nearly parallel to ``x`` (at most 0.53
+    of that bound on 3,000 random rows at ``n = 3``, ``d`` down to 1e-15
+    off ``x``, against a 60-digit Rayleigh-Ritz; without ``sin(x, d)`` the
+    bound failed 2e13-fold), so a small gap is accurate relative to itself only
     when ``x`` itself is that near the top eigenvector;
     ``mus[0] - theta`` would lose ``eps / gap`` for every ``x``.  Rows
     (numerically) parallel to ``x`` yield ``p``: ``theta = mu(x)``; an
@@ -654,34 +657,58 @@ def _perp_basis(r):
     return basis
 
 
-# Enough halvings of the secular interval for every column to reach
-# adjacent doubles (about 55 at unit scale).
-_BISECTIONS = 80
+# A guard on the Newton rounds of the secular equation, not a stopping
+# rule: the concentration check's columns stop within 9 (3.5 on average).
+# A tiny g_0 whose other terms sum to within 1e-10 of 1 at h[0] can take
+# about 45: from |g_0|, t grows by only half of itself a round until
+# Newton takes hold.
+_NEWTON_ROUNDS = 64
+
+
+def _secular_sums(dist, g_sq):
+    """``sum_i g_sq[i] / dist[i]^2`` and ``sum_i g_sq[i] / dist[i]^3``, per column."""
+    w = g_sq / (dist * dist)
+    return _colsum(w), _colsum(w / dist)
 
 
 def _secular_root(h, g_sq):
-    """Largest ``lam <= h[0]`` with ``sum_i g_sq[i] / (h[i] - lam)^2 <= 1``, per column.
+    """Largest ``lam <= h[0]`` with ``s(lam) = sum_i g_sq[i] / (h[i] - lam)^2 <= 1``, per column.
 
-    ``h`` ``(k, m)`` ascends down each column.  The sum rises with ``lam``
-    on ``[h[0] - |g|, h[0])``, where it starts at most 1, so bisection
-    finds its crossing of 1, down to adjacent doubles or
-    ``_BISECTIONS`` halvings; a column whose sum stays below 1 up to
-    ``h[0]`` (the hard case: ``g`` orthogonal to the eigenvectors of
-    ``h[0]``) ends at or just below ``h[0]``.  Each column's bits are its
-    own.
+    ``h`` ``(k, m)`` ascends down each column.  The root's distance
+    ``t = h[0] - lam`` lies in ``[0, |g|]``, and ``psi = 1/sqrt(s) - 1``
+    is concave and rising in ``t`` (Moré and Sorensen, 1983).  Newton's
+    method on ``psi`` starts at ``t = |g_c|``, with ``g_c`` the part of
+    ``g`` on the eigenvalues equal to ``h[0]``, where ``s >= 1``, and
+    climbs monotonically to the root.  ``[0, |g|]`` shrinks to the last
+    points on either side of the root, and a step that is not finite or
+    does not land strictly inside it halves it.  A column stops once
+    its step is within about 2 ulps of ``lam`` and a quarter of ``t``
+    (the steps grow while ``t`` is far below the root), or after
+    ``_NEWTON_ROUNDS``.  The hard case, ``g_c = 0`` with ``s(h[0]) < 1``
+    (``g`` orthogonal to the eigenvectors of ``h[0]``), ends at ``h[0]``.
+    The iteration carries ``t``, so a start within an ulp of ``h[0]`` is
+    not rounded onto it.  Each column's bits are its own.
     """
-    lo, hi = h[0] - np.sqrt(_colsum(g_sq)), h[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
+    # rows without g add nothing; an infinite distance keeps them 0 at t = 0
+    above = np.where(g_sq > 0.0, h - h[0], np.inf)
+    t = np.sqrt(_colsum(np.where(above == 0.0, g_sq, 0.0)))
+    lo, hi = np.zeros_like(t), np.sqrt(_colsum(g_sq))
+    ulps = 2.0 * np.finfo(float).eps  # |lam| <= |h[0]| + t
+    tol = ulps * np.abs(h[0])
+    moving = np.ones(t.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ROUNDS):
+            s, s3 = _secular_sums(above + t, g_sq)
+            below = s < 1.0
+            lo, hi = np.where(below, lo, t), np.where(below, t, hi)
+            new = t + s * (np.sqrt(s) - 1.0) / s3
+            new = np.where(((new > lo) & (new < hi)) | (new == t), new, 0.5 * (lo + hi))
+            step = np.abs(new - t)
+            t = np.where(moving, new, t)
+            moving &= (step > tol + ulps * t) | (4.0 * step > t)
+            if not moving.any():
                 break
-            dist = h - mid
-            # a zero distance only at mid = hi = h[0], where either update
-            # keeps the column
-            below = _colsum(g_sq / (dist * dist)) < 1.0
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return lo
+    return h[0] - t
 
 
 def _worst_direction(mus, x, gamma):
@@ -707,7 +734,9 @@ def _worst_direction(mus, x, gamma):
     :func:`_secular_root`, and ``u_0`` takes the norm they leave, with the
     sign of ``-g_0`` (``+`` at ``g_0 = 0``).  Where the root is interior
     that is its own ``u_0``, to rounding; in the hard case it puts the
-    leftover norm on the eigenvector of ``h_0``.  Either way ``|u| = 1``.
+    leftover norm on the eigenvector of ``h_0``.  A root a rounding short
+    of the crossing can leave the ``u_i`` a rounding over norm 1; they
+    shrink back onto the sphere.  Either way ``|u| = 1``.
     At ``n = 3`` ``{x, r}^⊥`` is the line of ``x cross r``, and ``u`` is
     :func:`worst_direction`'s.  The value is ``mus[0]`` less
     :func:`_ritz_gap` at ``d``.  One ``(n-2) x (n-2)`` eigendecomposition
@@ -734,6 +763,8 @@ def _worst_direction(mus, x, gamma):
         lam = _secular_root(h, gv * gv)
         np.divide(-gv[1:], h[1:] - lam, out=coef[1:], where=(gv[1:] != 0.0) & (h[1:] > lam))
         rest = _colsum(coef[1:] * coef[1:])
+        # a root a rounding short of the crossing overfills the sphere
+        coef[1:] /= np.sqrt(np.maximum(1.0, rest))
     coef[0] = np.where(gv[0] > 0.0, -1.0, 1.0) * np.sqrt(np.maximum(0.0, 1.0 - rest))
     # u in the basis q, then in the coordinates
     uq = _colsum(np.moveaxis(v, 2, 0) * coef[:, :, None]).T

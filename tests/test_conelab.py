@@ -7,6 +7,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -594,6 +595,48 @@ class TestRitzGap:
             assert worst_case_instance(setup).measured_ratio == pytest.approx(pinned, rel=1e-10)
 
 
+def mp_ritz_gap(mus, x, d):
+    """``mus[0]`` less the larger Ritz value of ``span{x, d}`` at 60 digits, from the doubles given."""
+    with mpmath.workdps(60):
+        m, xs, ds = ([mpmath.mpf(float(v)) for v in a] for a in (mus, x, d))
+
+        def dot(a, b, w=None):
+            return mpmath.fsum(p * q * (1 if w is None else c) for p, q, c in zip(a, b, w or a))
+
+        g11, g12, g22 = dot(xs, xs), dot(xs, ds), dot(ds, ds)
+        b11, b12, b22 = dot(xs, xs, m), dot(xs, ds, m), dot(ds, ds, m)
+        a, b, c = g11 * g22 - g12**2, b11 * g22 + b22 * g11 - 2 * b12 * g12, b11 * b22 - b12**2
+        theta = (b + mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+        sin = mpmath.sqrt(1 - g12**2 / (g11 * g22))
+        mu_gap = m[0] - b11 / g11
+        return m[0] - theta, mu_gap, sin
+
+
+class TestRitzGapErrorBound:
+    # the docstring's bound 4 eps (mus[0] - mu(x)) / (gap sin(x, d)) at a
+    # clustered top pair (mus[0] - mus[1] = 1e-9) and x 2e-5 off its top
+    # eigenvector, on the worst disc point of gamma 0.444 (|d - mu(x) x| =
+    # 1.9e-5 |x|; 1.7e-14 relative, 0.44 of the bound), and on a d about
+    # 1e-15 off x
+    MUS = (0.9581981372144006, 0.9581981362458329, 0.4830882057921968)
+    X = (-1.2665262527538954, 0.1936908844450461, -5.71850001788075e-05)
+    PARALLEL = ((1.0, 0.8478012226283063, 0.4435618010512426),
+                (1.0, 0.671383751, -1.39834729e-08), (1.0, 0.671383751, -1.39834737e-08))
+
+    def assert_within_bound(self, mus, x, d):
+        gap = ritz_gap(np.array(mus), np.array(x), np.array(d)[None])[0]
+        exact, mu_gap, sin = mp_ritz_gap(mus, x, d)
+        error = abs(mpmath.mpf(float(gap)) - exact) / exact
+        assert error <= 4 * np.finfo(float).eps * mu_gap / (exact * sin)
+
+    def test_worst_disc_point_of_a_clustered_pair(self):
+        _, d = worst_one(np.array(self.MUS), np.array(self.X), 0.444)
+        self.assert_within_bound(self.MUS, self.X, d)
+
+    def test_direction_nearly_parallel_to_x(self):
+        self.assert_within_bound(*self.PARALLEL)
+
+
 class TestRitzOnSegment:
     def test_endpoints_match_extremal_directions(self):
         rng = np.random.default_rng(6)
@@ -811,6 +854,146 @@ def trust_region_point(h, g, s):
     return s * u / np.linalg.norm(u)
 
 
+def bisected_secular_root(h, g_sq):
+    """Oracle of :func:`conelab._secular_root`: the bisection that Newton's method replaced.
+
+    The secular sum rises with ``lam`` on ``[h[0] - |g|, h[0])``, where it
+    starts at most 1; halving that interval down to adjacent doubles (at
+    most 80 times) ends at the last ``lam`` found below the crossing, or
+    just below ``h[0]`` in the hard case.
+    """
+    lo, hi = h[0] - np.sqrt(conelab._colsum(g_sq)), h[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            dist = h - mid
+            below = conelab._colsum(g_sq / (dist * dist)) < 1.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
+
+
+def secular_sum(h, g_sq, lam):
+    """``sum_i g_sq[i] / (h[i] - lam)^2`` of one column, over the rows with ``g``."""
+    with np.errstate(divide="ignore"):
+        return float(np.sum(g_sq[g_sq > 0] / (h[g_sq > 0] - lam) ** 2))
+
+
+def counted_secular_root(h, g_sq, root=None):
+    """:func:`conelab._secular_root` (or ``root``) of ``(h, g_sq)`` and its number of Newton rounds."""
+    root = root or conelab._secular_root
+    rounds = []
+    real = conelab._secular_sums
+
+    def counted(dist, g_sq_):
+        rounds.append(dist.shape[-1])
+        return real(dist, g_sq_)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conelab, "_secular_sums", counted)
+        lam = root(h, g_sq)
+    return lam, len(rounds)
+
+
+@st.composite
+def secular_columns(draw):
+    """A secular column ``(h, g)`` of 1 to 4 rows (``n - 2`` at ``n`` = 3 to 6).
+
+    ``h`` is random, clustered (``h[1]`` 1e-9 to 1e-3 relative above
+    ``h[0]``) or repeated (``h[0] == h[1]``, and more); ``g_0`` is 0, tiny
+    (1e-300 to 1e-8 of ``|g|``) or ordinary, and the column is taken to
+    ``2**±300`` or left at unit scale.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "clustered", "repeated"]))
+    h = np.sort(rng.uniform(0.05, 1.0, size=k))
+    if k > 1 and kind == "clustered":
+        h[1] = h[0] * (1.0 + 10.0 ** rng.uniform(-9.0, -3.0))
+    elif k > 1 and kind == "repeated":
+        h[1:rng.integers(2, k + 1)] = h[0]
+    h = np.sort(h)
+    g = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 1.0)
+    g0 = draw(st.sampled_from(["zero", "tiny", "ordinary"]))
+    if g0 == "zero":
+        g[0] = 0.0
+    elif g0 == "tiny":
+        g[0] = np.linalg.norm(g) * 10.0 ** rng.uniform(-300.0, -8.0)
+    power = draw(st.sampled_from([0, 300, -300]))
+    return np.ldexp(h, power), np.ldexp(g, power)
+
+
+class TestSecularRoot:
+    # The most Newton rounds a column may take: 15 the most seen over
+    # 40,000 columns of secular_columns (2.5 on average).  A tiny g_0 whose
+    # other terms sum to within 1e-6 of 1 at h[0] takes more (about 25).
+    ROUNDS = 20
+
+    @given(column=secular_columns())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_newton_root_against_the_bisection(self, column):
+        # the root crosses s = 1 to within 4 eps, or within 2 ulps of lam
+        # where an ulp of lam moves s by more than that (a root near h[0]);
+        # the hard case ends at h[0].  A power of two on the column keeps
+        # every bit, and the bisected root is no closer to the crossing
+        h, g = column
+        g_sq = g * g
+        (lam,), rounds = counted_secular_root(h[:, None], g_sq[:, None])
+        assert rounds <= self.ROUNDS
+        eps = np.finfo(float).eps
+        if not np.any(g_sq[h == h[0]]) and secular_sum(h, g_sq, h[0]) < 1.0:
+            assert lam == h[0]
+        else:
+            ulps = 2.0 * np.spacing(abs(lam))
+            assert abs(secular_sum(h, g_sq, lam) - 1.0) <= 4.0 * eps or (
+                secular_sum(h, g_sq, lam - ulps) <= 1.0 + 4.0 * eps
+                and secular_sum(h, g_sq, min(lam + ulps, h[0])) >= 1.0 - 4.0 * eps)
+        for power in (-1, 1):
+            scaled = conelab._secular_root(np.ldexp(h, power)[:, None],
+                                           np.ldexp(g_sq, 2 * power)[:, None])
+            assert scaled[0] == math.ldexp(lam, power)
+        bisected = bisected_secular_root(h[:, None], g_sq[:, None])[0]
+        assert abs(lam - bisected) <= max(abs(bisected - h[0]), abs(h[0])) * 1e-6 or lam == h[0]
+
+    @given(case=level_iterates(), tiny=st.sampled_from([None, 0.0, 1e-300, 1e-12, 1e-8]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_either_root_gives_the_worst_value(self, case, tiny):
+        # _worst_direction on the Newton root and on the bisected one, with
+        # one coordinate of x zeroed or made tiny (g_0 zero or tiny): the
+        # values agree to TestBatchedWorstDirection's tolerance, and every
+        # call stays within the round bound
+        _, mus, x, gamma = case
+        if len(x) == 3:
+            reject()
+        if tiny is not None:
+            x = x.copy()
+            i = np.random.default_rng(len(x)).integers(len(x))
+            x[i] *= tiny
+            if not np.sum(mus * x * x) / np.sum(x * x) > mus[-2]:
+                reject()
+        real = conelab._secular_root
+        rounds = []
+
+        def counted(h, g_sq):
+            lam, n = counted_secular_root(h, g_sq, real)
+            rounds.append(n)
+            return lam
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conelab, "_secular_root", counted)
+            newton, _ = worst_one(mus, x, gamma)
+            patch.setattr(conelab, "_secular_root", bisected_secular_root)
+            bisected, _ = worst_one(mus, x, gamma)
+        assert rounds and max(rounds) <= self.ROUNDS
+        if not math.isfinite(newton):
+            assert newton == bisected
+            return
+        _, r, _, _, _ = _cone_disc(mus, x[:, None], gamma)
+        tol = 4 * np.spacing(mus[0]) * max(1.0, np.linalg.norm(x) / np.linalg.norm(r))
+        assert abs(newton - bisected) <= tol
+
+
 class TestBatchedWorstDirection:
     @given(case=level_iterates())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -863,17 +1046,32 @@ class TestBatchedWorstDirection:
         conditioning = max(1.0, np.linalg.norm(x) / np.linalg.norm(cone.r))
         assert abs(value - closed) <= 4 * np.spacing(mus[0]) * conditioning
 
-    @pytest.mark.parametrize("mus, x", [
-        ((1.0, 0.6, 0.3, 0.1), (0.8819171, 0.0, 0.0, 0.47140452)),
-        ((1.0, 0.6, 0.3, 0.1), (-0.70710678, 0.70710678, 0.0, 0.0)),
-        ((1.0, 0.7, 0.5, 0.3, 0.1), (1.0, 0.5, 0.3, 0.2, 0.0)),
-    ], ids=["n4-x1-x2-zero", "n4-x2-x3-zero", "n5-x4-zero"])
-    def test_hard_case(self, monkeypatch, mus, x):
+    @pytest.mark.parametrize("mus, x, h, g, root", [
+        ((1.0, 0.6, 0.3, 0.1), (0.8819171, 0.0, 0.0, 0.47140452), None, None, "h0"),
+        ((1.0, 0.6, 0.3, 0.1), (-0.70710678, 0.70710678, 0.0, 0.0), None, None, "h0"),
+        ((1.0, 0.7, 0.5, 0.3, 0.1), (1.0, 0.5, 0.3, 0.2, 0.0), None, None, "h0"),
+        ((1.0, 0.7, 0.5, 0.3, 0.1), (1.0, 0.5, 0.3, 0.2, 1e-12), None, None, "near"),
+        (None, None, (0.3, 0.3, 0.7), (0.0, 0.25, 0.1), 0.04701580567018804),
+    ], ids=["n4-x1-x2-zero", "n4-x2-x3-zero", "n5-x4-zero", "n5-x4-near-zero",
+            "coincident-lowest-h"])
+    def test_hard_case(self, monkeypatch, mus, x, h, g, root):
         # x with zero coordinates puts their eigenvectors into {x, r}^⊥ and
         # none of Br on them; where the lowest is one of them, the secular
-        # sum stays below 1 up to h[0]: the point takes the norm the other
-        # eigenvectors leave on it.  The first two are two-coordinate
-        # threshold iterates of the concentration check, where g = 0
+        # sum stays below 1 up to h[0]: the root is h[0] ("h0"), and the
+        # point takes the norm the other eigenvectors leave on it.  The
+        # first two are two-coordinate threshold iterates of the
+        # concentration check, where g = 0.  Near it, a g_0 of about 1e-12
+        # |g| ("near") puts the root h[0] - |g_0| / sqrt(1 - s_1(h[0])) to
+        # first order, with s_1 the sum less its g_0 term.  Two lowest h
+        # that coincide, one with g = 0, are not the hard case: the root
+        # (here to 50 digits) is where the other's term reaches 1, and a
+        # start at h[0] - |g_0| = h[0] would take it for the hard case
+        if mus is None:
+            h, g_sq = np.array(h), np.square(g)
+            lam = conelab._secular_root(h[:, None], g_sq[:, None])[0]
+            assert abs(lam - root) <= 2 * np.spacing(root)
+            assert abs(secular_sum(h, g_sq, lam) - 1.0) <= 4 * np.finfo(float).eps
+            return
         mus, x = np.array(mus), np.array(x)
         roots = []
         real = conelab._secular_root
@@ -887,16 +1085,23 @@ class TestBatchedWorstDirection:
         value, d = worst_one(mus, x, 0.5)
         monkeypatch.undo()
         (h, g_sq, lam), = roots
-        assert g_sq[0] == 0.0
-        assert np.nextafter(h[0], -math.inf) <= lam <= h[0]
-        assert np.sum(g_sq[1:] / (h[1:] - lam) ** 2) < 1.0
-        # the leftover norm sits on the zero coordinate of the lowest mu
-        low = np.flatnonzero(x == 0.0)[-1]
-        assert mus[low] == h[0] and d[low] != 0.0
+        rest = np.sum(g_sq[1:] / (h[1:] - h[0]) ** 2)
+        assert rest < 1.0
+        if root == "h0":
+            assert g_sq[0] == 0.0 and lam == h[0]
+        else:
+            assert 0.0 < g_sq[0] <= 1e-20 * np.sum(g_sq)
+            assert abs(lam - (h[0] - math.sqrt(g_sq[0] / (1.0 - rest)))) <= 2 * np.spacing(h[0])
+        # the leftover norm sits on the (near) zero coordinate of the lowest mu
+        low = np.flatnonzero(np.abs(x) <= 1e-12)[-1]
+        assert abs(mus[low] - h[0]) <= 1e-15 and d[low] != 0.0
         _, r, center, radius, _ = _cone_disc(mus, x[:, None], 0.5)
         assert abs(np.linalg.norm(d - center[:, 0]) - radius[0]) <= 1e-15 * radius[0]
+        # no sample beats it; near the hard case the dense zoom misses its
+        # narrow basin by about 1e-13
         dense = dense_disc_min(mus, x, 0.5)
-        assert dense - 4 * np.spacing(mus[0]) <= value <= dense + 4 * np.spacing(mus[0])
+        assert value <= dense + 4 * np.spacing(mus[0])
+        assert value >= dense - (4 * np.spacing(mus[0]) if root == "h0" else 1e-12)
 
     def test_boundary_beats_every_smaller_norm(self):
         # the domain claim: where mu(x) > mus[-2], no |u| = s < 1 does
@@ -1055,8 +1260,8 @@ class TestConcentrationCheck:
         ((1.0, 0.6, 0.1), 0.5, 0.8, 0.8692938785492137,
          (0.7281297987564052, -0.6675991260429589, -0.1553653856868844), (0, 1, 2),
          {(0, 1, 2): 0.8692938785492136}),
-        ((1.0, 0.7, 0.5, 0.3, 0.1), 0.4, 0.85, 0.8979058728437181,
-         (0.7290848943730667, -0.6727947868373546, 0.0, 0.0, -0.12562798892560875), (0, 1, 4),
+        ((1.0, 0.7, 0.5, 0.3, 0.1), 0.4, 0.85, 0.8979058728437173,
+         (0.7290848839468123, -0.6727948037852217, 0.0, 0.0, -0.12562795867110288), (0, 1, 4),
          {(0, 1, 2): 0.9356191016843678, (0, 1, 3): 0.9120317902951042,
           (0, 1, 4): 0.8979058728437173, (0, 2, 3): 0.953657153446109,
           (0, 2, 4): 0.936589304488977, (0, 3, 4): 0.9605172254141607}),
@@ -1177,16 +1382,22 @@ class TestConcentrationCheck:
         # reference) and rows (7,679) any of these seeds takes.  The
         # closed-form reference builds no scalar worst-case instance: it is
         # one ritz_gap call per grid, 12 grids of 149 points in all per triple.
+        # Each evaluation's secular solve takes at most 14 Newton rounds
+        # (about 1.5x the 9 these seeds take; 3.5 on average).
         # best_value is the inner level's value at best_x
         calls = count_ritz_gap_calls(monkeypatch)
-        evaluations = []
-        real_worst = conelab._worst_direction
+        evaluations, sums, rounds = [], [], []
+        real_worst, real_sums = conelab._worst_direction, conelab._secular_sums
 
         def counted_worst(mus, x, gamma):
             evaluations.append(x.shape[1])
-            return real_worst(mus, x, gamma)
+            start = len(sums)
+            result = real_worst(mus, x, gamma)
+            rounds.append(len(sums) - start)
+            return result
 
         monkeypatch.setattr(conelab, "_worst_direction", counted_worst)
+        monkeypatch.setattr(conelab, "_secular_sums", lambda *a: sums.append(1) or real_sums(*a))
         instances = []
         monkeypatch.setattr(conelab, "worst_case_instance",
                             lambda setup: instances.append(setup))
@@ -1208,6 +1419,7 @@ class TestConcentrationCheck:
         assert report.reference_triple == (0, 1, 3)
         assert report.beats_reference_by <= 1e-12
         assert len(evaluations) <= 60
+        assert max(rounds) <= 14
         assert sum(evaluations) <= 11_000
         assert len(calls) <= 110
         assert sum(calls) <= 11_500
