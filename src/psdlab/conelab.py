@@ -659,9 +659,9 @@ def _perp_basis(r):
 
 # A guard on the Newton rounds of the secular equation, not a stopping
 # rule: the concentration check's columns stop within 9 (3.5 on average).
-# A tiny g_0 whose other terms sum to within 1e-10 of 1 at h[0] can take
-# about 45: from |g_0|, t grows by only half of itself a round until
-# Newton takes hold.
+# A tiny g_0 whose other terms sum to 1 - delta at h[0] takes up to 21 at
+# delta = 1e-6, 32 at 1e-10 and 45 at delta = 0: from |g_0|, t grows by
+# only half of itself a round until Newton takes hold.
 _NEWTON_ROUNDS = 64
 
 

@@ -927,7 +927,8 @@ def secular_columns(draw):
 class TestSecularRoot:
     # The most Newton rounds a column may take: 15 the most seen over
     # 40,000 columns of secular_columns (2.5 on average).  A tiny g_0 whose
-    # other terms sum to within 1e-6 of 1 at h[0] takes more (about 25).
+    # other terms sum to 1 - delta at h[0] can take more: up to 21 at
+    # delta = 1e-6, 32 at 1e-10 and 45 at delta = 0.
     ROUNDS = 20
 
     @given(column=secular_columns())
@@ -935,8 +936,12 @@ class TestSecularRoot:
     def test_newton_root_against_the_bisection(self, column):
         # the root crosses s = 1 to within 4 eps, or within 2 ulps of lam
         # where an ulp of lam moves s by more than that (a root near h[0]);
-        # the hard case ends at h[0].  A power of two on the column keeps
-        # every bit, and the bisected root is no closer to the crossing
+        # the hard case ends at h[0].  The bisected root agrees to 16 eps of
+        # max(|lam|, |h[0]|): at most 9.2 eps on 80,000 columns, where s is
+        # flat enough that several doubles lie within 4 eps of 1 (an ulp of
+        # the bisected root itself means nothing where lam cancels to near
+        # 0).  A power of two on the column keeps every bit where g_sq has
+        # no subnormal entry, before or after it
         h, g = column
         g_sq = g * g
         (lam,), rounds = counted_secular_root(h[:, None], g_sq[:, None])
@@ -949,12 +954,13 @@ class TestSecularRoot:
             assert abs(secular_sum(h, g_sq, lam) - 1.0) <= 4.0 * eps or (
                 secular_sum(h, g_sq, lam - ulps) <= 1.0 + 4.0 * eps
                 and secular_sum(h, g_sq, min(lam + ulps, h[0])) >= 1.0 - 4.0 * eps)
-        for power in (-1, 1):
-            scaled = conelab._secular_root(np.ldexp(h, power)[:, None],
-                                           np.ldexp(g_sq, 2 * power)[:, None])
-            assert scaled[0] == math.ldexp(lam, power)
         bisected = bisected_secular_root(h[:, None], g_sq[:, None])[0]
-        assert abs(lam - bisected) <= max(abs(bisected - h[0]), abs(h[0])) * 1e-6 or lam == h[0]
+        assert abs(lam - bisected) <= 16.0 * eps * max(abs(lam), abs(h[0]))
+        if np.all((g_sq == 0.0) | (g_sq >= 4.0 * np.finfo(float).tiny)):
+            for power in (-1, 1):
+                scaled = conelab._secular_root(np.ldexp(h, power)[:, None],
+                                               np.ldexp(g_sq, 2 * power)[:, None])
+                assert scaled[0] == math.ldexp(lam, power)
 
     @given(case=level_iterates(), tiny=st.sampled_from([None, 0.0, 1e-300, 1e-12, 1e-8]))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1093,8 +1099,8 @@ class TestBatchedWorstDirection:
             assert 0.0 < g_sq[0] <= 1e-20 * np.sum(g_sq)
             assert abs(lam - (h[0] - math.sqrt(g_sq[0] / (1.0 - rest)))) <= 2 * np.spacing(h[0])
         # the leftover norm sits on the (near) zero coordinate of the lowest mu
-        low = np.flatnonzero(np.abs(x) <= 1e-12)[-1]
-        assert abs(mus[low] - h[0]) <= 1e-15 and d[low] != 0.0
+        low = np.flatnonzero(x == 0.0 if root == "h0" else np.abs(x) <= 1e-12)[-1]
+        assert mus[low] == h[0] and d[low] != 0.0
         _, r, center, radius, _ = _cone_disc(mus, x[:, None], 0.5)
         assert abs(np.linalg.norm(d - center[:, 0]) - radius[0]) <= 1e-15 * radius[0]
         # no sample beats it; near the hard case the dense zoom misses its
