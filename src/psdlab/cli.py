@@ -47,10 +47,6 @@ EXIT_MAX_STEPS = 2
 EXIT_VIOLATED = 3
 EXIT_NUMERIC = 4
 
-SOLVE_CSV_COLUMNS = ("step", "rho", "mu", "residual_norm", "delta", "ratio",
-                     "sigma_sq", "verdict")
-
-
 @dataclass
 class ExperimentConfig:
     """Flat key=value configuration shared by all subcommands.
@@ -141,7 +137,6 @@ class ExperimentReport:
     config: dict
     records: list
     summary: dict
-    columns: tuple = SOLVE_CSV_COLUMNS
 
     def to_json(self):
         """The report as ``json.dumps(..., indent=2, allow_nan=True)`` writes it, plus a newline.
@@ -165,9 +160,11 @@ class ExperimentReport:
                         rows, "\n    }\n  ],", _dumps({"summary": self.summary})[1:], "\n"])
 
     def to_csv(self):
-        lines = [",".join(self.columns)]
+        """One column per key of the first record, in its order; a missing key is empty."""
+        columns = list(self.records[0]) if self.records else []
+        lines = [",".join(columns)]
         for rec in self.records:
-            lines.append(",".join(_csv_cell(rec.get(col)) for col in self.columns))
+            lines.append(",".join(_csv_cell(rec.get(col)) for col in columns))
         return "\n".join(lines) + "\n"
 
     @property
@@ -381,12 +378,7 @@ def cmd_certify(config):
         "solvers": [k.value for k in solvers],
         "gammas": gammas,
     }
-    return ExperimentReport(
-        config=config.echo(), records=rows, summary=summary,
-        columns=("trial", "solver", "gamma", "steps", "final_rho",
-                 "checked_steps", "max_ratio_over_sigma_sq", "violated",
-                 "certified", "note"),
-    )
+    return ExperimentReport(config=config.echo(), records=rows, summary=summary)
 
 
 def cmd_sharpness(config):
@@ -446,10 +438,7 @@ def cmd_sharpness(config):
         "violations": violations,
         "final_gap": rows[-1]["gap"],
     }
-    return ExperimentReport(
-        config=config.echo(), records=rows, summary=summary,
-        columns=("delta", "t", "measured_ratio", "sigma_sq", "gap"),
-    )
+    return ExperimentReport(config=config.echo(), records=rows, summary=summary)
 
 
 _COMMON = ("seed", "output", "format", "max_steps", "residual_tol", "delta_tol")

@@ -19,6 +19,7 @@ one trust-region subproblem on the complement of ``{x, r}``, the n-D
 form of :func:`worst_direction`'s closed form, for many iterates at once.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ import numpy as np
 
 from .bounds import SolverKind, _factor, _kappa_lenient
 from .errors import StationaryPointError
-from .iterate import _POW2_SAFE_EXP, _delta, psd_step
-from .pencil import DiagonalForm, _shifted_ritz_2x2, _unit_scale
+from .iterate import _delta, psd_step
+from .pencil import DiagonalForm, _pow2_unit, _shifted_ritz_2x2, _unit_scale
 from .precond import Preconditioner, PrecondQuality
 
 __all__ = [
@@ -62,16 +63,6 @@ def _colsum(a):
     for row in a[2:]:
         total += row
     return total
-
-
-def _pow2_unit(a):
-    """``(a * 2**-e, e)`` per row (last axis), by the rule of :func:`psdlab.iterate._pow2_scaled`.
-
-    ``e`` keeps the row axis; it is 0, and the row keeps every bit, inside ``2**±_POW2_SAFE_EXP``.
-    """
-    _, e = np.frexp(np.max(np.abs(a), axis=-1, keepdims=True))
-    e = np.where(np.abs(e) <= _POW2_SAFE_EXP, 0, e)
-    return np.ldexp(a, -e), e
 
 
 def _cross(a, b):
@@ -293,8 +284,8 @@ def brute_force_cone_min(cone, n_samples):
     the cone's unit state.  Returns the minimum and the direction
     attaining it (the first, at ties), in the units of the cone's mus and x.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if not _is_int(n_samples) or n_samples < 100:
+        raise ValueError(f"n_samples must be an integer of at least 100, got {n_samples!r}")
     angles = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     ys = np.concatenate([frac * np.array([np.cos(angles), np.sin(angles)])
                          for frac in (0.25, 0.5, 0.75, 1.0)], axis=1)
@@ -965,16 +956,10 @@ def three_d_concentration_check(spectrum, gamma, mu0, n_outer=200, *, seed):
     best_x = x_of(best_params)[0][:, 0]
     significant = tuple(int(i) for i in np.nonzero(np.abs(best_x) > _SIGNIFICANCE)[0])
 
-    i = int(np.nonzero(mus > mu0)[0][-1])  # mu0 in (mus[i+1], mus[i])
-    triple_values = {}
-    for j in range(n - 2):
-        for kk in range(j + 1, n - 1):
-            for ll in range(kk + 1, n):
-                if not mus[kk] < mu0 < mus[j]:
-                    continue
-                triple = (j, kk, ll)
-                triple_values[triple] = math.ldexp(
-                    _worst_value_3d((mus[j], mus[kk], mus[ll]), gamma, mu0), e)
+    i = int(pos[-1])  # mu0 in (mus[i+1], mus[i])
+    triple_values = {
+        (j, kk, ll): math.ldexp(_worst_value_3d((mus[j], mus[kk], mus[ll]), gamma, mu0), e)
+        for j, kk, ll in itertools.combinations(range(n), 3) if mus[kk] < mu0 < mus[j]}
     reference_triple = (i, i + 1, n - 1)
     reference_value = triple_values[reference_triple]
     return ConcentrationReport(

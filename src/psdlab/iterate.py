@@ -33,8 +33,8 @@ import numpy as np
 from . import bounds
 from .bounds import SolverKind
 from .errors import NumericFailure
-from .pencil import (_RANK_TOL, DiagonalForm, RayleighValue, _shifted_ritz_2x2, _unit_scale,
-                     diagonalize)
+from .pencil import (_RANK_TOL, DiagonalForm, RayleighValue, _pow2_unit, _shifted_ritz_2x2,
+                     _unit_scale, diagonalize)
 from .precond import Preconditioner
 
 __all__ = [
@@ -57,10 +57,6 @@ _DEGENERATE_DIRECTION_TOL = 1e-14
 
 # Monotonicity slack: rho may not increase beyond this relative amount.
 _MONOTONE_TOL = 1e-12
-
-# A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
-# is: the square of that entry neither overflows nor underflows in its norm.
-_POW2_SAFE_EXP = 400
 
 
 class _Measure(NamedTuple):
@@ -340,17 +336,6 @@ def _delta(lam, mus, z, i, row=None):
     return float(up.dot(w)) / float(down.dot(w)) * lo / hi
 
 
-def _pow2_scaled(v):
-    """``v``, brought by a power of two into a range where its norm is safe.
-
-    Outside ``2**±_POW2_SAFE_EXP`` the max-abs entry is scaled into
-    [0.5, 1).  That scaling is exact unless it pushes an entry below the
-    normal range; a vector inside the range is returned unchanged.
-    """
-    _, e = np.frexp(np.max(np.abs(v)))
-    return v if abs(e) <= _POW2_SAFE_EXP else np.ldexp(v, -e)
-
-
 def _certification_gamma(kind, quality):
     """The gamma a certified run must use, or (None, reason) when it cannot.
 
@@ -447,7 +432,7 @@ def run(pencil, precond, x0, kind, *, max_steps=500, residual_tol=1e-10,
     rows = {}
     # Scaled by powers of two on both sides of the map, so that entries near
     # the overflow or underflow threshold still give a unit start.
-    z = _unit(_pow2_scaled(form.to_diagonal(_pow2_scaled(x0))))
+    z = _unit(_pow2_unit(form.to_diagonal(_pow2_unit(x0)[0]))[0])
     m = _measure(mus, z)
     # The start as a step that measured its iterate; each step is handed on
     # to the next, which takes that measure instead of forming it again.

@@ -38,37 +38,26 @@ def read_matrix(path):
             f"unsupported symmetry {symmetry!r} (symmetric only)", line=1
         )
 
-    size_line = None
-    entries_start = None
+    # The first data line is the size line, every later one an entry.
+    m = None
+    seen = set()
+    count = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        size_line = (lineno, stripped)
-        entries_start = lineno + 1
-        break
-    if size_line is None:
-        raise MatrixMarketError("missing size line", line=len(lines))
-
-    lineno, stripped = size_line
-    parts = stripped.split()
-    if len(parts) != 3:
-        raise MatrixMarketError("size line must contain 'rows cols nnz'", line=lineno)
-    try:
-        rows, cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise MatrixMarketError("size line entries must be integers", line=lineno)
-    if rows != cols:
-        raise MatrixMarketError("symmetric matrices must be square", line=lineno)
-
-    m = np.zeros((rows, rows))
-    seen = set()
-    count = 0
-    for lineno, raw in enumerate(lines[entries_start - 1 :], start=entries_start):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
         parts = stripped.split()
+        if m is None:
+            if len(parts) != 3:
+                raise MatrixMarketError("size line must contain 'rows cols nnz'", line=lineno)
+            try:
+                rows, cols, nnz = (int(p) for p in parts)
+            except ValueError:
+                raise MatrixMarketError("size line entries must be integers", line=lineno)
+            if rows != cols:
+                raise MatrixMarketError("symmetric matrices must be square", line=lineno)
+            m = np.zeros((rows, rows))
+            continue
         if len(parts) != 3:
             raise MatrixMarketError("entry line must be 'i j value'", line=lineno)
         try:
@@ -85,6 +74,8 @@ def read_matrix(path):
         m[i - 1, j - 1] = value
         m[j - 1, i - 1] = value
         count += 1
+    if m is None:
+        raise MatrixMarketError("missing size line", line=len(lines))
     if count != nnz:
         raise MatrixMarketError(
             f"declared {nnz} entries but found {count}", line=len(lines)

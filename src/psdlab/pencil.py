@@ -40,6 +40,10 @@ _RANK_TOL = 1e-10
 # Order at or below which _tril_inverse inverts a diagonal block by LAPACK.
 _TRIL_BLOCK = 32
 
+# A vector whose max-abs entry lies within 2**±_POW2_SAFE_EXP is left as it
+# is: the square of that entry neither overflows nor underflows in its norm.
+_POW2_SAFE_EXP = 400
+
 
 def _tril_inverse(c):
     """Inverse ``W`` of a nonsingular lower triangular ``c``, exactly lower triangular.
@@ -124,11 +128,6 @@ class SymmetricPencil:
     def n(self):
         return self._a.shape[0]
 
-    def solve_a(self, rhs):
-        """Apply the exact inverse ``A^-1 = W^T W`` of A, ``W = C^-1`` for ``A = C C^T``."""
-        w = _tril_inverse(self._chol_a)
-        return w.T @ (w @ rhs)
-
     def __repr__(self):
         return f"SymmetricPencil(n={self.n})"
 
@@ -184,10 +183,6 @@ class RayleighValue(NamedTuple):
 
     rho: float
     mu: float
-
-    @classmethod
-    def from_rho(cls, rho):
-        return cls(rho=float(rho), mu=1.0 / float(rho))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +245,18 @@ def _unit_scale(mus):
     return (np.ldexp(mus, -e) if e else mus), e
 
 
+def _pow2_unit(a):
+    """``(a * 2**-e, e)`` per row (last axis), with ``e`` keeping the row axis.
+
+    A row whose max-abs entry lies outside ``2**±_POW2_SAFE_EXP`` has that
+    entry scaled into [0.5, 1), exactly unless an entry falls below the
+    normal range; inside, ``e`` is 0 and the row keeps every bit.
+    """
+    _, e = np.frexp(np.max(np.abs(a), axis=-1, keepdims=True))
+    e = np.where(np.abs(e) <= _POW2_SAFE_EXP, 0, e)
+    return np.ldexp(a, -e), e
+
+
 @dataclass(eq=False)
 class DiagonalForm:
     """Congruence carrying a pencil to ``A = I``, ``B = diag(mus)``.
@@ -257,8 +264,8 @@ class DiagonalForm:
     ``basis`` maps original coordinates to diagonalized ones
     (``z = basis @ x``); ``inverse_basis`` maps back.  ``mus`` is stored
     in decreasing order, so ``lambdas = 1/mus`` reversed is ascending.
-    ``mus`` and ``shift`` are in the pencil's units; the step kernel takes
-    the shift at unit scale, with its exponent, from :meth:`_unit_shift`.
+    ``mus`` is in the pencil's units; the step kernel takes the shift
+    ``mus[0] - mus`` at unit scale, with its exponent, from :meth:`_unit_shift`.
     """
 
     mus: np.ndarray
@@ -282,13 +289,11 @@ class DiagonalForm:
             self._spectrum = Spectrum(lambdas=1.0 / self.mus)
         return self._spectrum
 
-    @property
-    def shift(self):
-        """``mus[0] - mus``: the ``S = mus[0] - B`` of the line-search step's 2x2 problem."""
-        return self.mus[0] - self.mus
-
     def _unit_shift(self):
-        """``(shift * 2**-e, e)``, with the ``e`` of :func:`_unit_scale`; computed once."""
+        """``((mus[0] - mus) * 2**-e, e)``, with the ``e`` of :func:`_unit_scale`; computed once.
+
+        ``mus[0] - mus`` is the ``S = mus[0] - B`` of the line-search step's 2x2 problem.
+        """
         if self._scaled_shift is None:
             unit, e = _unit_scale(self.mus)
             self._scaled_shift = (unit[0] - unit, e)
@@ -452,6 +457,16 @@ def _mass_1d(n, h):
     return (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) * (h / 6.0)
 
 
+def _mass(params, n, fem):
+    """The ``B`` that ``params["mass"]`` selects: ``I_n`` or the matrix ``fem()`` builds."""
+    mass = params.get("mass", "identity")
+    if mass == "identity":
+        return np.eye(n)
+    if mass == "fem":
+        return fem()
+    raise ValueError(f"unknown mass kind {mass!r}")
+
+
 def generate_problem(kind, **params):
     """Construct a test pencil.
 
@@ -488,15 +503,7 @@ def generate_problem(kind, **params):
         n = int(params["n"])
         if n < 2:
             raise ValueError("laplacian1d needs n >= 2")
-        a = _laplacian_1d(n, h)
-        mass = params.get("mass", "identity")
-        if mass == "identity":
-            b = np.eye(n)
-        elif mass == "fem":
-            b = _mass_1d(n, h)
-        else:
-            raise ValueError(f"unknown mass kind {mass!r}")
-        return SymmetricPencil(a, b)
+        return SymmetricPencil(_laplacian_1d(n, h), _mass(params, n, lambda: _mass_1d(n, h)))
 
     if kind == "laplacian2d":
         nx = int(params["nx"])
@@ -506,13 +513,7 @@ def generate_problem(kind, **params):
         tx = _laplacian_1d(nx, h)
         ty = _laplacian_1d(ny, h)
         a = np.kron(np.eye(ny), tx) + np.kron(ty, np.eye(nx))
-        mass = params.get("mass", "identity")
-        if mass == "identity":
-            b = np.eye(nx * ny)
-        elif mass == "fem":
-            b = np.kron(_mass_1d(ny, h), _mass_1d(nx, h))
-        else:
-            raise ValueError(f"unknown mass kind {mass!r}")
+        b = _mass(params, nx * ny, lambda: np.kron(_mass_1d(ny, h), _mass_1d(nx, h)))
         return SymmetricPencil(a, b)
 
     if kind == "matrix_market":

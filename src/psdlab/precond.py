@@ -136,12 +136,16 @@ def synthetic_gamma_preconditioner(diag_form, gamma, seed=None):
     return Preconditioner(matrix=np.eye(n) - e, quality=quality, coords="diagonal")
 
 
+def _measured(pencil, t):
+    """The pencil-coordinate ``T`` as a :class:`Preconditioner` with its measured quality."""
+    quality = estimate_quality(pencil, Preconditioner(t, None, "pencil"))
+    return Preconditioner(matrix=t, quality=quality, coords="pencil")
+
+
 def jacobi_preconditioner(pencil):
     """Diagonal (Jacobi) preconditioner ``T = diag(A)^-1`` with measured quality."""
     # A is positive definite, so its diagonal is positive.
-    t = np.diag(1.0 / np.diag(pencil.a))
-    quality = estimate_quality(pencil, Preconditioner(t, None, "pencil"))
-    return Preconditioner(matrix=t, quality=quality, coords="pencil")
+    return _measured(pencil, np.diag(1.0 / np.diag(pencil.a)))
 
 
 def exact_inverse_preconditioner(pencil):
@@ -154,9 +158,7 @@ def exact_inverse_preconditioner(pencil):
 
 def identity_preconditioner(pencil):
     """``T = I`` in pencil coordinates with measured quality."""
-    t = np.eye(pencil.n)
-    quality = estimate_quality(pencil, Preconditioner(t, None, "pencil"))
-    return Preconditioner(matrix=t, quality=quality, coords="pencil")
+    return _measured(pencil, np.eye(pencil.n))
 
 
 def estimate_quality(pencil, precond):

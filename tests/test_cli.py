@@ -133,7 +133,7 @@ class TestSolveCommand:
         from psdlab.pencil import RayleighValue
 
         def nan_step(form, t, z):
-            return StepResult(x=z, rho=RayleighValue.from_rho(np.nan), theta_opt=1.0)
+            return StepResult(x=z, rho=RayleighValue(np.nan, np.nan), theta_opt=1.0)
 
         monkeypatch.setattr(iterate, "psd_step", nan_step)
         out = tmp_path / "o.csv"
@@ -740,7 +740,7 @@ def test_csv_and_json_write_numpy_scalars_alike():
     row = {"f64": np.float64(0.1), "f32": np.float32(0.1), "f16": np.float16(0.1),
            "nan": np.float32("nan"), "i64": np.int64(-3), "i32": np.int32(7),
            "u8": np.uint8(255), "ok": np.bool_(False), "none": None}
-    report = ExperimentReport(config={}, records=[row], summary={}, columns=tuple(row))
+    report = ExperimentReport(config={}, records=[row], summary={})
     header, line = report.to_csv().splitlines()
     assert header.split(",") == list(row)
     written = json.loads(report.to_json())["records"][0]

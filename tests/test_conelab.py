@@ -736,6 +736,9 @@ class TestBruteForce:
         cone = ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5)
         with pytest.raises(ValueError):
             brute_force_cone_min(cone, 50)
+        # a numpy integer is an integer
+        got, want = brute_force_cone_min(cone, np.int64(200)), brute_force_cone_min(cone, 200)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 class TestColsum:
@@ -1827,6 +1830,12 @@ class TestArgumentChecks:
          "mu0 must lie strictly inside an eigenvalue interval"),
         (lambda: three_d_concentration_check(_SPEC4, 0.5, 1.5, seed=1),
          "mu0 must lie strictly inside an eigenvalue interval"),
+        (lambda: brute_force_cone_min(ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5), 100.5),
+         r"n_samples must be an integer of at least 100, got 100\.5"),
+        (lambda: brute_force_cone_min(ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5), "200"),
+         "n_samples must be an integer of at least 100, got '200'"),
+        (lambda: brute_force_cone_min(ConeSpec(mus=MUS, x=np.ones(3), gamma=0.5), True),
+         "n_samples must be an integer of at least 100, got True"),
     ])
     def test_bad_arguments_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -461,8 +461,8 @@ class TestRunGuards:
             # run() hands each step the previous StepResult
             z = prev.x
             m = iterate._measure(form.mus, z)
-            return StepResult(x=z, rho=RayleighValue.from_rho(rho_of(m.value.rho)),
-                              theta_opt=1.0, measure=m)
+            rho = float(rho_of(m.value.rho))
+            return StepResult(x=z, rho=RayleighValue(rho, 1.0 / rho), theta_opt=1.0, measure=m)
         monkeypatch.setattr(iterate, name, step)
 
     @staticmethod
@@ -703,4 +703,5 @@ class TestScaleInvariance:
             assert got.rho == (math.ldexp(want.rho.rho, -power), math.ldexp(want.rho.mu, power))
             assert (got.theta_opt, got.converged) == (want.theta_opt, want.converged)
             x = want.x
-        assert np.array_equal(scaled.shift, np.ldexp(base.shift, power))
+        (unit_shift, e), (base_shift, base_e) = scaled._unit_shift(), base._unit_shift()
+        assert np.array_equal(unit_shift, base_shift) and e == base_e + power

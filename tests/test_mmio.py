@@ -62,6 +62,10 @@ def test_comments_and_one_based_indices(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\nx 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n1 1 2.0\n", 4),
+        # comment and blank lines before the size line, and between entries
+        ("%%MatrixMarket matrix coordinate real symmetric\n% c\n\n% c\n2 3 1\n1 1 1.0\n", 5),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n% c\n\n1 1 2.0\n",
+         6),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
@@ -114,6 +118,9 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
         (_HEADER + "2 2 x\n1 1 1.0\n", "line 2: size line entries must be integers"),
         (_HEADER + "2 2.0 1\n1 1 1.0\n", "line 2: size line entries must be integers"),
         (_HEADER + "2 2 1\n1 1\n", "line 3: entry line must be 'i j value'"),
+        (_HEADER + "% c\n\n2 2\n1 1 1.0\n", "line 4: size line must contain 'rows cols nnz'"),
+        (_HEADER + "2 2 3\n1 1 1.0\n% c\n2 1 0.5\n1 2 0.5\n",
+         "line 6: duplicate entry for (1, 2)"),
     ],
 )
 def test_malformed_inputs_name_the_fault(tmp_path, content, message):

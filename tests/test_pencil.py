@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from psdlab import (
     Spectrum,
     diagonalize,
     estimate_quality,
+    exact_inverse_preconditioner,
     generate_problem,
     identity_preconditioner,
     jacobi_preconditioner,
@@ -72,6 +74,16 @@ class TestSymmetricPencil:
     def test_rejects_bad_shapes_and_asymmetric_b(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SymmetricPencil(a, b)
+
+    def test_sparse_input_is_densified(self):
+        dense = generate_problem("laplacian1d", n=8, mass="fem")
+        sparse = SymmetricPencil(scipy.sparse.csr_matrix(dense.a), scipy.sparse.csr_matrix(dense.b))
+        assert np.array_equal(sparse.a, dense.a) and np.array_equal(sparse.b, dense.b)
+        assert np.array_equal(diagonalize(sparse).mus, diagonalize(dense).mus)
+        asymmetric = dense.a.copy()
+        asymmetric[0, 1] += 1.0
+        with pytest.raises(ValueError, match="^A is not exactly symmetric as stored$"):
+            SymmetricPencil(scipy.sparse.csr_matrix(asymmetric), scipy.sparse.csr_matrix(dense.b))
 
     def test_immutable(self):
         p = SymmetricPencil(np.eye(2), np.eye(2))
@@ -355,12 +367,13 @@ class TestNumpyLapackMatchesScipyOracle:
         assert abs(lam - exact) <= 5e-15 * exact
 
     @pytest.mark.parametrize("name", list(_SCIPY_ORACLE_CASES))
-    def test_solve_a_residual(self, name, tmp_path):
+    def test_exact_inverse_residual(self, name, tmp_path):
         pencil = _SCIPY_ORACLE_CASES[name][0](tmp_path)
+        apply_inverse = exact_inverse_preconditioner(pencil).apply
         rng = np.random.default_rng(5)
         a_norm = np.linalg.norm(pencil.a, 2)
         for rhs in (rng.standard_normal(pencil.n), rng.standard_normal((pencil.n, 3))):
-            x = pencil.solve_a(rhs)
+            x = apply_inverse(rhs)
             assert x.shape == rhs.shape
             res = np.linalg.norm(pencil.a @ x - rhs)
             assert res <= 1e-13 * a_norm * np.linalg.norm(x)

@@ -1,6 +1,7 @@
 """The package's public names, and how its result types compare."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -21,6 +22,7 @@ from psdlab import (
     RunResult,
     Spectrum,
     StepResult,
+    SymmetricPencil,
     WorstCaseResult,
     WorstCaseSetup,
     diagonalize,
@@ -30,7 +32,8 @@ from psdlab import (
     run,
     synthetic_gamma_preconditioner,
 )
-from psdlab import iterate
+from psdlab import cli, conelab, iterate, pencil
+from psdlab.cli import ExperimentReport
 from psdlab.conelab import ConcentrationReport
 from psdlab.pencil import _unit_scale
 
@@ -40,6 +43,12 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(psdlab.__path__)
 # Names deleted because their callers know everything they did.
 REMOVED = ("CrossSection", "cross_section", "householder_reduce", "invit1_step",
            "invit2_step", "ellipse_quantities", "EllipseQuantities", "positional_maker")
+
+
+# Members deleted as unused, or as second copies of a rule the package keeps once.
+REMOVED_MEMBERS = ((SymmetricPencil, "solve_a"), (DiagonalForm, "shift"),
+                   (RayleighValue, "from_rho"), (cli, "SOLVE_CSV_COLUMNS"),
+                   (iterate, "_pow2_scaled"), (iterate, "_POW2_SAFE_EXP"))
 
 
 def _module(name):
@@ -74,6 +83,18 @@ def test_removed_names_stay_removed():
             module = _module(name)
             assert not hasattr(module, export), f"psdlab.{name}.{export} is back"
             assert export not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_MEMBERS,
+                         ids=[f"{owner.__name__}.{name}" for owner, name in REMOVED_MEMBERS])
+def test_removed_members_stay_removed(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_rules_written_once():
+    # the CSV columns are the records' keys; one power-of-two rule for vectors
+    assert "columns" not in {f.name for f in dataclasses.fields(ExperimentReport)}
+    assert conelab._pow2_unit is pencil._pow2_unit
 
 
 @pytest.mark.parametrize("cls", [Spectrum, DiagonalForm, Preconditioner, StepResult, RunResult,
