@@ -36,7 +36,7 @@ from .precond import (
     rescale,
     synthetic_gamma_preconditioner,
 )
-from .conelab import WorstCaseSetup, t_star, worst_case_instance
+from .conelab import WorstCaseSetup, _worst_case_steps, t_star
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "cmd_solve", "cmd_certify",
            "cmd_sharpness", "main"]
@@ -409,10 +409,7 @@ def cmd_sharpness(config):
     rows = []
     for delta in deltas:
         try:
-            ratios = [
-                worst_case_instance(WorstCaseSetup(mus=mus, gamma=gamma, delta=delta, t=t))
-                .measured_ratio for t in ts
-            ]
+            ratios = [result.measured_ratio for result in _worst_case_steps(mus, gamma, delta, ts)]
         except StationaryPointError as exc:
             raise StationaryPointError(
                 f"--deltas value {delta!r} is below the stationary floor of these mus "

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import SolverKind, _factor, _kappa_lenient
 from .errors import StationaryPointError
-from .iterate import _delta, psd_step
+from .iterate import _delta, _delta_row, psd_step
 from .pencil import DiagonalForm, _pow2_unit, _shifted_ritz_2x2, _unit_scale
 from .precond import Preconditioner, PrecondQuality
 
@@ -319,6 +319,47 @@ def _level_set(unit, delta):
     return mu, math.sqrt(delta), b
 
 
+def _level_set_cones(unit, gamma, a, b, ts):
+    """The level-set iterates at the parameters ``ts`` as columns, and their cones.
+
+    ``x(t) = (1, a / sqrt(1 + t^2), b t / sqrt(1 + t^2))`` with the
+    semi-axes ``a`` and ``b`` of :func:`_level_set`, formed as
+    :class:`WorstCaseSetup` forms its ``x`` (an overflowing ``t`` gives
+    what Python floats give).  Returns ``x``, its columns at unit scale with
+    their power-of-two exponents (:func:`psdlab.pencil._pow2_unit`), and
+    the :func:`_cone_disc` of those on the unit-scale triple ``unit``.
+    Every operation is elementwise or a :func:`_colsum`, so each column
+    has the bits of its iterate alone.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(1.0 + ts * ts)
+        x = np.stack([np.ones_like(ts), a / root, b * ts / root])
+    unit_x, ex = _pow2_unit(x.T)
+    unit_x = unit_x.T
+    return x, unit_x, ex[:, 0], _cone_disc(unit, unit_x, gamma)
+
+
+def _checked_instance(mus, gamma, delta, ts):
+    """``mus`` as an array; ValueError names the first input outside an instance's domain."""
+    mus = np.asarray(mus, dtype=float)
+    if (mus.shape != (3,) or not np.all(np.isfinite(mus))
+            or np.any(np.diff(mus) >= 0) or mus[-1] <= 0):
+        raise ValueError("mus must be three finite, strictly decreasing positive values")
+    for name, values in (("delta", (delta,)), ("t", ts)):
+        for value in values:
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
+    return mus
+
+
+def _psd_sigma(unit, gamma):
+    """kappa in the lambda form, as bounds.certify_step takes it, and the sharp PSD factor."""
+    kappa = _kappa_lenient(*(1.0 / unit).tolist())
+    return kappa, _factor(SolverKind.PSD, None, kappa, gamma)
+
+
 @dataclass(eq=False)
 class WorstCaseSetup:
     """Three-dimensional sharpness instance.
@@ -347,16 +388,7 @@ class WorstCaseSetup:
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        mus = np.asarray(self.mus, dtype=float)
-        if (mus.shape != (3,) or not np.all(np.isfinite(mus))
-                or np.any(np.diff(mus) >= 0) or mus[-1] <= 0):
-            raise ValueError("mus must be three finite, strictly decreasing positive values")
-        for name, value in (("delta", self.delta), ("t", self.t)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        self.mus = mus
+        self.mus = mus = _checked_instance(self.mus, self.gamma, self.delta, (self.t,))
         unit, e = _unit_scale(mus)
         mu, self.a, self.b = _level_set(unit, self.delta)
         self.mu = math.ldexp(mu, e)
@@ -364,9 +396,7 @@ class WorstCaseSetup:
         self.alpha0 = self.a / root
         self.beta0 = self.b * self.t / root
         self.x = np.array([1.0, self.alpha0, self.beta0])
-        # kappa in the lambda form, as bounds.certify_step takes it
-        self.kappa = _kappa_lenient(*(1.0 / unit).tolist())
-        self.sigma = _factor(SolverKind.PSD, None, self.kappa, self.gamma)
+        self.kappa, self.sigma = _psd_sigma(unit, self.gamma)
 
     def cone(self):
         return ConeSpec(mus=self.mus, x=self.x, gamma=self.gamma)
@@ -452,24 +482,68 @@ def worst_case_instance(setup):
     ``delta`` near 1e-18.  The step runs on the cone's unit-scale mus;
     ``mu_after`` goes back to the setup's units.  A numerically empty cone
     (``x`` within 1e-13 of an eigenvector, or a ``converged`` step) raises
-    :class:`StationaryPointError`.
+    :class:`StationaryPointError`.  The batch of one of
+    :func:`_worst_case_steps`, which gives these bits.
     """
-    cone = setup.cone()
-    mus, e = cone._unit[:2]
-    d = worst_direction(cone)
-    form = DiagonalForm(mus=mus, basis=np.eye(3), inverse_basis=np.eye(3))
-    step = psd_step(form, worst_aligned_preconditioner(cone, d), setup.x)
-    if step.converged:
-        raise StationaryPointError("the worst-case step found a stationary point")
-    lam = 1.0 / mus
-    delta_before = _delta(lam, mus, setup.x, 0)
-    delta_after = _delta(lam, mus, step.x, 0)
-    return WorstCaseResult(
-        x=setup.x, d=d, mu_before=cone.mu_x, mu_after=math.ldexp(step.rho.mu, e),
-        delta_before=delta_before, delta_after=delta_after,
-        measured_ratio=delta_after / delta_before,
-        predicted_ratio=setup.sigma ** 2,  # as bounds.certify_step squares it
-    )
+    return _worst_case_steps(setup.mus, setup.gamma, setup.delta, (setup.t,))[0]
+
+
+def _worst_case_steps(mus, gamma, delta, ts):
+    """:func:`worst_case_instance` at each level-set parameter of ``ts``, one delta's batch.
+
+    ``mus``, ``gamma``, ``delta`` and ``ts`` are checked, and the unit
+    scale, level set and sharp factor formed, once for the batch.  The
+    iterates and their cones come from one :func:`_level_set_cones`.  Each
+    point then takes :class:`ConeSpec`'s unit ``v`` (normalized by
+    ``ndarray.dot``), :func:`worst_direction`,
+    :func:`worst_aligned_preconditioner`'s ``T``, one
+    :func:`psdlab.iterate.psd_step` and ``_delta``, in that arithmetic
+    and in the order of its checks: the first point that fails one raises
+    what its :func:`worst_case_instance` raises.  OpenBLAS's ``ddot`` may
+    round by the address alignment of its operands, so every vector that
+    reaches BLAS is a fresh 1-D array, as on the per-point route: the
+    results are that route's, bit for bit, whatever the BLAS kernel.
+    """
+    mus = _checked_instance(mus, gamma, delta, ts)
+    unit, e = _unit_scale(mus)
+    _, a, b = _level_set(unit, delta)
+    predicted = _psd_sigma(unit, gamma)[1] ** 2  # as bounds.certify_step squares it
+    x, unit_x, ex, (mu_x, r, center, radius, empty) = _level_set_cones(
+        unit, gamma, a, b, np.asarray(ts, dtype=float))
+    finite = np.all(np.isfinite(x), axis=0).tolist()
+    es = e + ex
+    v = _cross(unit_x, r)
+    disc_center = np.ldexp(center, es)
+    eye = np.eye(3)
+    form = DiagonalForm(mus=unit, basis=eye, inverse_basis=eye)
+    quality = PrecondQuality.ideal(gamma)
+    lam = 1.0 / unit
+    row = _delta_row(lam, unit, 0)
+    results = []
+    for i, es_i in enumerate(es.tolist()):
+        if not finite[i]:
+            raise ValueError("x must be finite and nonzero")
+        if empty[i]:
+            raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
+        mu_before = math.ldexp(mu_x[i], e)
+        if mu_before <= mus[1]:
+            raise ValueError("worst_direction needs mu(x) in (mus[1], mus[0])")
+        x_i, v_i = x[:, i].copy(), v[:, i].copy()
+        d = disc_center[:, i] + math.ldexp(radius[i], es_i) * (v_i / math.sqrt(v_i.dot(v_i)))
+        matrix = eye if gamma == 0.0 else eye - _aligned_error_matrix(
+            r[:, i].copy(), np.ldexp(mus * x_i - d, -es_i), gamma)
+        step = psd_step(form, Preconditioner(matrix=matrix, quality=quality, coords="diagonal"),
+                        x_i)
+        if step.converged:
+            raise StationaryPointError("the worst-case step found a stationary point")
+        delta_before = _delta(lam, unit, x_i, 0, row)
+        delta_after = _delta(lam, unit, step.x, 0, row)
+        results.append(WorstCaseResult(
+            x=x_i, d=d, mu_before=mu_before, mu_after=math.ldexp(step.rho.mu, e),
+            delta_before=delta_before, delta_after=delta_after,
+            measured_ratio=delta_after / delta_before, predicted_ratio=predicted,
+        ))
+    return results
 
 
 def axis_ratio_closed_form(delta, t, kappa, gamma):
@@ -579,21 +653,21 @@ class ConcentrationReport:
 def _worst_mu_after(unit, gamma, a, b, ts):
     """The worst-case instance's ``mu_after`` at each level-set parameter of ``ts``.
 
-    The batched form of :func:`worst_case_instance`, on a strictly
-    decreasing positive triple ``unit`` at unit scale with the semi-axes
-    ``a`` and ``b`` of :func:`_level_set`.  The iterates
-    ``x(t) = (1, a / sqrt(1 + t^2), b t / sqrt(1 + t^2))`` go in as
-    columns; their cones come from one :func:`_cone_disc`, the worst
-    direction is ``d = disc_center + disc_radius v`` with ``v`` the unit
-    ``x cross r``, and ``mu_after``, the larger Ritz value of
-    ``span{x, d}`` that the worst-case PSD step reaches, from one
-    :func:`_ritz_gap` call.  An empty cone raises
+    Value-only, on a strictly decreasing positive triple ``unit`` at unit
+    scale with the semi-axes ``a`` and ``b`` of :func:`_level_set`.  The
+    iterates and their cones come from the same :func:`_level_set_cones`
+    as :func:`_worst_case_steps`' (iterates inside ``2**±400`` keep every
+    bit).  The worst direction is ``d = disc_center + disc_radius v`` with
+    ``v`` the unit ``x cross r``, normalized by :func:`_colsum` over the
+    whole batch (the steps' route normalizes each ``v`` by ``ndarray.dot``),
+    and ``mu_after``, the larger Ritz value of ``span{x, d}`` that the
+    worst-case PSD step reaches, comes from one :func:`_ritz_gap` call
+    rather than from a step: within a few ulp of
+    :func:`worst_case_instance`'s.  An empty cone raises
     :class:`StationaryPointError`, as in :func:`worst_case_instance`.
     """
-    ts = np.asarray(ts, dtype=float)
-    root = np.sqrt(1.0 + ts * ts)
-    x = np.stack([np.ones_like(ts), a / root, b * ts / root])
-    _, r, center, radius, empty = _cone_disc(unit, x, gamma)
+    _, x, _, (_, r, center, radius, empty) = _level_set_cones(
+        unit, gamma, a, b, np.asarray(ts, dtype=float))
     if np.any(empty):
         raise StationaryPointError("x is numerically an eigenvector; the search cone is empty")
     v = _cross(x, r)

@@ -6,11 +6,24 @@ comment lines.  Array and general/complex/pattern variants are rejected
 explicitly rather than silently misread.
 """
 
+import re
+
 import numpy as np
 
 from .errors import MatrixMarketError
 
 _BANNER = "%%matrixmarket"
+# A size or index token: ASCII digits, with a minus sign so that a negative
+# size reads as one.  int() alone would also take "+1", "1_0" and non-ASCII
+# digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integers(tokens):
+    """``tokens`` as ints, or None when one is not an integer token."""
+    if all(_INTEGER.fullmatch(tok) for tok in tokens):
+        return [int(tok) for tok in tokens]
+    return None
 
 
 def read_matrix(path):
@@ -50,21 +63,27 @@ def read_matrix(path):
         if m is None:
             if len(parts) != 3:
                 raise MatrixMarketError("size line must contain 'rows cols nnz'", line=lineno)
-            try:
-                rows, cols, nnz = (int(p) for p in parts)
-            except ValueError:
+            sizes = _integers(parts)
+            if sizes is None:
                 raise MatrixMarketError("size line entries must be integers", line=lineno)
+            rows, cols, nnz = sizes
             if rows != cols:
                 raise MatrixMarketError("symmetric matrices must be square", line=lineno)
+            if rows < 1:
+                raise MatrixMarketError(f"matrix size must be at least 1, got {rows}",
+                                        line=lineno)
             m = np.zeros((rows, rows))
             continue
         if len(parts) != 3:
             raise MatrixMarketError("entry line must be 'i j value'", line=lineno)
+        indices = _integers(parts[:2])
         try:
-            i, j = int(parts[0]), int(parts[1])
             value = float(parts[2])
         except ValueError:
+            value = None
+        if indices is None or value is None:
             raise MatrixMarketError(f"cannot parse entry {stripped!r}", line=lineno)
+        i, j = indices
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise MatrixMarketError(f"index ({i}, {j}) out of range", line=lineno)
         key = (min(i, j), max(i, j))

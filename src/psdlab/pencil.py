@@ -97,6 +97,8 @@ class SymmetricPencil:
             raise ValueError("A must be square")
         if b.shape != a.shape:
             raise ValueError("A and B must have identical shape")
+        if a.size == 0:
+            raise ValueError("A and B are a 0x0 pair; a pencil needs n >= 1")
         if not np.array_equal(a, a.T):
             raise ValueError("A is not exactly symmetric as stored")
         if not np.array_equal(b, b.T):

@@ -107,6 +107,19 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("size_line, message", [
+        ("0 0 0", "line 2: matrix size must be at least 1, got 0"),
+        ("-2 -2 0", "line 2: matrix size must be at least 1, got -2"),
+    ])
+    def test_empty_or_negative_matrix_market_size_exits_1(self, tmp_path, capsys, size_line,
+                                                          message):
+        bad = tmp_path / "zero.mtx"
+        bad.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{size_line}\n")
+        code = main(["solve", "--problem", f"matrix_market:{bad}", "--seed", "1",
+                     "--gamma", "0.3"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"psdlab: error: {message}\n"
+
     def test_non_finite_matrix_market_entry_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "a.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
@@ -366,15 +379,13 @@ class TestSharpnessCommand:
         # a ratio beyond sigma^2 (1 + RATIO_TOL) is a violation, not a pass
         import psdlab.cli as cli
 
-        real = cli.worst_case_instance
+        real = cli._worst_case_steps
 
-        def inflated(setup):
-            result = real(setup)
-            return dataclasses.replace(
-                result, measured_ratio=result.measured_ratio * (1.0 + 1e-6)
-            )
+        def inflated(*args):
+            return [dataclasses.replace(result, measured_ratio=result.measured_ratio * (1.0 + 1e-6))
+                    for result in real(*args)]
 
-        monkeypatch.setattr(cli, "worst_case_instance", inflated)
+        monkeypatch.setattr(cli, "_worst_case_steps", inflated)
         out = tmp_path / "sharp.json"
         code = main([
             "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",
@@ -388,9 +399,9 @@ class TestSharpnessCommand:
     def test_nan_ratio_exits_violated(self, tmp_path, monkeypatch):
         # a NaN ratio (an instance whose arithmetic broke down) is no
         # evidence of the bound
-        real = cli.worst_case_instance
-        monkeypatch.setattr(cli, "worst_case_instance", lambda setup: dataclasses.replace(
-            real(setup), measured_ratio=math.nan))
+        real = cli._worst_case_steps
+        monkeypatch.setattr(cli, "_worst_case_steps", lambda *args: [
+            dataclasses.replace(result, measured_ratio=math.nan) for result in real(*args)])
         out = tmp_path / "sharp.json"
         code = main([
             "sharpness", "--mus", "1,0.5,0.1", "--gamma", "0.5",

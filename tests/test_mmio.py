@@ -66,6 +66,12 @@ def test_comments_and_one_based_indices(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n% c\n\n% c\n2 3 1\n1 1 1.0\n", 5),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n% c\n\n1 1 2.0\n",
          6),
+        # sizes below 1, and integer tokens that int() takes but the format does not
+        ("%%MatrixMarket matrix coordinate real symmetric\n% c\n0 0 0\n", 3),
+        ("%%MatrixMarket matrix coordinate real symmetric\n-2 -2 0\n", 2),
+        ("%%MatrixMarket matrix coordinate real symmetric\n1_0 1_0 1\n1 1 1.0\n", 2),
+        ("%%MatrixMarket matrix coordinate real symmetric\n+2 2 1\n1 1 1.0\n", 2),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1_0 1 1.0\n", 3),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
@@ -121,6 +127,11 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
         (_HEADER + "% c\n\n2 2\n1 1 1.0\n", "line 4: size line must contain 'rows cols nnz'"),
         (_HEADER + "2 2 3\n1 1 1.0\n% c\n2 1 0.5\n1 2 0.5\n",
          "line 6: duplicate entry for (1, 2)"),
+        (_HEADER + "0 0 0\n", "line 2: matrix size must be at least 1, got 0"),
+        (_HEADER + "-2 -2 0\n", "line 2: matrix size must be at least 1, got -2"),
+        (_HEADER + "1_0 1_0 1\n1 1 1.0\n", "line 2: size line entries must be integers"),
+        (_HEADER + "2 2 1\n1_0 1 1.0\n", "line 3: cannot parse entry '1_0 1 1.0'"),
+        (_HEADER + "2 2 1\n1 1 x\n", "line 3: cannot parse entry '1 1 x'"),
     ],
 )
 def test_malformed_inputs_name_the_fault(tmp_path, content, message):

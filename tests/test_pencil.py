@@ -70,6 +70,7 @@ class TestSymmetricPencil:
         (np.ones(3), np.ones(3), "A must be square"),
         (np.eye(2), np.eye(3), "A and B must have identical shape"),
         (np.eye(2), np.array([[2.0, 0.5], [0.0, 2.0]]), "B is not exactly symmetric as stored"),
+        (np.zeros((0, 0)), np.zeros((0, 0)), "A and B are a 0x0 pair; a pencil needs n >= 1"),
     ])
     def test_rejects_bad_shapes_and_asymmetric_b(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
