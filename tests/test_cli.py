@@ -382,8 +382,9 @@ class TestSharpnessCommand:
         real = cli._worst_case_steps
 
         def inflated(*args):
-            return [dataclasses.replace(result, measured_ratio=result.measured_ratio * (1.0 + 1e-6))
-                    for result in real(*args)]
+            return [dataclasses.replace(
+                result, measured_ratio=result.measured_ratio * (1.0 + 1e-6)
+            ) for result in real(*args)]
 
         monkeypatch.setattr(cli, "_worst_case_steps", inflated)
         out = tmp_path / "sharp.json"

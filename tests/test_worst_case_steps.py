@@ -129,15 +129,23 @@ def test_worst_case_instance_is_the_batch_of_one():
                 bits(scalar_worst_case_instance(setup))
 
 
-def test_a_failing_point_raises_what_its_instance_raises():
-    # t = 1e160 overflows t * t: x = (1, 0, 0) is an eigenvector, behind two
-    # good points; and an invalid t is named before anything steps
+@pytest.mark.parametrize("delta, ts, error", [
+    # t * t overflows: x = (1, 0, 0) is an eigenvector, behind two good points
+    (1e-4, [0.5, 2.0, 1e160, 3.0],
+     (StationaryPointError, "x is numerically an eigenvector; the search cone is empty")),
+    # b t overflows as well: x has a NaN
+    (1e4, [1.0, 1.7e308], (ValueError, "x must be finite and nonzero")),
+    # the level rounds to mus[1]
+    (1e17, [1.0], (ValueError, "worst_direction needs mu(x) in (mus[1], mus[0])")),
+])
+def test_a_failing_point_raises_what_its_instance_raises(delta, ts, error):
     mus = np.array([1.0, 0.5, 0.1])
-    ts = [0.5, 2.0, 1e160, 3.0]
-    want = outcome(scalar_route, mus, 0.5, 1e-4, ts)
-    assert want == (StationaryPointError,
-                    "x is numerically an eigenvector; the search cone is empty")
-    assert outcome(conelab._worst_case_steps, mus, 0.5, 1e-4, ts) == want
+    assert outcome(scalar_route, mus, 0.5, delta, ts) == error
+    assert outcome(conelab._worst_case_steps, mus, 0.5, delta, ts) == error
+
+
+def test_inputs_are_checked_before_anything_steps():
+    mus = np.array([1.0, 0.5, 0.1])
     for bad in (-1.0, math.nan, math.inf):
         want = outcome(scalar_route, mus, 0.5, 1e-4, [1.0, bad])
         assert want == (ValueError, f"t must be finite and positive, got {bad!r}")
@@ -161,7 +169,8 @@ def test_the_grid_takes_one_solver_step_per_point_and_builds_no_cone(monkeypatch
     real_step, real_batch = conelab.psd_step, cli._worst_case_steps
     monkeypatch.setattr(conelab, "psd_step", lambda *a: steps.append(1) or real_step(*a))
     monkeypatch.setattr(ConeSpec, "__post_init__", lambda self: cones.append(self))
-    monkeypatch.setattr(cli, "_worst_case_steps", lambda *a: batches.append(a[2]) or real_batch(*a))
+    monkeypatch.setattr(cli, "_worst_case_steps",
+                        lambda *a: batches.append(a[2]) or real_batch(*a))
     cmd_sharpness(ExperimentConfig(command="sharpness", mus="1,0.5,0.1", gamma=0.5,
                                    deltas="1e-2,1e-4,1e-6,1e-8", t_mode="grid", t_grid=41))
     assert len(steps) == 4 * 41
